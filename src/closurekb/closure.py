@@ -3,7 +3,8 @@
 The closure of a target entity is the forward-reachable set over used_in and
 depends_on edges, including the target. Traversal is breadth-first with
 neighbors expanded in sorted-id order, so visit order is deterministic and
-cycles terminate via the visited set.
+cycles terminate via the visited set. Every check on a member set walks the
+members' own out-edges, so its cost follows the set, not the graph.
 """
 
 from __future__ import annotations
@@ -24,35 +25,43 @@ class ClosureResult:
 
 
 def _exec_edges_within(graph: KnowledgeGraph, members) -> list:
-    edges = [
+    """Executability edges between members, sorted by (src, dst, kind)."""
+    return [
         e
-        for e in graph.edges
-        if e.kind in EXEC_KINDS and e.src in members and e.dst in members
+        for src in sorted(members)
+        for e in graph.edges_from(src)
+        if e.kind in EXEC_KINDS and e.dst in members
     ]
-    edges.sort(key=lambda e: (e.src, e.dst, e.kind))
-    return edges
 
 
 def closure(graph: KnowledgeGraph, target: str) -> ClosureResult:
-    """BFS forward reachability over executability edges from `target`."""
+    """BFS forward reachability over executability edges from `target`.
+
+    The closure holds every executability out-edge of its members, so
+    edge_count is their total executability out-degree.
+    """
     if target not in graph:
         raise UnknownEntity(f"no entity with id {target!r}")
     visited = {target}
     order = [target]
     queue = deque([target])
+    edge_count = 0
     while queue:
         current = queue.popleft()
-        for neighbor in graph.neighbors(current, EXEC_KINDS, "out"):
-            if neighbor not in visited:
-                visited.add(neighbor)
-                order.append(neighbor)
-                queue.append(neighbor)
-    members = frozenset(visited)
+        # edges_from is sorted by (dst, kind): neighbors come in sorted-id order.
+        for edge in graph.edges_from(current):
+            if edge.kind not in EXEC_KINDS:
+                continue
+            edge_count += 1
+            if edge.dst not in visited:
+                visited.add(edge.dst)
+                order.append(edge.dst)
+                queue.append(edge.dst)
     return ClosureResult(
         target=target,
-        members=members,
+        members=frozenset(visited),
         visit_order=tuple(order),
-        edge_count=len(_exec_edges_within(graph, members)),
+        edge_count=edge_count,
     )
 
 
@@ -80,7 +89,8 @@ def is_well_defined(graph: KnowledgeGraph, members) -> tuple[bool, list[tuple[st
     member_set = set(members)
     violations = sorted(
         (e.src, e.dst)
-        for e in graph.edges
-        if e.kind in EXEC_KINDS and e.src in member_set and e.dst not in member_set
+        for src in member_set
+        for e in graph.edges_from(src)
+        if e.kind in EXEC_KINDS and e.dst not in member_set
     )
     return (not violations, violations)

@@ -291,7 +291,7 @@ _CODE_KIND_LABEL = {
 
 @dataclass(frozen=True)
 class ValidationReport:
-    status: str  # ok | failed
+    status: str  # ok | failed | unresolved (the query named no entity)
     missing_declarations: tuple[str, ...] = ()
     kind_mismatches: tuple[tuple[str, str, str], ...] = ()
     arity_mismatches: tuple[tuple[str, int, int], ...] = ()
@@ -392,12 +392,7 @@ def resolve_missing_name(graph: KnowledgeGraph, name: str) -> str | None:
     direct = graph.find_by_name(name)
     if direct:
         return direct[0].id
-    hinted = [
-        ent
-        for ent in graph.entities.values()
-        if ent.fields.get("solver_symbol_hint") == name
-    ]
-    hinted.sort(key=lambda e: (e.source != kg.SOURCE_CODE, e.id))
+    hinted = graph.names().by_hint.get(name)
     return hinted[0].id if hinted else None
 
 
@@ -416,11 +411,18 @@ def repair_loop(
     set therefore never shrinks. Stops on an ok report or budget exhaustion
     and returns the last code and report. Generated code is validated
     self-contained (no graph assist): the solver only sees the code.
+
+    A query that resolves no seed entity has nothing to build from: it
+    returns empty code, an `unresolved` report and zero rounds, since empty
+    code would otherwise validate as ok.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     parsed = understand_query(query, graph)
     seeds = select_seeds(parsed, graph)
+    if not seeds:
+        return "", ValidationReport(status="unresolved"), 0
+    snippets = semantic_search(index, query, snippet_k) if index is not None else []
     extra: set[str] = set()
     code = ""
     report = ValidationReport(status="failed", parse_error="generator never ran")
@@ -428,7 +430,6 @@ def repair_loop(
     for _round in range(max_rounds):
         rounds_used += 1
         structural = structural_retrieve(graph, sorted(set(seeds) | extra))
-        snippets = semantic_search(index, query, snippet_k) if index is not None else []
         fused = fuse(parsed, structural, snippets, graph, k=snippet_k)
         package = build_context(graph, fused, query)
         try:

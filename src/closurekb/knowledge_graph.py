@@ -12,6 +12,7 @@ keys and unknown kind strings are rejected.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from . import model_dsl
@@ -123,6 +124,7 @@ class KnowledgeGraph:
         self.edges: set[Edge] = set()
         self._out: dict[str, set[Edge]] = {}
         self._in: dict[str, set[Edge]] = {}
+        self._names: NameLookup | None = None
         self.frozen = False
 
     # -- mutation ------------------------------------------------------------
@@ -142,6 +144,7 @@ class KnowledgeGraph:
         self.entities[entity.id] = entity
         self._out[entity.id] = set()
         self._in[entity.id] = set()
+        self._names = None
         return entity
 
     def add_edge(self, src: str, dst: str, kind: str) -> Edge:
@@ -196,15 +199,18 @@ class KnowledgeGraph:
     def edges_from(self, entity_id: str):
         return sorted(self._out.get(entity_id, ()), key=lambda e: (e.dst, e.kind))
 
+    def names(self) -> "NameLookup":
+        """The name lookup, built on first use after the last added entity.
+
+        Entities are never mutated once added, so only add_entity drops it.
+        """
+        if self._names is None:
+            self._names = NameLookup(self)
+        return self._names
+
     def find_by_name(self, name: str) -> list[Entity]:
         """Entities whose name or solver_symbol equals `name`, code entities first."""
-        hits = [
-            ent
-            for ent in self.entities.values()
-            if ent.name == name or ent.fields.get("solver_symbol") == name
-        ]
-        hits.sort(key=lambda e: (e.source != SOURCE_CODE, e.id))
-        return hits
+        return list(self.names().by_name.get(name, ()))
 
     def __eq__(self, other):
         if not isinstance(other, KnowledgeGraph):
@@ -222,6 +228,41 @@ class KnowledgeGraph:
             ):
                 return False
         return True
+
+
+class NameLookup:
+    """Entity lookups by name, built in one pass over the graph.
+
+    by_name and by_hint map a name, solver_symbol or solver_symbol_hint to
+    its entities, code entities first, then by id. by_norm maps a
+    normalize_name() form to ids in sorted order. by_first_token maps the
+    first split_name_tokens() token of each name to (tokens, id, priority)
+    in sorted-id order, where priority 0 marks code entities.
+    """
+
+    def __init__(self, graph: KnowledgeGraph):
+        self.by_name: dict[str, list[Entity]] = {}
+        self.by_hint: dict[str, list[Entity]] = {}
+        self.by_norm: dict[str, list[str]] = {}
+        self.by_first_token: dict[str, list[tuple[tuple[str, ...], str, int]]] = {}
+        for entity_id in graph.sorted_ids():
+            ent = graph.entities[entity_id]
+            # A loaded document may hold non-string names or symbols; no
+            # query string can equal them.
+            for key in {k for k in (ent.name, ent.fields.get("solver_symbol")) if isinstance(k, str)}:
+                self.by_name.setdefault(key, []).append(ent)
+            hint = ent.fields.get("solver_symbol_hint")
+            if isinstance(hint, str):
+                self.by_hint.setdefault(hint, []).append(ent)
+            if not isinstance(ent.name, str):
+                continue
+            self.by_norm.setdefault(normalize_name(ent.name), []).append(entity_id)
+            tokens = split_name_tokens(ent.name)
+            if tokens:
+                priority = 0 if ent.source == SOURCE_CODE else 1
+                self.by_first_token.setdefault(tokens[0], []).append((tokens, entity_id, priority))
+        for hits in (*self.by_name.values(), *self.by_hint.values()):
+            hits.sort(key=lambda e: e.source != SOURCE_CODE)
 
 
 def audit_graph(graph: KnowledgeGraph) -> list[str]:
@@ -382,6 +423,22 @@ def cards_from_json(doc) -> list[ConceptCard]:
 def normalize_name(name: str) -> str:
     """Case-fold and strip underscores, spaces, and other subscript markers."""
     return "".join(ch for ch in name.casefold() if ch.isalnum())
+
+
+_NAME_PART_RE = re.compile(r"[A-Z]+(?![a-z])|[A-Z]?[a-z0-9]+|\d+")
+
+
+def split_name_tokens(name: str) -> tuple[str, ...]:
+    """Split an entity name into lowercase tokens at non-alphanumerics and
+    camelCase boundaries; an all-caps run is one token, and digits stay
+    attached to the preceding letters."""
+    merged: list[str] = []
+    for part in _NAME_PART_RE.findall(name):
+        if part.isdigit() and merged and merged[-1].isalpha():
+            merged[-1] = merged[-1] + part
+        else:
+            merged.append(part)
+    return tuple(p.lower() for p in merged)
 
 
 @dataclass(frozen=True)

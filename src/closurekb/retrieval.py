@@ -1,10 +1,12 @@
 """Query understanding plus the two retrieval streams (semantic and structural).
 
 The semantic stream is a deterministic TF-IDF index over entity snippets and
-descriptions; alternate embedders plug in through a text -> fixed-length
-vector contract. The structural stream is a union of dependency closures
-seeded from entities resolved in the query, with aligns_to followed one hop
-from paper seeds so concepts pull in their executable realizations.
+descriptions, stored as per-term postings with per-document norms, so a
+search touches only the documents that share a term with the query. The
+structural stream is a union of dependency closures seeded from entities
+resolved in the query, with aligns_to followed one hop from paper seeds so
+concepts pull in their executable realizations. Entity names are matched
+through the graph's name lookup (KnowledgeGraph.names()).
 """
 
 from __future__ import annotations
@@ -85,19 +87,6 @@ def _tokens_with_spans(text: str) -> list[tuple[str, int, int]]:
     return [(m.group(), m.start(), m.end()) for m in _WORD_RE.finditer(text.lower())]
 
 
-def _split_name_tokens(name: str) -> tuple[str, ...]:
-    """Split an entity name into lowercase tokens at non-alphanumerics and
-    camelCase boundaries (digits stay attached to the preceding letters)."""
-    parts = re.findall(r"[A-Za-z][a-z0-9]*|[A-Z]+(?![a-z])|\d+", name)
-    merged: list[str] = []
-    for part in parts:
-        if part.isdigit() and merged and merged[-1].isalpha():
-            merged[-1] = merged[-1] + part
-        else:
-            merged.append(part)
-    return tuple(p.lower() for p in merged)
-
-
 def _trigger_position(lowered: str, trigger: str) -> int | None:
     # Whole-word match with an optional plural, so "address" never fires "add"
     # but "constraints" still fires "constraint".
@@ -129,9 +118,9 @@ def _match_intents(text: str) -> tuple[str, ...]:
 
 
 def _slots_per_hour(graph: KnowledgeGraph) -> int | None:
-    for entity_id in graph.sorted_ids():
+    for entity_id in graph.names().by_norm.get("slotsperhour", ()):
         ent = graph.entities[entity_id]
-        if ent.kind == kg.PARAMETER and kg.normalize_name(ent.name) == "slotsperhour":
+        if ent.kind == kg.PARAMETER:
             data = ent.fields.get("data")
             if isinstance(data, (int, float)) and data > 0:
                 return int(data)
@@ -142,22 +131,18 @@ def _extract_name_matches(text: str, graph: KnowledgeGraph) -> list[ExtractedEnt
     """Longest contiguous token match against entity names; overlapping matches
     are resolved by preferring code entities, then longer, earlier, smaller id."""
     tokens = _tokens_with_spans(text)
-    token_values = [t[0] for t in tokens]
-    candidates: list[tuple[int, int, int, str, str]] = []
-    for entity_id in graph.sorted_ids():
-        ent = graph.entities[entity_id]
-        name_tokens = _split_name_tokens(ent.name)
-        if not name_tokens:
-            continue
-        width = len(name_tokens)
-        for start in range(0, len(token_values) - width + 1):
-            if tuple(token_values[start : start + width]) == name_tokens:
-                priority = 0 if ent.source == kg.SOURCE_CODE else 1
-                candidates.append((priority, -width, start, entity_id, ent.id))
+    token_values = tuple(t[0] for t in tokens)
+    by_first_token = graph.names().by_first_token
+    candidates: list[tuple[int, int, int, str]] = []
+    for start, first in enumerate(token_values):
+        for name_tokens, entity_id, priority in by_first_token.get(first, ()):
+            width = len(name_tokens)
+            if token_values[start : start + width] == name_tokens:
+                candidates.append((priority, -width, start, entity_id))
     candidates.sort()
     taken: list[tuple[int, int]] = []
     chosen: list[tuple[int, int, str]] = []
-    for _priority, neg_width, start, entity_id, _ in candidates:
+    for _priority, neg_width, start, entity_id in candidates:
         width = -neg_width
         span = (start, start + width)
         if any(s < span[1] and span[0] < e for s, e in taken):
@@ -221,8 +206,9 @@ def understand_query(text: str, graph: KnowledgeGraph) -> ParsedQuery:
 class TfidfEmbedder:
     """Deterministic TF-IDF embedder over lowercased alphanumeric tokens.
 
-    Satisfies the pluggable embedder contract: after fitting, embed() maps any
-    UTF-8 text to a fixed-length vector (dimension = vocabulary size).
+    After fitting, weights() maps any UTF-8 text to its nonzero (slot, weight)
+    pairs, and embed() to the dense vector of them (dimension = vocabulary
+    size).
     """
 
     def __init__(self):
@@ -246,38 +232,46 @@ class TfidfEmbedder:
         ]
         return self
 
-    def embed(self, text: str) -> list[float]:
-        vector = [0.0] * len(self.vocabulary)
-        counts = Counter(self.tokenize(text))
-        for term, count in counts.items():
+    def weights(self, text: str) -> list[tuple[int, float]]:
+        """Nonzero (slot, weight) pairs of the text, in ascending slot order.
+
+        Every weight is at least 1: both the log term frequency factor and
+        the smoothed idf are.
+        """
+        pairs = []
+        for term, count in Counter(self.tokenize(text)).items():
             slot = self._index.get(term)
             if slot is not None:
-                vector[slot] = (1.0 + math.log(count)) * self._idf[slot]
+                pairs.append((slot, (1.0 + math.log(count)) * self._idf[slot]))
+        pairs.sort()
+        return pairs
+
+    def embed(self, text: str) -> list[float]:
+        vector = [0.0] * len(self.vocabulary)
+        for slot, weight in self.weights(text):
+            vector[slot] = weight
         return vector
 
 
-def cosine(a: list[float], b: list[float]) -> float:
-    dot = sum(x * y for x, y in zip(a, b))
-    norm_a = math.sqrt(sum(x * x for x in a))
-    norm_b = math.sqrt(sum(x * x for x in b))
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 0.0
-    return dot / (norm_a * norm_b)
+def _norm(pairs) -> float:
+    return math.sqrt(sum(w * w for _slot, w in pairs))
 
 
 @dataclass
 class SemanticIndex:
     doc_ids: list[str] = field(default_factory=list)
     texts: dict[str, str] = field(default_factory=dict)
-    vectors: dict[str, list[float]] = field(default_factory=dict)
-    embedder: object = None
+    # slot -> (doc id, weight) of every document holding the term, by doc id
+    postings: dict[int, list[tuple[str, float]]] = field(default_factory=dict)
+    norms: dict[str, float] = field(default_factory=dict)
+    embedder: TfidfEmbedder | None = None
 
 
 def snippet_text(entity) -> str:
     return entity.fields.get("snippet") or entity.description or ""
 
 
-def index_snippets(graph: KnowledgeGraph, cards=(), embedder=None) -> SemanticIndex:
+def index_snippets(graph: KnowledgeGraph, cards=()) -> SemanticIndex:
     """Build the semantic index from entity descriptions/snippets plus any
     standalone cards. Insertion order independent: documents are sorted by id."""
     docs: dict[str, str] = {}
@@ -290,25 +284,32 @@ def index_snippets(graph: KnowledgeGraph, cards=(), embedder=None) -> SemanticIn
         if card.snippet:
             docs[doc_id] = card.snippet
     doc_ids = sorted(docs)
-    corpus = [docs[i] for i in doc_ids]
-    if embedder is None:
-        embedder = TfidfEmbedder().fit(corpus)
-    vectors = {i: embedder.embed(docs[i]) for i in doc_ids}
-    dims = {len(v) for v in vectors.values()}
-    if len(dims) > 1:
-        raise ValueError("embedder returned vectors of differing dimension")
-    return SemanticIndex(doc_ids=doc_ids, texts=docs, vectors=vectors, embedder=embedder)
+    embedder = TfidfEmbedder().fit([docs[i] for i in doc_ids])
+    postings: dict[int, list[tuple[str, float]]] = {}
+    norms: dict[str, float] = {}
+    for doc_id in doc_ids:
+        pairs = embedder.weights(docs[doc_id])
+        norms[doc_id] = _norm(pairs)
+        for slot, weight in pairs:
+            postings.setdefault(slot, []).append((doc_id, weight))
+    return SemanticIndex(doc_ids=doc_ids, texts=docs, postings=postings, norms=norms, embedder=embedder)
 
 
 def semantic_search(index: SemanticIndex, text: str, k: int) -> list[tuple[str, float, str]]:
     """Top-k snippets by cosine similarity; zero-score documents are dropped,
-    ties broken by smaller doc id."""
-    query_vec = index.embedder.embed(text)
-    scored = []
-    for doc_id in index.doc_ids:
-        score = cosine(query_vec, index.vectors[doc_id])
-        if score > 0.0:
-            scored.append((doc_id, score))
+    ties broken by smaller doc id.
+
+    Dot products are summed left to right in ascending slot order over the
+    query's postings, the same additions a dense dot product makes once its
+    zero terms are left out, so scores do not depend on the index layout.
+    """
+    query = index.embedder.weights(text)
+    query_norm = _norm(query)
+    dots: dict[str, float] = {}
+    for slot, query_weight in query:
+        for doc_id, weight in index.postings.get(slot, ()):
+            dots[doc_id] = dots.get(doc_id, 0.0) + query_weight * weight
+    scored = [(doc_id, dot / (query_norm * index.norms[doc_id])) for doc_id, dot in dots.items()]
     scored.sort(key=lambda item: (-item[1], item[0]))
     return [(doc_id, score, index.texts[doc_id]) for doc_id, score in scored[:k]]
 

@@ -78,6 +78,16 @@ def test_generate_ok_and_byte_identical(battery_graph, tmp_path, capsys):
     assert report["status"] == "ok"
 
 
+def test_generate_query_resolving_no_entity_fails(battery_graph, tmp_path, capsys):
+    out = tmp_path / "none.mm"
+    code = main(["generate", "hello world", "--graph", str(battery_graph), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_FAILED
+    assert "status=unresolved" in captured.out
+    assert out.read_text(encoding="utf-8") == ""
+    assert json.loads((tmp_path / "none.mm.report.json").read_text())["status"] == "unresolved"
+
+
 def test_generate_lingo_dialect(battery_graph, tmp_path, capsys):
     out = tmp_path / "dr.lng"
     assert main([

@@ -151,3 +151,38 @@ def test_is_well_defined_reports_escaping_edges():
 def test_is_well_defined_vacuous_on_empty_set():
     graph = make_graph(1, [])
     assert is_well_defined(graph, set()) == (True, [])
+
+
+def exec_edges_within_scan(graph, members):
+    return sorted(
+        (e.src, e.dst, e.kind)
+        for e in graph.edges
+        if e.kind in kg.EXEC_KINDS and e.src in members and e.dst in members
+    )
+
+
+def escaping_pairs_scan(graph, members):
+    return sorted(
+        (e.src, e.dst)
+        for e in graph.edges
+        if e.kind in kg.EXEC_KINDS and e.src in members and e.dst not in members
+    )
+
+
+def test_member_local_checks_equal_whole_edge_scans_on_500_random_digraphs():
+    rng = random.Random(2718)
+    for _ in range(500):
+        graph, n = random_digraph(rng)
+        ids = graph.sorted_ids()
+        members = set(rng.sample(ids, rng.randint(0, n)))
+        violations = escaping_pairs_scan(graph, members)
+        assert is_well_defined(graph, members) == (not violations, violations)
+        # Ids absent from the graph are ignored by the check ...
+        assert is_well_defined(graph, members | {"ghost"}) == (not violations, violations)
+        sub = induced_subgraph(graph, members)
+        assert sorted((e.src, e.dst, e.kind) for e in sub.edges) == exec_edges_within_scan(graph, members)
+        # ... but rejected by the subgraph.
+        with pytest.raises(UnknownEntity):
+            induced_subgraph(graph, members | {"ghost"})
+        result = closure(graph, rng.choice(ids))
+        assert result.edge_count == len(exec_edges_within_scan(graph, result.members))

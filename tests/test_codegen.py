@@ -16,6 +16,7 @@ from closurekb.errors import (
 )
 
 from test_model_dsl import random_model
+from test_retrieval import fjsp_graph
 
 
 def ingest(source: str) -> kg.KnowledgeGraph:
@@ -290,6 +291,22 @@ def test_repair_loop_structural_set_is_monotone():
         graph, index, Spy(),
     )
     assert seen_sizes == sorted(seen_sizes)
+
+
+@pytest.mark.parametrize("query", ["hello world", "add a constraint", "what is the weather"])
+def test_repair_loop_query_resolving_no_entity_is_unresolved(query):
+    graph, index = battery_fixture()
+    code, report, rounds = codegen.repair_loop(query, graph, index, codegen.TemplateGenerator())
+    assert (code, report.status, report.ok, rounds) == ("", "unresolved", False, 0)
+
+
+def test_repair_loop_unresolved_on_fjsp_graph():
+    graph = fjsp_graph()
+    code, report, rounds = codegen.repair_loop(
+        "add the machine capacity constraint", graph, rt.index_snippets(graph),
+        codegen.TemplateGenerator(),
+    )
+    assert (code, report.status, rounds) == ("", "unresolved", 0)
 
 
 def test_validate_soundness_reported_missing_is_genuinely_undeclared():

@@ -162,6 +162,45 @@ def test_normalize_name():
     assert kg.normalize_name("LoadReduction") == "loadreduction"
 
 
+def test_split_name_tokens_camel_case_digits_and_all_caps():
+    assert kg.split_name_tokens("loadReduction") == ("load", "reduction")
+    assert kg.split_name_tokens("deltaLmin") == ("delta", "lmin")
+    assert kg.split_name_tokens("B13") == ("b13",)
+    assert kg.split_name_tokens("m01") == ("m01",)
+    assert kg.split_name_tokens("B_ref") == ("b", "ref")
+    assert kg.split_name_tokens("WORKCENTERS") == ("workcenters",)
+    assert kg.split_name_tokens("OPS") == ("ops",)
+    assert kg.split_name_tokens("machine m01") == ("machine", "m01")
+
+
+def _find_by_name_scan(graph, name):
+    hits = [
+        ent
+        for ent in graph.entities.values()
+        if ent.name == name or ent.fields.get("solver_symbol") == name
+    ]
+    hits.sort(key=lambda e: (e.source != kg.SOURCE_CODE, e.id))
+    return hits
+
+
+def test_find_by_name_matches_a_scan_of_every_entity():
+    rng = random.Random(5)
+    names = ["alpha", "beta", "gamma", "alpha beta"]
+    for _ in range(200):
+        graph = kg.KnowledgeGraph()
+        for i in range(rng.randint(0, 8)):
+            source = rng.choice(kg.SOURCES)
+            fields = {}
+            if rng.random() < 0.6:
+                fields["solver_symbol"] = rng.choice(names)
+            graph.add_entity(
+                kg.Entity(id=f"e{i}", kind=kg.PARAMETER, name=rng.choice(names),
+                          fields=fields, source=source)
+            )
+        for name in names + ["delta"]:
+            assert graph.find_by_name(name) == _find_by_name_scan(graph, name)
+
+
 def test_neighbors_sorted_and_filtered():
     graph = ingest_source(LISTING_STYLE)
     assert graph.neighbors("c", {kg.USED_IN}, "out") == ["B13", "y"]

@@ -1,8 +1,14 @@
 """Query understanding, semantic index, and stream fusion tests."""
 
-import pytest
+import math
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from closurekb import fjsp
 from closurekb import knowledge_graph as kg
+from closurekb import model_dsl as md
 from closurekb import retrieval as rt
 from closurekb.errors import EmptyQuery, NotClosed, UnknownEntity
 
@@ -91,6 +97,32 @@ def test_name_match_takes_longest_when_sources_tie():
     assert ids == ["incentivePrice"]
 
 
+def fjsp_graph():
+    instance = fjsp.parse_fjs("2 1\n1 1 1 3\n1 1 1 4\n")
+    ast = fjsp.build_fjsp_model(instance)
+    graph = empty_graph()
+    kg.ingest_model(ast, md.extract_symbols(ast), graph)
+    kg.ingest_concept_cards(fjsp.fjsp_terminology_cards(), graph)
+    kg.align(graph)
+    return graph.freeze()
+
+
+def test_all_caps_name_resolves_as_one_word():
+    graph = fjsp_graph()
+    parsed = rt.understand_query("explain the constraints of WORKCENTERS", graph)
+    assert parsed.resolved_ids() == ["paper:WORKCENTERS"]
+    assert "M" in rt.structural_retrieve(graph, rt.select_seeds(parsed, graph))
+
+
+def test_entity_added_after_a_query_is_matched_by_the_next():
+    graph = chain_graph()
+    query = "add the budget cap constraint"
+    assert rt.understand_query(query, graph).resolved_ids() == []
+    entity(graph, "budgetCap", kind=kg.CONSTRAINT)
+    assert rt.understand_query(query, graph).resolved_ids() == ["budgetCap"]
+    assert [e.id for e in graph.find_by_name("budgetCap")] == ["budgetCap"]
+
+
 def test_numeric_payloads_with_units():
     parsed = rt.understand_query(
         "reduce load by at least 10 kW for 0.54 $/kWh over 2 kWh", empty_graph()
@@ -164,6 +196,49 @@ def test_empty_descriptions_are_never_retrieved():
 def test_embedder_contract_fixed_dimension():
     emb = rt.TfidfEmbedder().fit(["alpha beta", "beta gamma"])
     assert len(emb.embed("alpha")) == len(emb.embed("unrelated words")) == len(emb.vocabulary)
+
+
+def test_embedder_weights_are_the_nonzero_slots_of_embed():
+    emb = rt.TfidfEmbedder().fit(["alpha beta", "beta gamma", "gamma gamma delta"])
+    for text in ("gamma alpha gamma", "unrelated words", "", "delta beta beta"):
+        dense = emb.embed(text)
+        assert emb.weights(text) == [(slot, w) for slot, w in enumerate(dense) if w != 0.0]
+
+
+def dense_search(docs, text, k):
+    """Reference: dense vectors, a left-to-right dot product, every document scored."""
+    doc_ids = sorted(i for i, t in docs.items() if t)
+    emb = rt.TfidfEmbedder().fit([docs[i] for i in doc_ids])
+
+    def cosine(a, b):
+        dot = 0.0
+        for x, y in zip(a, b):
+            dot += x * y
+        norm_a = math.sqrt(sum(x * x for x in a))
+        norm_b = math.sqrt(sum(x * x for x in b))
+        if norm_a == 0.0 or norm_b == 0.0:
+            return 0.0
+        return dot / (norm_a * norm_b)
+
+    query = emb.embed(text)
+    scored = [(i, cosine(query, emb.embed(docs[i]))) for i in doc_ids]
+    scored = sorted((s for s in scored if s[1] > 0.0), key=lambda item: (-item[1], item[0]))
+    return [(i, score.hex()) for i, score in scored[:k]]
+
+
+_WORDS = st.sampled_from(["alpha", "beta", "gamma", "delta", "rule", "the", "x1", "Cap"])
+_TEXT = st.lists(_WORDS, max_size=8).map(" ".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    docs=st.dictionaries(st.sampled_from([f"d{i}" for i in range(8)]), _TEXT, max_size=8),
+    query=_TEXT,
+    k=st.integers(min_value=1, max_value=10),
+)
+def test_semantic_search_matches_dense_cosine_bit_for_bit(docs, query, k):
+    hits = rt.semantic_search(rt.index_snippets(corpus_graph(docs)), query, k)
+    assert [(i, score.hex()) for i, score, _text in hits] == dense_search(docs, query, k)
 
 
 # --- Structural stream ---------------------------------------------------------
