@@ -24,7 +24,7 @@ class ClosureResult:
     edge_count: int
 
 
-def _exec_edges_within(graph: KnowledgeGraph, members) -> list:
+def exec_edges_within(graph: KnowledgeGraph, members) -> list:
     """Executability edges between members, sorted by (src, dst, kind)."""
     return [
         e
@@ -76,7 +76,7 @@ def induced_subgraph(graph: KnowledgeGraph, members) -> KnowledgeGraph:
         if entity_id not in graph:
             raise UnknownEntity(f"no entity with id {entity_id!r}")
         sub.add_entity(graph.entity(entity_id))
-    for edge in _exec_edges_within(graph, member_set):
+    for edge in exec_edges_within(graph, member_set):
         sub.add_edge(edge.src, edge.dst, edge.kind)
     return sub
 

@@ -15,6 +15,7 @@ self-contained, because the solver only ever sees the code.
 
 from __future__ import annotations
 
+import heapq
 import subprocess
 import urllib.error
 import urllib.request
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 from . import knowledge_graph as kg
 from . import model_dsl
-from .closure import closure, induced_subgraph, is_well_defined
+from .closure import exec_edges_within, is_well_defined
 from .errors import (
     DuplicateDeclaration,
     GeneratorUnavailable,
@@ -77,21 +78,38 @@ class ContextPackage:
 
 def dependency_order(graph: KnowledgeGraph, members) -> list[str]:
     """Members ordered dependencies-first (reverse topological over
-    executability edges); cycles are broken by smallest id."""
+    executability edges); cycles are broken by smallest id.
+
+    Kahn's algorithm: the smallest ready member (every dependency emitted)
+    comes next; when none is ready, the smallest member not yet emitted.
+    """
     member_set = set(members)
-    deps: dict[str, set[str]] = {}
+    waiting: dict[str, int] = {}  # member -> its dependencies not yet emitted
+    dependents: dict[str, list[str]] = {member: [] for member in member_set}
     for member in member_set:
-        deps[member] = {
-            d for d in graph.neighbors(member, EXEC_KINDS, "out") if d in member_set
-        }
-    remaining = sorted(member_set)
+        deps = [d for d in graph.neighbors(member, EXEC_KINDS, "out") if d in member_set]
+        waiting[member] = len(deps)
+        for dep in deps:
+            dependents[dep].append(member)
+    ordered = sorted(member_set)
+    ready = [member for member in ordered if not waiting[member]]  # sorted, so a heap
     emitted: set[str] = set()
     order: list[str] = []
-    while remaining:
-        pick = next((m for m in remaining if deps[m] <= emitted), remaining[0])
+    cursor = 0
+    while len(order) < len(ordered):
+        if ready:
+            pick = heapq.heappop(ready)
+        else:
+            while ordered[cursor] in emitted:
+                cursor += 1
+            pick = ordered[cursor]
         order.append(pick)
         emitted.add(pick)
-        remaining.remove(pick)
+        for dependent in dependents[pick]:
+            waiting[dependent] -= 1
+            # A member emitted early to break a cycle stays out of the heap.
+            if not waiting[dependent] and dependent not in emitted:
+                heapq.heappush(ready, dependent)
     return order
 
 
@@ -132,15 +150,12 @@ def build_context_from_members(
         ok, violations = is_well_defined(graph, members)
         if not ok:
             raise NotClosed(violations)
-    order = dependency_order(graph, members)
+    member_set = set(members)
+    order = dependency_order(graph, member_set)
     typed = tuple(
         (graph.entity(i), formal_definition(graph.entity(i))) for i in order
     )
-    sub = induced_subgraph(graph, members)
-    edge_lines = [
-        f"{e.src} -{e.kind}-> {e.dst}"
-        for e in sorted(sub.edges, key=lambda e: (e.src, e.dst, e.kind))
-    ]
+    edge_lines = [f"{e.src} -{e.kind}-> {e.dst}" for e in exec_edges_within(graph, member_set)]
     return ContextPackage(
         instruction=instruction,
         typed_entities=typed,

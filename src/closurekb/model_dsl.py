@@ -5,6 +5,10 @@ objective) into an immutable AST, extracts a symbol table, and emits text in
 the canonical dialect (round-trips through the parser) or a LINGO-flavored
 dialect (`@for`/`@sum`/`#ge#` style). Comments run from `!` to end of line.
 
+The lexer is one regex scan into plain `(kind, text, offset)` tuples; a
+token's line and column are worked out from its offset only when an error is
+raised. Malformed text of any kind raises ParseError or DuplicateDeclaration.
+
 Resolution of names to declarations is deliberately NOT done here; the parser
 only enforces grammar and name uniqueness. Kind/arity checking lives in the
 code validator so that broken generated code can be diagnosed rather than
@@ -13,6 +17,7 @@ rejected outright.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -174,103 +179,111 @@ KEYWORDS = {
     "binary", "integer", "continuous",
 }
 
+# One match per token: the whitespace and comments before a token belong to
+# its match, so they never reach the token list. Group 1 is a number, group 2
+# a name, keyword or symbol, group 3 any other character (an error), and the
+# empty match at the end of the input is the EOF token.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<COMMENT>![^\n]*)
-  | (?P<WS>\s+)
-  | (?P<NUMBER>\d+(?:\.\d+)?)
-  | (?P<IDENT>[A-Za-z][A-Za-z0-9_]*)
-  | (?P<DOTDOT>\.\.)
-  | (?P<LE><=)
-  | (?P<GE>>=)
-  | (?P<SYMBOL>[;:,{}\[\]()=+\-*/<>])
+    \s*(?:![^\n]*\s*)*
+    (?:
+        (\d+(?:\.\d+)?)
+      | ([A-Za-z][A-Za-z0-9_]*|\.\.|<=|>=|[;:,{}\[\]()=+\-*/<>])
+      | (.)
+      | \Z
+    )
     """,
     re.VERBOSE,
 )
 
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # keyword/symbol text, or NUMBER / IDENT / EOF
-    value: str
-    line: int
-    column: int
+# Keywords and symbols are their own token kind; other names are IDENT.
+_KINDS = {text: text for text in KEYWORDS | {"..", "<=", ">=", *";:,{}[]()=+-*/<>"}}
 
 
-def _tokenize(source: str) -> list[Token]:
-    tokens: list[Token] = []
-    line = 1
-    line_start = 0
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ParseError(
-                f"unexpected character {source[pos]!r}", line, pos - line_start + 1
-            )
-        group = m.lastgroup
-        text = m.group()
-        col = pos - line_start + 1
-        if group == "WS" or group == "COMMENT":
-            pass
-        elif group == "NUMBER":
-            tokens.append(Token("NUMBER", text, line, col))
-        elif group == "IDENT":
-            kind = text if text in KEYWORDS else "IDENT"
-            tokens.append(Token(kind, text, line, col))
+def _position(source: str, offset: int) -> tuple[int, int]:
+    """1-based (line, column) of a character offset."""
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
+
+
+def _tokenize(source: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) tokens, ending with ("EOF", "", len(source)).
+
+    kind is the keyword or symbol text itself, or NUMBER / IDENT / EOF.
+    """
+    tokens = []
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(source):
+        group = m.lastindex
+        if group == 2:
+            text = m[2]
+            append((_KINDS.get(text, "IDENT"), text, m.start(2)))
+        elif group == 1:
+            append(("NUMBER", m[1], m.start(1)))
+        elif group is None:
+            append(("EOF", "", m.end()))
+            break
         else:
-            tokens.append(Token(text, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + text.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(Token("EOF", "", line, pos - line_start + 1))
+            raise ParseError(f"unexpected character {m[3]!r}", *_position(source, m.start(3)))
     return tokens
 
 
 # --- Parser ------------------------------------------------------------------
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    """Recursive descent over the token list; self.pos indexes the next token.
+
+    Positions are worked out from a token's offset only when an error is raised.
+    """
+
+    def __init__(self, source: str):
+        self.source = source
+        self.tokens = _tokenize(source)
         self.pos = 0
-        self.declared: dict[str, int] = {}
+        self.declared: set[str] = set()
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, offset: int, expected=()) -> ParseError:
+        return ParseError(message, *_position(self.source, offset), expected=expected)
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
+    def unexpected(self, expected) -> ParseError:
+        kind, text, offset = self.tokens[self.pos]
+        message = f"unexpected token {text!r}" if kind != "EOF" else "unexpected end of input"
+        return self.error(message, offset, expected)
+
+    def accept(self, kind: str) -> bool:
+        if self.tokens[self.pos][0] == kind:
             self.pos += 1
+            return True
+        return False
+
+    def expect(self, *kinds: str) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        if tok[0] not in kinds:
+            raise self.unexpected(kinds)
+        self.pos += 1
         return tok
 
-    def check(self, kind: str) -> bool:
-        return self.peek().kind == kind
-
-    def accept(self, kind: str) -> Token | None:
-        if self.check(kind):
-            return self.advance()
-        return None
-
-    def expect(self, *kinds: str) -> Token:
-        tok = self.peek()
-        if tok.kind in kinds:
-            return self.advance()
-        raise ParseError(
-            f"unexpected token {tok.value!r}" if tok.kind != "EOF" else "unexpected end of input",
-            tok.line,
-            tok.column,
-            expected=kinds,
-        )
-
-    def declare(self, name_tok: Token) -> str:
-        name = name_tok.value
+    def declare(self) -> str:
+        name, offset = self.expect("IDENT")[1:]
         if name in self.declared:
-            raise DuplicateDeclaration(name, name_tok.line)
-        self.declared[name] = name_tok.line
+            raise DuplicateDeclaration(name, _position(self.source, offset)[0])
+        self.declared.add(name)
         return name
+
+    def integer(self, message: str) -> int:
+        """An integer NUMBER token; `message` is the error for a decimal one."""
+        text, offset = self.expect("NUMBER")[1:]
+        if "." in text:
+            raise self.error(message, offset)
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            raise self.error("integer literal too long", offset) from None
+
+    def number(self, text: str, offset: int) -> float:
+        value = float(text)
+        if math.isinf(value):
+            raise self.error("number out of range", offset)
+        return value
 
     # statements
 
@@ -280,25 +293,26 @@ class _Parser:
         var_decls: list[VarDecl] = []
         constraints: list[Constraint] = []
         objective: Objective | None = None
-        while not self.check("EOF"):
-            tok = self.peek()
-            if tok.kind == "set":
-                sets.append(self.parse_set())
-            elif tok.kind == "param":
-                params.append(self.parse_param())
-            elif tok.kind == "var":
-                var_decls.append(self.parse_var())
-            elif tok.kind == "con":
+        while True:
+            kind, text, offset = self.tokens[self.pos]
+            if kind == "con":
                 constraints.append(self.parse_constraint())
-            elif tok.kind in ("max", "min"):
+            elif kind == "var":
+                var_decls.append(self.parse_var())
+            elif kind == "param":
+                params.append(self.parse_param())
+            elif kind == "set":
+                sets.append(self.parse_set())
+            elif kind in ("max", "min"):
                 if objective is not None:
-                    raise ParseError("multiple objectives", tok.line, tok.column)
+                    raise self.error("multiple objectives", offset)
                 objective = self.parse_objective()
+            elif kind == "EOF":
+                break
             else:
-                raise ParseError(
-                    f"unexpected token {tok.value!r}",
-                    tok.line,
-                    tok.column,
+                raise self.error(
+                    f"unexpected token {text!r}",
+                    offset,
                     expected=("set", "param", "var", "con", "max", "min"),
                 )
         return ModelAst(
@@ -309,52 +323,50 @@ class _Parser:
             objective=objective,
         )
 
-    def parse_set(self) -> SetDecl:
-        self.expect("set")
-        name = self.declare(self.expect("IDENT"))
-        self.expect("=")
-        if self.check("{"):
-            self.advance()
-            members = [self.expect("IDENT").value]
-            while self.accept(","):
-                members.append(self.expect("IDENT").value)
-            self.expect("}")
-            self.expect(";")
-            return SetDecl(name, members=tuple(members))
-        lo_tok = self.expect("NUMBER")
-        if "." in lo_tok.value:
-            raise ParseError("set range bounds must be integers", lo_tok.line, lo_tok.column)
-        self.expect("..")
-        hi_tok = self.expect("NUMBER")
-        if "." in hi_tok.value:
-            raise ParseError("set range bounds must be integers", hi_tok.line, hi_tok.column)
-        self.expect(";")
-        return SetDecl(name, lo=int(lo_tok.value), hi=int(hi_tok.value))
-
-    def parse_index_sets(self) -> tuple[str, ...]:
-        if not self.check("{"):
-            return ()
-        self.advance()
-        names = [self.expect("IDENT").value]
+    def parse_names(self) -> tuple[str, ...]:
+        """`IDENT, ... }` after an opening brace."""
+        names = [self.expect("IDENT")[1]]
         while self.accept(","):
-            names.append(self.expect("IDENT").value)
+            names.append(self.expect("IDENT")[1])
         self.expect("}")
         return tuple(names)
 
+    def parse_set(self) -> SetDecl:
+        self.pos += 1  # set
+        name = self.declare()
+        self.expect("=")
+        if self.accept("{"):
+            members = self.parse_names()
+            self.expect(";")
+            return SetDecl(name, members=members)
+        lo = self.integer("set range bounds must be integers")
+        self.expect("..")
+        hi = self.integer("set range bounds must be integers")
+        self.expect(";")
+        return SetDecl(name, lo=lo, hi=hi)
+
+    def parse_index_sets(self) -> tuple[str, ...]:
+        return self.parse_names() if self.accept("{") else ()
+
     def parse_signed_number(self) -> float:
-        negative = self.accept("-") is not None
-        tok = self.expect("NUMBER")
-        value = float(tok.value) if "." in tok.value else float(int(tok.value))
+        kind, text, offset = self.tokens[self.pos]
+        negative = kind == "-"
+        if negative:
+            self.pos += 1
+            kind, text, offset = self.tokens[self.pos]
+        if kind != "NUMBER":
+            raise self.unexpected(("NUMBER",))
+        self.pos += 1
+        value = self.number(text, offset)
         return -value if negative else value
 
     def parse_param(self) -> ParamDecl:
-        self.expect("param")
-        name = self.declare(self.expect("IDENT"))
+        self.pos += 1  # param
+        name = self.declare()
         index_sets = self.parse_index_sets()
         data: float | tuple[float, ...] | None = None
         if self.accept("="):
-            if self.check("["):
-                self.advance()
+            if self.accept("["):
                 values = [self.parse_signed_number()]
                 while self.accept(","):
                     values.append(self.parse_signed_number())
@@ -366,10 +378,10 @@ class _Parser:
         return ParamDecl(name, index_sets=index_sets, data=data)
 
     def parse_var(self) -> VarDecl:
-        self.expect("var")
-        name = self.declare(self.expect("IDENT"))
+        self.pos += 1  # var
+        name = self.declare()
         index_sets = self.parse_index_sets()
-        domain = self.expect(*VAR_DOMAINS).kind
+        domain = self.expect(*VAR_DOMAINS)[0]
         bounds = None
         if self.accept("in"):
             self.expect("[")
@@ -383,12 +395,10 @@ class _Parser:
 
     def parse_quantifier(self) -> Quantifier:
         self.expect("{")
-        index = self.expect("IDENT").value
+        index = self.expect("IDENT")[1]
         self.expect("in")
-        over = self.expect("IDENT").value
-        where = None
-        if self.accept(":"):
-            where = self.parse_predicate()
+        over = self.expect("IDENT")[1]
+        where = self.parse_predicate() if self.accept(":") else None
         self.expect("}")
         return Quantifier(index=index, over=over, where=where)
 
@@ -400,24 +410,24 @@ class _Parser:
 
     def parse_comparison(self) -> Compare:
         left = self.parse_expr()
-        op = self.expect("<=", ">=", "<", ">", "=").kind
-        right = self.parse_expr()
-        return Compare(op=op, left=left, right=right)
+        op = self.expect("<=", ">=", "<", ">", "=")[0]
+        return Compare(op=op, left=left, right=self.parse_expr())
 
     def parse_constraint(self) -> Constraint:
-        self.expect("con")
-        name = self.declare(self.expect("IDENT"))
-        quantifier = self.parse_quantifier() if self.check("{") else None
+        self.pos += 1  # con
+        name = self.declare()
+        quantifier = self.parse_quantifier() if self.tokens[self.pos][0] == "{" else None
         self.expect(":")
         left = self.parse_expr()
-        op = self.expect("<=", "=", ">=").kind
+        op = self.expect("<=", "=", ">=")[0]
         right = self.parse_expr()
         self.expect(";")
         return Constraint(name=name, quantifier=quantifier, left=left, op=op, right=right)
 
     def parse_objective(self) -> Objective:
-        sense = self.expect("max", "min").kind
-        name = self.declare(self.expect("IDENT"))
+        sense = self.tokens[self.pos][0]
+        self.pos += 1
+        name = self.declare()
         self.expect(":")
         expr = self.parse_expr()
         self.expect(";")
@@ -427,130 +437,116 @@ class _Parser:
 
     def parse_expr(self) -> Expr:
         left = self.parse_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            right = self.parse_term()
-            left = BinOp(op=op, left=left, right=right)
+        tokens = self.tokens
+        while (op := tokens[self.pos][0]) == "+" or op == "-":
+            self.pos += 1
+            left = BinOp(op, left, self.parse_term())
         return left
 
     def parse_term(self) -> Expr:
         left = self.parse_primary()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
-            right = self.parse_primary()
-            left = BinOp(op=op, left=left, right=right)
+        tokens = self.tokens
+        while (op := tokens[self.pos][0]) == "*" or op == "/":
+            self.pos += 1
+            left = BinOp(op, left, self.parse_primary())
         return left
 
     def parse_primary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "NUMBER":
-            self.advance()
-            value = float(tok.value) if "." in tok.value else float(int(tok.value))
-            return Num(value)
-        if tok.kind == "sum":
-            self.advance()
-            quantifier = self.parse_quantifier()
-            body = self.parse_primary()
-            return Sum(quantifier=quantifier, body=body)
-        if tok.kind == "(":
-            self.advance()
+        kind, text, offset = self.tokens[self.pos]
+        if kind == "IDENT":
+            self.pos += 1
+            if self.tokens[self.pos][0] != "[":
+                return Ref(text)
+            self.pos += 1
+            indices = [self.parse_index()]
+            while self.accept(","):
+                indices.append(self.parse_index())
+            self.expect("]")
+            return Ref(text, tuple(indices))
+        if kind == "NUMBER":
+            self.pos += 1
+            return Num(self.number(text, offset))
+        if kind == "(":
+            self.pos += 1
             expr = self.parse_expr()
             self.expect(")")
             return expr
-        if tok.kind == "IDENT":
-            self.advance()
-            indices: tuple[Index, ...] = ()
-            if self.accept("["):
-                parts = [self.parse_index()]
-                while self.accept(","):
-                    parts.append(self.parse_index())
-                self.expect("]")
-                indices = tuple(parts)
-            return Ref(name=tok.value, indices=indices)
-        raise ParseError(
-            f"unexpected token {tok.value!r}" if tok.kind != "EOF" else "unexpected end of input",
-            tok.line,
-            tok.column,
-            expected=("NUMBER", "IDENT", "sum", "("),
-        )
+        if kind == "sum":
+            self.pos += 1
+            quantifier = self.parse_quantifier()
+            return Sum(quantifier=quantifier, body=self.parse_primary())
+        raise self.unexpected(("NUMBER", "IDENT", "sum", "("))
 
     def parse_index(self) -> Index:
-        tok = self.peek()
-        if tok.kind == "NUMBER":
-            self.advance()
-            if "." in tok.value:
-                raise ParseError("index literals must be integers", tok.line, tok.column)
-            return Index(base=None, offset=int(tok.value))
-        if tok.kind == "IDENT":
-            self.advance()
-            offset = 0
-            if self.peek().kind in ("+", "-"):
-                sign = 1 if self.advance().kind == "+" else -1
-                off_tok = self.expect("NUMBER")
-                if "." in off_tok.value:
-                    raise ParseError(
-                        "index offsets must be integer literals", off_tok.line, off_tok.column
-                    )
-                offset = sign * int(off_tok.value)
-            return Index(base=tok.value, offset=offset)
-        raise ParseError(
-            f"unexpected token {tok.value!r} in index",
-            tok.line,
-            tok.column,
-            expected=("NUMBER", "IDENT"),
-        )
+        kind, text, offset = self.tokens[self.pos]
+        if kind == "IDENT":
+            self.pos += 1
+            sign = self.tokens[self.pos][0]
+            if sign != "+" and sign != "-":
+                return Index(text, 0)
+            self.pos += 1
+            value = self.integer("index offsets must be integer literals")
+            return Index(text, value if sign == "+" else -value)
+        if kind == "NUMBER":
+            return Index(None, self.integer("index literals must be integers"))
+        raise self.error(f"unexpected token {text!r} in index", offset, ("NUMBER", "IDENT"))
 
 
 def parse_model(source: str) -> ModelAst:
-    """Parse MiniModel source text into an AST."""
-    return _Parser(_tokenize(source)).parse_model()
+    """Parse MiniModel source text into an AST.
+
+    Raises ParseError or DuplicateDeclaration, also for a number too large
+    for a float, an integer literal longer than int() converts, and nesting
+    deeper than the interpreter's stack allows.
+    """
+    parser = _Parser(source)
+    try:
+        return parser.parse_model()
+    except RecursionError:
+        offset = parser.tokens[parser.pos][2]
+        raise parser.error("expression nested too deeply", offset) from None
 
 
 # --- Symbol extraction ---------------------------------------------------------
 
-def _walk_refs(expr: Expr, bound: frozenset[str], out: list[tuple[str, int]]) -> None:
-    """Collect (name, arity) for every free symbol used in expr.
+def _sides(where: Predicate | None) -> list[Expr]:
+    """Both sides of every comparison in a filter, in source order."""
+    if where is None:
+        return []
+    return [side for cmp in where.parts for side in (cmp.left, cmp.right)]
+
+
+def _statement_refs(quantifier: Quantifier | None, exprs: list[Expr]) -> list[tuple[str, int]]:
+    """Collect (name, arity) for every free symbol used in a statement, in order.
 
     Names bound by enclosing quantifiers/sums are local and skipped; a bound
     name used inside an index expression is likewise not a symbol reference.
     Quantifier/sum set names are bindings, not references, and are collected
-    separately by iteration-site walkers.
+    separately by iteration_sets. The walk keeps its own stack, so a long
+    chain of `+` or `*` cannot exhaust the interpreter's.
     """
-    if isinstance(expr, Num):
-        return
-    if isinstance(expr, Ref):
-        if expr.name not in bound:
-            out.append((expr.name, len(expr.indices)))
-        for index in expr.indices:
-            if index.base is not None and index.base not in bound:
-                out.append((index.base, 0))
-        return
-    if isinstance(expr, BinOp):
-        _walk_refs(expr.left, bound, out)
-        _walk_refs(expr.right, bound, out)
-        return
-    if isinstance(expr, Sum):
-        inner = bound | {expr.quantifier.index}
-        if expr.quantifier.where is not None:
-            for cmp in expr.quantifier.where.parts:
-                _walk_refs(cmp.left, inner, out)
-                _walk_refs(cmp.right, inner, out)
-        _walk_refs(expr.body, inner, out)
-        return
-    raise TypeError(f"unknown expression node {type(expr).__name__}")
-
-
-def _statement_refs(quantifier: Quantifier | None, exprs: list[Expr]) -> list[tuple[str, int]]:
     out: list[tuple[str, int]] = []
-    bound = frozenset()
+    bound: frozenset[str] = frozenset()
     if quantifier is not None:
         bound = frozenset({quantifier.index})
-        if quantifier.where is not None:
-            for cmp in quantifier.where.parts:
-                _walk_refs(cmp.left, bound, out)
-                _walk_refs(cmp.right, bound, out)
-    for expr in exprs:
-        _walk_refs(expr, bound, out)
+        exprs = _sides(quantifier.where) + list(exprs)
+    stack = [(expr, bound) for expr in reversed(exprs)]
+    while stack:
+        expr, bound = stack.pop()
+        if isinstance(expr, Ref):
+            if expr.name not in bound:
+                out.append((expr.name, len(expr.indices)))
+            for index in expr.indices:
+                if index.base is not None and index.base not in bound:
+                    out.append((index.base, 0))
+        elif isinstance(expr, BinOp):
+            stack += ((expr.right, bound), (expr.left, bound))
+        elif isinstance(expr, Sum):
+            inner = bound | {expr.quantifier.index}
+            stack.append((expr.body, inner))
+            stack += ((side, inner) for side in reversed(_sides(expr.quantifier.where)))
+        elif not isinstance(expr, Num):
+            raise TypeError(f"unknown expression node {type(expr).__name__}")
     return out
 
 
@@ -568,24 +564,16 @@ def statement_references(quantifier: Quantifier | None, exprs: list[Expr]) -> li
 
 def iteration_sets(quantifier: Quantifier | None, exprs: list[Expr]) -> list[str]:
     """Set names bound by the statement quantifier and any nested sums."""
-    names: list[str] = []
-    if quantifier is not None:
-        names.append(quantifier.over)
-
-    def walk(expr: Expr) -> None:
+    names = [quantifier.over] if quantifier is not None else []
+    stack = list(reversed(exprs))
+    while stack:
+        expr = stack.pop()
         if isinstance(expr, BinOp):
-            walk(expr.left)
-            walk(expr.right)
+            stack += (expr.right, expr.left)
         elif isinstance(expr, Sum):
             names.append(expr.quantifier.over)
-            if expr.quantifier.where is not None:
-                for cmp in expr.quantifier.where.parts:
-                    walk(cmp.left)
-                    walk(cmp.right)
-            walk(expr.body)
-
-    for expr in exprs:
-        walk(expr)
+            stack.append(expr.body)
+            stack += reversed(_sides(expr.quantifier.where))
     return names
 
 

@@ -1,9 +1,14 @@
 """Command-line pipeline tests: exit-code discipline and byte determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import closurekb
 from closurekb import battery, corpus, fjsp
 from closurekb.cli import (
     EXIT_FAILED,
@@ -280,3 +285,22 @@ def test_fjsp_gen_command(tmp_path, capsys):
 def test_usage_error_on_unknown_command(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("code", [
+    "con c: x <= " + "9" * 400 + ";",
+    "con c: x <= " + "(" * 3000 + "1" + ")" * 3000 + ";",
+], ids=["400-digits", "3000-parentheses"])
+def test_validate_command_on_extreme_input_fails_without_traceback(tmp_path, code):
+    path = tmp_path / "extreme.mm"
+    path.write_text(code, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "closurekb.cli", "validate", str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(closurekb.__file__).parents[1])},
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_FAILED
+    assert "status=failed" in proc.stdout
+    assert "Traceback" not in proc.stderr + proc.stdout

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from closurekb import battery, codegen
 from closurekb import knowledge_graph as kg
@@ -15,7 +16,8 @@ from closurekb.errors import (
     NotClosed,
 )
 
-from test_model_dsl import random_model
+from test_closure import make_graph
+from test_model_dsl import MALFORMED_SOURCES, random_model
 from test_retrieval import fjsp_graph
 
 
@@ -85,6 +87,47 @@ def test_dependency_order_breaks_cycles_by_id():
     graph.add_edge("a", "b", kg.USED_IN)
     graph.add_edge("b", "a", kg.USED_IN)
     assert codegen.dependency_order(graph, {"a", "b"}) == ["a", "b"]
+
+
+def quadratic_dependency_order(graph, members):
+    """Reference: rescan the sorted remaining members for the first whose
+    dependencies are all emitted, else take the first remaining."""
+    member_set = set(members)
+    deps = {
+        m: {d for d in graph.neighbors(m, kg.EXEC_KINDS, "out") if d in member_set}
+        for m in member_set
+    }
+    remaining = sorted(member_set)
+    emitted: set[str] = set()
+    order = []
+    while remaining:
+        pick = next((m for m in remaining if deps[m] <= emitted), remaining[0])
+        order.append(pick)
+        emitted.add(pick)
+        remaining.remove(pick)
+    return order
+
+
+def test_dependency_order_matches_quadratic_reference_on_random_digraphs_with_cycles():
+    rng = random.Random(1962)
+    cyclic = 0
+    for _ in range(1500):
+        n = rng.randint(1, 14)
+        edges = set()
+        for _ in range(rng.randint(0, 3 * n) if n > 1 else 0):
+            src, dst = rng.sample(range(n), 2)
+            edges.add((src, dst, rng.choice(kg.EDGE_KINDS)))
+        graph = make_graph(n, sorted(edges))
+        members = {f"n{i:02d}" for i in range(n) if rng.random() < 0.8} or {"n00"}
+        order = codegen.dependency_order(graph, members)
+        assert order == quadratic_dependency_order(graph, members)
+        assert sorted(order) == sorted(members)
+        cyclic += any(
+            order.index(e.src) < order.index(e.dst)
+            for e in graph.edges
+            if e.kind in kg.EXEC_KINDS and e.src in members and e.dst in members
+        )
+    assert cyclic > 100  # the cycle-breaking branch is exercised
 
 
 def test_formal_definition_line_shape():
@@ -347,3 +390,22 @@ def test_closure_completeness_on_500_random_kgs():
         assert report.status == "ok", (target, report)
         checked += 1
     assert checked == 500
+
+
+@settings(max_examples=300, deadline=None)
+@given(MALFORMED_SOURCES)
+def test_validate_always_returns_a_report(source):
+    report = codegen.validate(source)
+    assert isinstance(report, codegen.ValidationReport)
+    assert report.status in ("ok", "failed")
+
+
+@pytest.mark.parametrize("source, status", [
+    ("var x continuous; con c: " + " + ".join(["x"] * 1500) + " <= 1;", "ok"),
+    ("var x continuous; con c: " + "*".join(["x"] * 1500) + " <= y;", "failed"),
+    ("con c: x <= " + "9" * 400 + ";", "failed"),
+    ("con c: x <= " + "9" * 5000 + ";", "failed"),
+    ("con c: x <= " + "(" * 3000 + "1" + ")" * 3000 + ";", "failed"),
+], ids=["1500-term-sum", "1500-factor-product", "400-digits", "5000-digits", "3000-parentheses"])
+def test_validate_is_total_on_extreme_inputs(source, status):
+    assert codegen.validate(source).status == status

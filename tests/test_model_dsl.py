@@ -1,11 +1,14 @@
 """Parser, symbol table, and emitter tests, including the random round-trip suite."""
 
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from closurekb import model_dsl as md
-from closurekb.errors import DuplicateDeclaration, ParseError
+from closurekb.errors import ClosureKbError, DuplicateDeclaration, ParseError
 
 LISTING_STYLE = (
     "set T = 1..4; var y{T} binary; param B13{T};"
@@ -121,6 +124,150 @@ def test_iteration_sets_cover_quantifier_and_sums():
     )
     con = ast.constraints[0]
     assert md.iteration_sets(con.quantifier, [con.left, con.right]) == ["T", "S"]
+
+
+# --- Errors: messages, positions, totality ----------------------------------------
+
+# Line and column are worked out from a token's offset only when an error is
+# raised; this table pins str(exc), line, column and expected for each kind of
+# error, across newlines, CRLF, tabs and comments.
+ERROR_CASES = [
+    ("set T = 1..2",
+     ParseError, "unexpected end of input at line 1, column 13 (expected: ;)", 1, 13, (";",)),
+    ("set T = 1..2;\nvar y{T} binary\ncon c: y[1] <= 1;",
+     ParseError, "unexpected token 'con' at line 3, column 1 (expected: ;)", 3, 1, (";",)),
+    ("set T = 1..2; ! a comment ; here\n  var y{T} @binary;",
+     ParseError, "unexpected character '@' at line 2, column 12", 2, 12, ()),
+    ("! only a comment\n\n   param p = ;",
+     ParseError, "unexpected token ';' at line 3, column 14 (expected: NUMBER)", 3, 14, ("NUMBER",)),
+    ("set T = 1.5..3;",
+     ParseError, "set range bounds must be integers at line 1, column 9", 1, 9, ()),
+    ("set T = 1..2;\nvar y{T} binary;\ncon c{t in T}: y[1.5] <= 1;",
+     ParseError, "index literals must be integers at line 3, column 18", 3, 18, ()),
+    ("set T = 1..2;\ncon c{t in T}:\n    y[t+0.5] <= 1;",
+     ParseError, "index offsets must be integer literals at line 3, column 9", 3, 9, ()),
+    ("var y binary;\n! second\nvar y binary;",
+     DuplicateDeclaration, "duplicate declaration of 'y' at line 3", 3, None, ()),
+    ("var x binary; max a: x;\n  min b: x;",
+     ParseError, "multiple objectives at line 2, column 3", 2, 3, ()),
+    ("con c: x <= ",
+     ParseError, "unexpected end of input at line 1, column 13 (expected: (, IDENT, NUMBER, sum)",
+     1, 13, ("(", "IDENT", "NUMBER", "sum")),
+    ("con c: x[ ] <= 1;",
+     ParseError, "unexpected token ']' in index at line 1, column 11 (expected: IDENT, NUMBER)",
+     1, 11, ("IDENT", "NUMBER")),
+    ("param p{S = [1];",
+     ParseError, "unexpected token '=' at line 1, column 11 (expected: })", 1, 11, ("}",)),
+    ("set S = {a, 1};",
+     ParseError, "unexpected token '1' at line 1, column 13 (expected: IDENT)", 1, 13, ("IDENT",)),
+    ("\n\nfoo",
+     ParseError, "unexpected token 'foo' at line 3, column 1 (expected: con, max, min, param, set, var)",
+     3, 1, ("con", "max", "min", "param", "set", "var")),
+    ("var y{T} real;",
+     ParseError, "unexpected token 'real' at line 1, column 10 (expected: binary, continuous, integer)",
+     1, 10, ("binary", "continuous", "integer")),
+    ("set T = 1..2;\r\n\tvar y{T} binary;\r\n\tcon c{t in T : t >= 2 and}: y[t] <= 1;",
+     ParseError, "unexpected token '}' at line 3, column 27 (expected: (, IDENT, NUMBER, sum)",
+     3, 27, ("(", "IDENT", "NUMBER", "sum")),
+    ("set T = 1..2; ! x\n! y\n\t\t  con c: y[t] # 1;",
+     ParseError, "unexpected character '#' at line 3, column 17", 3, 17, ()),
+    ("con c: y[t-t] <= 1;",
+     ParseError, "unexpected token 't' at line 1, column 12 (expected: NUMBER)", 1, 12, ("NUMBER",)),
+    ("set T = 1..2;\nvar ŷ binary;",
+     ParseError, "unexpected character 'ŷ' at line 2, column 5", 2, 5, ()),
+    ("param p = [1, 2,\n  3,\n  -];",
+     ParseError, "unexpected token ']' at line 3, column 4 (expected: NUMBER)", 3, 4, ("NUMBER",)),
+]
+
+
+@pytest.mark.parametrize("source, error, message, line, column, expected", ERROR_CASES)
+def test_error_message_and_position(source, error, message, line, column, expected):
+    with pytest.raises(error) as excinfo:
+        md.parse_model(source)
+    err = excinfo.value
+    assert type(err) is error
+    assert str(err) == message
+    assert err.line == line
+    assert getattr(err, "column", None) == column
+    assert getattr(err, "expected", ()) == expected
+
+
+@pytest.mark.parametrize("source", [
+    "param p = " + "9" * 400 + ";",
+    "param p{S} = [1, -" + "9" * 400 + "];",
+    "con c: x <= " + "9" * 400 + ";",
+    "con c: x <= " + "9" * 5000 + ";",
+    "con c: x <= " + "9" * 400 + ".5;",
+], ids=["param-400-digits", "list-400-digits", "num-400-digits", "num-5000-digits", "decimal-400-digits"])
+def test_number_too_large_for_a_float_is_a_parse_error(source):
+    with pytest.raises(ParseError, match="number out of range at line 1"):
+        md.parse_model(source)
+
+
+@pytest.mark.parametrize("source", [
+    "set T = 1.." + "9" * 5000 + ";",
+    "con c: x[" + "9" * 5000 + "] <= 1;",
+    "con c: x[t-" + "9" * 5000 + "] <= 1;",
+], ids=["set-bound", "index-literal", "index-offset"])
+def test_integer_too_long_for_int_is_a_parse_error(source):
+    # Interpreters without a digit limit on int() parse these.
+    try:
+        md.parse_model(source)
+    except ParseError as exc:
+        assert "integer literal too long at line 1" in str(exc)
+
+
+@pytest.mark.parametrize("source", [
+    "con c: x <= " + "(" * 3000 + "1" + ")" * 3000 + ";",
+    "con c: x <= " + "sum{i in S}" * 3000 + "1;",
+], ids=["3000-parentheses", "3000-sums"])
+def test_nesting_deeper_than_the_stack_is_a_parse_error(source):
+    with pytest.raises(ParseError, match="expression nested too deeply"):
+        md.parse_model(source)
+
+
+def test_long_left_deep_sum_parses_and_walks_without_recursion():
+    source = "var x continuous; con c: " + " + ".join(["x"] * 1500) + " <= 1;"
+    ast = md.parse_model(source)
+    con = ast.constraints[0]
+    assert md.extract_symbols(ast).references == (md.Reference("x", 0, "c"),)
+    assert md.iteration_sets(con.quantifier, [con.left, con.right]) == []
+
+
+_PIECES = st.sampled_from([
+    "set", "param", "var", "con", "max", "min", "sum", "in", "and", "binary",
+    "x", "T", "t", "S1", "1", "2.5", "9" * 400, "..", "<=", ">=", "<", ">", "=",
+    ";", ":", ",", "{", "}", "[", "]", "(", ")", "+", "-", "*", "/",
+    "!", "\n", " ", "\t", ".", "@", "ŷ", "٣",
+])
+
+
+@st.composite
+def spliced_models(draw):
+    """A valid random model with a few tokens spliced in or put in place of a number."""
+    text = md.emit_model(random_model(random.Random(draw(st.integers(0, 10_000)))))
+    numbers = [m.span() for m in re.finditer(r"\d+", text)]
+    cut = end = draw(st.integers(0, len(text)))
+    if numbers and draw(st.booleans()):
+        cut, end = draw(st.sampled_from(numbers))
+    return text[:cut] + "".join(draw(st.lists(_PIECES, min_size=1, max_size=4))) + text[end:]
+
+
+MALFORMED_SOURCES = st.one_of(
+    st.text(max_size=80),
+    st.lists(_PIECES, max_size=60).map("".join),
+    st.lists(_PIECES, max_size=60).map(" ".join),
+    spliced_models(),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(MALFORMED_SOURCES)
+def test_parse_model_raises_only_closurekb_errors(source):
+    try:
+        md.parse_model(source)
+    except ClosureKbError:
+        pass
 
 
 # --- Emission ------------------------------------------------------------------
