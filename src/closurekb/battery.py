@@ -3,9 +3,10 @@
 Data model and exact evaluators for the baseline profit objective, the
 incentive payment, the event-modified objective, the minimum load-reduction
 check, and the upstream-buffer starvation pattern; a knowledge-graph builder
-that wires every symbol of the family so closure queries retrieve exactly the
-set needed to state the load-reduction constraint; and a small brute-force
-schedule oracle for desk-scale instances.
+that declares the family as a MiniModel AST and ingests it like any parsed
+model, so closure queries retrieve exactly the set needed to state the
+load-reduction constraint; and a small brute-force schedule oracle for
+desk-scale instances.
 
 Slots are 1-based throughout the public API; per-slot series are 0-indexed
 tuples internally. All energies are kWh per slot (hourly inputs are expanded
@@ -15,23 +16,27 @@ at data-construction time).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import knowledge_graph as kg
 from . import model_dsl
-from .errors import DimensionMismatch, MissingBufferSeries, TooLarge
-from .knowledge_graph import ConceptCard, Entity, KnowledgeGraph
+from .errors import DimensionMismatch, MissingBufferSeries, SchemaViolation, TooLarge
+from .knowledge_graph import ConceptCard, KnowledgeGraph, json_field
 from .model_dsl import (
     BinOp,
     Compare,
     Constraint,
     Index,
+    ModelAst,
     Num,
     Objective,
+    ParamDecl,
     Predicate,
     Quantifier,
     Ref,
+    SetDecl,
     Sum,
+    VarDecl,
 )
 
 TIME_SET = "timeSequence"
@@ -230,36 +235,28 @@ def objective_baseline(data: BatteryCaseData, sched: Schedule) -> float:
     return _revenue_less_materials(data, sched) - _energy_cost(data, sched)
 
 
+def _event_reduction(data: BatteryCaseData, sched: Schedule, event: DrEvent) -> float:
+    """Baseline energy less actual energy, summed over the event window."""
+    _check_schedule(data, sched)
+    _check_event(data, event)
+    return sum(event.baseline_at(slot) - _slot_energy(data, sched, slot) for slot in event.slots)
+
+
 def incentive_payment(data: BatteryCaseData, sched: Schedule, event: DrEvent) -> float:
     """Event payment: rate times (baseline energy - actual energy) over the
     event window; may be negative when consumption exceeds the baseline."""
-    _check_schedule(data, sched)
-    _check_event(data, event)
-    reduction = sum(
-        event.baseline_at(slot) - _slot_energy(data, sched, slot) for slot in event.slots
-    )
-    return event.lambda_rate * reduction
+    return event.lambda_rate * _event_reduction(data, sched, event)
 
 
 def objective_dr(data: BatteryCaseData, sched: Schedule, event: DrEvent) -> float:
     """Event-modified profit; with a zero rate it equals objective_baseline."""
-    _check_schedule(data, sched)
     _check_event(data, event)
-    return (
-        _revenue_less_materials(data, sched)
-        - _energy_cost(data, sched)
-        + incentive_payment(data, sched, event)
-    )
+    return objective_baseline(data, sched) + incentive_payment(data, sched, event)
 
 
 def check_load_reduction(data: BatteryCaseData, sched: Schedule, event: DrEvent) -> bool:
     """True iff total event-window reduction meets the minimum (non-strict)."""
-    _check_schedule(data, sched)
-    _check_event(data, event)
-    reduction = sum(
-        event.baseline_at(slot) - _slot_energy(data, sched, slot) for slot in event.slots
-    )
-    return reduction >= event.delta_l_min
+    return _event_reduction(data, sched, event) >= event.delta_l_min
 
 
 def starvation_feasible(
@@ -397,21 +394,20 @@ def load_reduction_constraint_ast(data: BatteryCaseData, event: DrEvent) -> Cons
     )
 
 
-def baseline_objective_ast(data: BatteryCaseData) -> Objective:
+def _profit_expr(data: BatteryCaseData) -> model_dsl.Expr:
+    """Revenue less materials less the energy cost over every slot."""
     energy = Sum(
         Quantifier("t", TIME_SET),
         BinOp("*", Ref(PRICE_PARAM, (Index("t", 0),)), _total_energy_expr(data, "t")),
     )
-    return Objective(
-        sense="max", name=BASELINE_OBJECTIVE, expr=BinOp("-", _revenue_expr(data), energy)
-    )
+    return BinOp("-", _revenue_expr(data), energy)
+
+
+def baseline_objective_ast(data: BatteryCaseData) -> Objective:
+    return Objective(sense="max", name=BASELINE_OBJECTIVE, expr=_profit_expr(data))
 
 
 def dr_objective_ast(data: BatteryCaseData, event: DrEvent) -> Objective:
-    energy = Sum(
-        Quantifier("t", TIME_SET),
-        BinOp("*", Ref(PRICE_PARAM, (Index("t", 0),)), _total_energy_expr(data, "t")),
-    )
     omega = BinOp(
         "*",
         Num(float(event.lambda_rate)),
@@ -421,11 +417,7 @@ def dr_objective_ast(data: BatteryCaseData, event: DrEvent) -> Objective:
             Sum(Quantifier("t", EVENT_SET), _total_energy_expr(data, "t")),
         ),
     )
-    return Objective(
-        sense="max",
-        name=DR_OBJECTIVE,
-        expr=BinOp("+", BinOp("-", _revenue_expr(data), energy), omega),
-    )
+    return Objective(sense="max", name=DR_OBJECTIVE, expr=BinOp("+", _profit_expr(data), omega))
 
 
 def starvation_constraint_asts(data: BatteryCaseData) -> list[Constraint]:
@@ -461,30 +453,15 @@ def starvation_constraint_asts(data: BatteryCaseData) -> list[Constraint]:
 
 # --- Knowledge graph builder ---------------------------------------------------------
 
-def _add_code_entity(graph, entity_id, kind, fields):
-    fields = dict(fields)
-    fields.setdefault("solver_symbol", entity_id)
-    graph.add_entity(
-        Entity(id=entity_id, kind=kind, name=entity_id, fields=fields, source=kg.SOURCE_CODE)
-    )
-
-
-def _wire_statement(graph: KnowledgeGraph, name: str, quantifier, exprs) -> None:
-    for ref_name, _arity in model_dsl.statement_references(quantifier, exprs):
-        if ref_name != name and ref_name in graph:
-            graph.add_edge(name, ref_name, kg.USED_IN)
-    for set_name in model_dsl.iteration_sets(quantifier, exprs):
-        if set_name in graph:
-            graph.add_edge(name, set_name, kg.DEPENDS_ON)
-
-
 def build_battery_kg(data: BatteryCaseData, event: DrEvent) -> KnowledgeGraph:
     """Knowledge graph containing every symbol of the battery family.
 
-    Closure of the load-reduction constraint yields exactly: the constraint,
-    every machine on/off variable, every per-machine power parameter, the
+    The family is a MiniModel AST ingested by `kg.ingest_model`; a model holds
+    one objective, so the event-modified one is ingested second. Closure of
+    the load-reduction constraint yields exactly: the constraint, every
+    machine on/off variable, every per-machine power parameter, the
     baseline/minimum-reduction/rate parameters, and the two slot sets. The
-    event window must be a contiguous slot range (it is emitted as a range
+    event window must be a contiguous slot range (it is declared as a range
     set). Code entities carry empty descriptions: solver code contributes
     structure, concept cards contribute prose.
     """
@@ -492,87 +469,40 @@ def build_battery_kg(data: BatteryCaseData, event: DrEvent) -> KnowledgeGraph:
     if list(event.slots) != list(range(min(event.slots), max(event.slots) + 1)):
         raise DimensionMismatch("event slots must form a contiguous range")
 
-    graph = KnowledgeGraph()
-    _add_code_entity(graph, TIME_SET, kg.INDEX_SET, {"lo": 1, "hi": data.n_slots})
-    _add_code_entity(
-        graph, EVENT_SET, kg.INDEX_SET, {"lo": min(event.slots), "hi": max(event.slots)}
-    )
-    _add_code_entity(
-        graph, SLOTS_PER_HOUR_PARAM, kg.PARAMETER,
-        {"index_sets": [], "data": data.slots_per_hour},
-    )
-    _add_code_entity(
-        graph, PRICE_PARAM, kg.PARAMETER,
-        {"index_sets": [TIME_SET], "data": list(data.prices)},
-    )
-    graph.add_edge(PRICE_PARAM, TIME_SET, kg.DEPENDS_ON)
-
+    powers = []
     for machine in data.machines:
-        _add_code_entity(
-            graph, machine.name, kg.DECISION_VARIABLE,
-            {"index_sets": [TIME_SET], "domain": model_dsl.BINARY},
-        )
-        graph.add_edge(machine.name, TIME_SET, kg.DEPENDS_ON)
-        _add_code_entity(
-            graph, f"{machine.name}PowerOn", kg.PARAMETER,
-            {"index_sets": [], "data": machine.p_on},
-        )
-        _add_code_entity(
-            graph, f"{machine.name}PowerOff", kg.PARAMETER,
-            {"index_sets": [], "data": machine.p_off},
-        )
-
-    for buf in data.buffer_names:
-        _add_code_entity(graph, buf, kg.PARAMETER, {"index_sets": [TIME_SET]})
-        graph.add_edge(buf, TIME_SET, kg.DEPENDS_ON)
-
-    _add_code_entity(
-        graph, BASELINE_PARAM, kg.PARAMETER,
-        {"index_sets": [EVENT_SET], "data": list(event.b_ref)},
+        powers.append(ParamDecl(f"{machine.name}PowerOn", data=machine.p_on))
+        powers.append(ParamDecl(f"{machine.name}PowerOff", data=machine.p_off))
+    family = ModelAst(
+        sets=(
+            SetDecl(TIME_SET, lo=1, hi=data.n_slots),
+            SetDecl(EVENT_SET, lo=min(event.slots), hi=max(event.slots)),
+        ),
+        params=(
+            ParamDecl(SLOTS_PER_HOUR_PARAM, data=data.slots_per_hour),
+            ParamDecl(PRICE_PARAM, (TIME_SET,), data.prices),
+            *powers,
+            *(ParamDecl(buf, (TIME_SET,)) for buf in data.buffer_names),
+            ParamDecl(BASELINE_PARAM, (EVENT_SET,), event.b_ref),
+            ParamDecl(MIN_REDUCTION_PARAM, data=event.delta_l_min),
+            ParamDecl(RATE_PARAM, data=event.lambda_rate),
+        ),
+        vars=tuple(VarDecl(m.name, (TIME_SET,), model_dsl.BINARY) for m in data.machines),
+        constraints=(
+            load_reduction_constraint_ast(data, event),
+            *starvation_constraint_asts(data),
+        ),
+        objective=baseline_objective_ast(data),
     )
-    graph.add_edge(BASELINE_PARAM, EVENT_SET, kg.DEPENDS_ON)
-    _add_code_entity(
-        graph, MIN_REDUCTION_PARAM, kg.PARAMETER,
-        {"index_sets": [], "data": event.delta_l_min},
-    )
-    _add_code_entity(
-        graph, RATE_PARAM, kg.PARAMETER, {"index_sets": [], "data": event.lambda_rate}
-    )
-
-    constraint = load_reduction_constraint_ast(data, event)
-    _add_code_entity(
-        graph, LOAD_REDUCTION_CONSTRAINT, kg.CONSTRAINT,
-        {"expression": model_dsl.emit_constraint(constraint)},
-    )
-    _wire_statement(graph, LOAD_REDUCTION_CONSTRAINT, constraint.quantifier,
-                    [constraint.left, constraint.right])
+    graph = KnowledgeGraph()
+    for ast in (family, ModelAst(objective=dr_objective_ast(data, event))):
+        kg.ingest_model(ast, model_dsl.extract_symbols(ast), graph)
     # The constraint qualifies the incentive payment, so the full event
     # definition is a requirement even though the inequality inlines the
-    # minimum as a literal.
+    # minimum as a literal; the event objective inlines the rate likewise.
     graph.add_edge(LOAD_REDUCTION_CONSTRAINT, MIN_REDUCTION_PARAM, kg.DEPENDS_ON)
     graph.add_edge(LOAD_REDUCTION_CONSTRAINT, RATE_PARAM, kg.DEPENDS_ON)
-
-    baseline = baseline_objective_ast(data)
-    _add_code_entity(
-        graph, BASELINE_OBJECTIVE, kg.OBJECTIVE,
-        {"expression": model_dsl.emit_objective(baseline), "sense": "max"},
-    )
-    _wire_statement(graph, BASELINE_OBJECTIVE, None, [baseline.expr])
-
-    modified = dr_objective_ast(data, event)
-    _add_code_entity(
-        graph, DR_OBJECTIVE, kg.OBJECTIVE,
-        {"expression": model_dsl.emit_objective(modified), "sense": "max"},
-    )
-    _wire_statement(graph, DR_OBJECTIVE, None, [modified.expr])
     graph.add_edge(DR_OBJECTIVE, RATE_PARAM, kg.DEPENDS_ON)
-
-    for con in starvation_constraint_asts(data):
-        _add_code_entity(
-            graph, con.name, kg.CONSTRAINT, {"expression": model_dsl.emit_constraint(con)}
-        )
-        _wire_statement(graph, con.name, con.quantifier, [con.left, con.right])
-
     return graph
 
 
@@ -803,44 +733,53 @@ def data_to_json(data: BatteryCaseData, event: DrEvent | None = None) -> dict:
 
 
 def data_from_json(doc: dict) -> tuple[BatteryCaseData, DrEvent | None]:
+    """Case data and event from data_to_json's document; SchemaViolation on a
+    missing field or a field of the wrong type."""
+    if not isinstance(doc, dict):
+        raise SchemaViolation("battery instance must be an object")
     machines = tuple(
         Machine(
-            name=m["name"],
-            branch=m.get("branch", 0),
-            p_on=m["p_on"],
-            p_off=m["p_off"],
-            upstream=tuple(m.get("upstream", ())),
+            name=json_field(m, "name", str),
+            branch=json_field(m, "branch", int, 0),
+            p_on=json_field(m, "p_on", float),
+            p_off=json_field(m, "p_off", float),
+            upstream=tuple(json_field(m, "upstream", [str], ())),
         )
-        for m in doc["machines"]
+        for m in json_field(doc, "machines", [dict])
     )
-    products = tuple(
-        Product(
-            price=p["price"],
-            quantity=p.get("quantity"),
-            quantity_buffer=tuple(p["quantity_buffer"]) if p.get("quantity_buffer") else None,
+    products = []
+    for p in json_field(doc, "products", [dict], ()):
+        buffer = json_field(p, "quantity_buffer", list, None)
+        if buffer is not None and [type(v) for v in buffer] != [str, int]:
+            raise SchemaViolation("field 'quantity_buffer' must be a [buffer name, slot] pair")
+        products.append(
+            Product(
+                price=json_field(p, "price", float),
+                quantity=json_field(p, "quantity", float, None),
+                quantity_buffer=tuple(buffer) if buffer else None,
+            )
         )
-        for p in doc.get("products", ())
-    )
     materials = tuple(
-        Material(cost=m["cost"], quantity=m["quantity"]) for m in doc.get("materials", ())
+        Material(cost=json_field(m, "cost", float), quantity=json_field(m, "quantity", float))
+        for m in json_field(doc, "materials", [dict], ())
     )
     data = BatteryCaseData(
-        n_slots=doc["n_slots"],
-        slots_per_hour=doc["slots_per_hour"],
+        n_slots=json_field(doc, "n_slots", int),
+        slots_per_hour=json_field(doc, "slots_per_hour", int),
         machines=machines,
-        prices=tuple(doc["prices"]),
-        products=products,
+        prices=tuple(json_field(doc, "prices", [float])),
+        products=tuple(products),
         materials=materials,
-        minutes_per_slot=doc.get("minutes_per_slot", 10),
+        minutes_per_slot=json_field(doc, "minutes_per_slot", int, 10),
     )
     event = None
-    if doc.get("event"):
-        raw = doc["event"]
+    raw = json_field(doc, "event", dict, None)
+    if raw:
         event = DrEvent(
-            slots=tuple(raw["slots"]),
-            lambda_rate=raw["lambda_rate"],
-            b_ref=tuple(raw["b_ref"]),
-            delta_l_min=raw["delta_l_min"],
+            slots=tuple(json_field(raw, "slots", [int])),
+            lambda_rate=json_field(raw, "lambda_rate", float),
+            b_ref=tuple(json_field(raw, "b_ref", [float])),
+            delta_l_min=json_field(raw, "delta_l_min", float),
         )
     return data, event
 

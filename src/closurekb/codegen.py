@@ -16,6 +16,7 @@ self-contained, because the solver only ever sees the code.
 from __future__ import annotations
 
 import heapq
+import http.client
 import subprocess
 import urllib.error
 import urllib.request
@@ -42,6 +43,9 @@ from .retrieval import (
 )
 
 DEFAULT_MAX_ROUNDS = 3
+# Largest generator response accepted, in bytes: above the 14.6 MB source of
+# the largest FJSP model built here (60 jobs, 20 machines, 5x5 operations).
+MAX_RESPONSE_BYTES = 16 * 1024 * 1024
 
 
 # --- Context package ---------------------------------------------------------
@@ -248,7 +252,8 @@ class ExternalEndpointGenerator:
     """Client for the external generator exchange: request body is the rendered
     package (UTF-8), response body is code text. http(s) endpoints are POSTed;
     any other endpoint string is run as a local process with the package on
-    stdin. Non-success or timeout raises GeneratorUnavailable."""
+    stdin. Non-success, timeout, a response over MAX_RESPONSE_BYTES or one
+    that is not UTF-8 raises GeneratorUnavailable."""
 
     def __init__(self, endpoint: str, timeout: float = 30.0):
         self.endpoint = endpoint
@@ -266,8 +271,8 @@ class ExternalEndpointGenerator:
                         raise GeneratorUnavailable(
                             f"endpoint returned status {response.status}"
                         )
-                    return response.read().decode("utf-8")
-            except (urllib.error.URLError, OSError, TimeoutError) as exc:
+                    return _decode_response(response.read(MAX_RESPONSE_BYTES + 1))
+            except (urllib.error.URLError, http.client.HTTPException, OSError) as exc:
                 raise GeneratorUnavailable(f"endpoint unreachable: {exc}") from exc
         try:
             proc = subprocess.run(
@@ -283,7 +288,16 @@ class ExternalEndpointGenerator:
             raise GeneratorUnavailable(
                 f"generator process exited with status {proc.returncode}"
             )
-        return proc.stdout.decode("utf-8")
+        return _decode_response(proc.stdout)
+
+
+def _decode_response(raw: bytes) -> str:
+    if len(raw) > MAX_RESPONSE_BYTES:
+        raise GeneratorUnavailable(f"generator response exceeds {MAX_RESPONSE_BYTES} bytes")
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GeneratorUnavailable(f"generator response is not UTF-8: {exc}") from None
 
 
 def generate(package: ContextPackage, generator) -> str:

@@ -401,21 +401,68 @@ def cards_to_json(cards) -> list[dict]:
 
 
 def cards_from_json(doc) -> list[ConceptCard]:
+    """Concept cards from cards_to_json's document; SchemaViolation on a
+    missing name or kind, or a field of the wrong type."""
     if not isinstance(doc, list):
         raise SchemaViolation("concept card file must hold a list of cards")
     cards = []
     for raw in doc:
+        if not isinstance(raw, dict):
+            raise SchemaViolation("each concept card must be an object")
+        relations = json_field(raw, "relations", [list], [])
+        if any([type(part) for part in rel] != [str, str] for rel in relations):
+            raise SchemaViolation("card relations must be [kind, target name] pairs")
         cards.append(
             ConceptCard(
-                name=raw["name"],
-                kind=raw["kind"],
-                description=raw.get("description", ""),
-                solver_symbol_hint=raw.get("solver_symbol_hint"),
-                snippet=raw.get("snippet", ""),
-                relations=tuple(tuple(rel) for rel in raw.get("relations", ())),
+                name=json_field(raw, "name", str),
+                kind=json_field(raw, "kind", str),
+                description=json_field(raw, "description", str, ""),
+                solver_symbol_hint=json_field(raw, "solver_symbol_hint", str, None),
+                snippet=json_field(raw, "snippet", str, ""),
+                relations=tuple(tuple(rel) for rel in relations),
             )
         )
     return cards
+
+
+_REQUIRED = object()
+_JSON_KINDS = {
+    int: ("an integer", "integers"),
+    float: ("a number", "numbers"),
+    str: ("a string", "strings"),
+    list: ("a list", "lists"),
+    dict: ("an object", "objects"),
+}
+
+
+def _is_json(kind: type, value) -> bool:
+    """float stands for any JSON number; a boolean is neither int nor float."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def json_field(record: dict, key: str, kind, default=_REQUIRED):
+    """record[key], checked to be of `kind` (int, float, str, list or dict),
+    or a list of them when `kind` is `[item kind]`.
+
+    A missing or null field gives `default`; without one it raises
+    SchemaViolation, as does a field of the wrong kind.
+    """
+    value = record.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise SchemaViolation(f"missing field {key!r}")
+        return default
+    if isinstance(kind, list):
+        ok = isinstance(value, list) and all(_is_json(kind[0], item) for item in value)
+        expected = "a list of " + _JSON_KINDS[kind[0]][1]
+    else:
+        ok = _is_json(kind, value)
+        expected = _JSON_KINDS[kind][0]
+    if not ok:
+        raise SchemaViolation(f"field {key!r} must be {expected}")
+    return value
 
 
 # --- Alignment ------------------------------------------------------------------
@@ -524,10 +571,15 @@ def load(document: dict) -> KnowledgeGraph:
     if document["version"] != 1:
         raise SchemaViolation(f"unsupported version {document['version']!r}")
 
+    if not isinstance(document["entities"], list) or not isinstance(document["edges"], list):
+        raise SchemaViolation("entities and edges must be lists")
+
     graph = KnowledgeGraph()
     for raw in document["entities"]:
         if not isinstance(raw, dict) or set(raw) != _ENTITY_KEYS:
             raise SchemaViolation(f"entity record keys must be {sorted(_ENTITY_KEYS)}")
+        if not isinstance(raw["id"], str):
+            raise SchemaViolation(f"entity id must be a string, got {type(raw['id']).__name__}")
         if raw["kind"] not in ENTITY_KINDS:
             raise SchemaViolation(f"unknown entity kind {raw['kind']!r}")
         if raw["source"] not in SOURCES:
@@ -551,6 +603,8 @@ def load(document: dict) -> KnowledgeGraph:
             raise SchemaViolation(f"edge record keys must be {sorted(_EDGE_KEYS)}")
         if raw["kind"] not in EDGE_KINDS:
             raise SchemaViolation(f"unknown edge kind {raw['kind']!r}")
+        if not isinstance(raw["src"], str) or not isinstance(raw["dst"], str):
+            raise SchemaViolation("edge endpoints must be entity id strings")
         try:
             graph.add_edge(raw["src"], raw["dst"], raw["kind"])
         except UnknownEntity as exc:

@@ -635,7 +635,16 @@ def rename_symbols(ast: ModelAst, mapping: dict[str, str]) -> ModelAst:
         if isinstance(e, Ref):
             return Ref(name=name(e.name), indices=e.indices)
         if isinstance(e, BinOp):
-            return BinOp(e.op, expr(e.left), expr(e.right))
+            # A long sum or product is a left-deep chain: walk its left spine
+            # in a loop, so only right operands cost a stack frame.
+            spine = []
+            while isinstance(e, BinOp):
+                spine.append(e)
+                e = e.left
+            out = expr(e)
+            for node in reversed(spine):
+                out = BinOp(node.op, out, expr(node.right))
+            return out
         if isinstance(e, Sum):
             return Sum(quant(e.quantifier), expr(e.body))
         raise TypeError(f"unknown expression node {type(e).__name__}")
@@ -698,15 +707,27 @@ def _emit_expr(expr: Expr, dialect: str, parent_prec: int = 0, right_side: bool 
             return f"{expr.name}({inner})"
         return f"{expr.name}[{inner}]"
     if isinstance(expr, BinOp):
-        prec = _PRECEDENCE[expr.op]
-        left = _emit_expr(expr.left, dialect, prec, False)
-        right = _emit_expr(expr.right, dialect, prec, True)
-        joiner = expr.op if expr.op in ("*", "/") else f" {expr.op} "
-        text = f"{left}{joiner}{right}"
+        # A long sum or product is a left-deep chain: walk its left spine in a
+        # loop, so only right operands cost a stack frame.
+        spine = []
+        while isinstance(expr, BinOp):
+            spine.append(expr)
+            expr = expr.left
+        text = _emit_expr(expr, dialect)
+        prec = None
+        for node in reversed(spine):
+            # `text` is this operator's left operand; it needs parentheses
+            # when it binds more loosely.
+            child_prec, prec = prec, _PRECEDENCE[node.op]
+            if child_prec is not None and child_prec < prec:
+                text = f"({text})"
+            joiner = node.op if node.op in ("*", "/") else f" {node.op} "
+            text = f"{text}{joiner}{_emit_expr(node.right, dialect, prec, True)}"
         # Parsing is left-associative, so a right child at equal precedence
         # must keep its parentheses for the round trip to be structural.
-        needs_parens = prec < parent_prec or (right_side and prec == parent_prec)
-        return f"({text})" if needs_parens else text
+        if prec < parent_prec or (right_side and prec == parent_prec):
+            text = f"({text})"
+        return text
     if isinstance(expr, Sum):
         if dialect == LINGO_FLAVORED:
             header = _lingo_quantifier(expr.quantifier)

@@ -2,15 +2,27 @@
 the brute-force optimizer, and the knowledge-graph builder."""
 
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from closurekb import battery as bt
 from closurekb import codegen
 from closurekb import knowledge_graph as kg
+from closurekb import model_dsl as md
 from closurekb.closure import closure
-from closurekb.errors import DimensionMismatch, MissingBufferSeries, TooLarge
+from closurekb.errors import (
+    ClosureKbError,
+    DimensionMismatch,
+    MissingBufferSeries,
+    SchemaViolation,
+    TooLarge,
+)
+
+from test_knowledge_graph import JSON_VALUES
 
 
 def toy_schedule(y=(1, 0)):
@@ -352,6 +364,119 @@ def test_brute_force_tie_break_lexicographic():
 
 # --- knowledge graph builder -----------------------------------------------------
 
+def hand_wired_battery_kg(data, event):
+    """Reference: the battery graph wired entity by entity and edge by edge,
+    as `build_battery_kg` did before it declared the family as a MiniModel AST."""
+    bt._check_event(data, event)
+    if list(event.slots) != list(range(min(event.slots), max(event.slots) + 1)):
+        raise DimensionMismatch("event slots must form a contiguous range")
+
+    graph = kg.KnowledgeGraph()
+
+    def add(entity_id, kind, fields):
+        fields = dict(fields)
+        fields.setdefault("solver_symbol", entity_id)
+        graph.add_entity(
+            kg.Entity(id=entity_id, kind=kind, name=entity_id, fields=fields, source=kg.SOURCE_CODE)
+        )
+
+    def wire(name, quantifier, exprs):
+        for ref_name, _arity in md.statement_references(quantifier, exprs):
+            if ref_name != name and ref_name in graph:
+                graph.add_edge(name, ref_name, kg.USED_IN)
+        for set_name in md.iteration_sets(quantifier, exprs):
+            if set_name in graph:
+                graph.add_edge(name, set_name, kg.DEPENDS_ON)
+
+    add(bt.TIME_SET, kg.INDEX_SET, {"lo": 1, "hi": data.n_slots})
+    add(bt.EVENT_SET, kg.INDEX_SET, {"lo": min(event.slots), "hi": max(event.slots)})
+    add(bt.SLOTS_PER_HOUR_PARAM, kg.PARAMETER, {"index_sets": [], "data": data.slots_per_hour})
+    add(bt.PRICE_PARAM, kg.PARAMETER, {"index_sets": [bt.TIME_SET], "data": list(data.prices)})
+    graph.add_edge(bt.PRICE_PARAM, bt.TIME_SET, kg.DEPENDS_ON)
+    for machine in data.machines:
+        add(machine.name, kg.DECISION_VARIABLE, {"index_sets": [bt.TIME_SET], "domain": md.BINARY})
+        graph.add_edge(machine.name, bt.TIME_SET, kg.DEPENDS_ON)
+        add(f"{machine.name}PowerOn", kg.PARAMETER, {"index_sets": [], "data": machine.p_on})
+        add(f"{machine.name}PowerOff", kg.PARAMETER, {"index_sets": [], "data": machine.p_off})
+    for buf in data.buffer_names:
+        add(buf, kg.PARAMETER, {"index_sets": [bt.TIME_SET]})
+        graph.add_edge(buf, bt.TIME_SET, kg.DEPENDS_ON)
+    add(bt.BASELINE_PARAM, kg.PARAMETER, {"index_sets": [bt.EVENT_SET], "data": list(event.b_ref)})
+    graph.add_edge(bt.BASELINE_PARAM, bt.EVENT_SET, kg.DEPENDS_ON)
+    add(bt.MIN_REDUCTION_PARAM, kg.PARAMETER, {"index_sets": [], "data": event.delta_l_min})
+    add(bt.RATE_PARAM, kg.PARAMETER, {"index_sets": [], "data": event.lambda_rate})
+
+    constraint = bt.load_reduction_constraint_ast(data, event)
+    add(bt.LOAD_REDUCTION_CONSTRAINT, kg.CONSTRAINT, {"expression": md.emit_constraint(constraint)})
+    wire(bt.LOAD_REDUCTION_CONSTRAINT, constraint.quantifier, [constraint.left, constraint.right])
+    graph.add_edge(bt.LOAD_REDUCTION_CONSTRAINT, bt.MIN_REDUCTION_PARAM, kg.DEPENDS_ON)
+    graph.add_edge(bt.LOAD_REDUCTION_CONSTRAINT, bt.RATE_PARAM, kg.DEPENDS_ON)
+    for objective in (bt.baseline_objective_ast(data), bt.dr_objective_ast(data, event)):
+        add(objective.name, kg.OBJECTIVE,
+            {"expression": md.emit_objective(objective), "sense": "max"})
+        wire(objective.name, None, [objective.expr])
+    graph.add_edge(bt.DR_OBJECTIVE, bt.RATE_PARAM, kg.DEPENDS_ON)
+    for con in bt.starvation_constraint_asts(data):
+        add(con.name, kg.CONSTRAINT, {"expression": md.emit_constraint(con)})
+        wire(con.name, con.quantifier, [con.left, con.right])
+    return graph
+
+
+def random_layout(rng):
+    """A random case with upstream buffers and a buffer-counted product, so
+    the starvation constraints and buffer parameters are exercised."""
+    n_slots = rng.randint(2, 6)
+    buffers = [f"B{i}" for i in range(rng.randint(1, 4))]
+    machines = tuple(
+        bt.Machine(f"m{i}", i, rng.choice((0, 1, 2.5)), 0.0,
+                   upstream=tuple(rng.sample(buffers, rng.randint(0, len(buffers)))))
+        for i in range(rng.randint(1, 4))
+    )
+    data = bt.BatteryCaseData(
+        n_slots=n_slots,
+        slots_per_hour=rng.randint(1, 6),
+        machines=machines,
+        prices=tuple(rng.choice((0, 0.25, 1)) for _ in range(n_slots)),
+        products=(bt.Product(price=2.0, quantity_buffer=(rng.choice(buffers), n_slots)),),
+        materials=(bt.Material(cost=1.0, quantity=float(rng.randint(0, 2))),) * rng.randint(0, 1),
+    )
+    lo = rng.randint(1, n_slots)
+    slots = tuple(range(lo, rng.randint(lo, n_slots) + 1))
+    event = bt.DrEvent(
+        slots=slots,
+        lambda_rate=rng.choice((0, 0.5, 1.25)),
+        b_ref=tuple(rng.choice((1, 2.5)) for _ in slots),
+        delta_l_min=rng.choice((0, 3.0)),
+    )
+    return data, event
+
+
+def saved_bytes_or_error(build, data, event):
+    try:
+        return json.dumps(kg.save(build(data, event)), indent=2)
+    except Exception as exc:  # the exception type is what both sides must share
+        return type(exc)
+
+
+def test_battery_kg_saves_byte_identical_to_hand_wired_reference():
+    cases = [
+        (bt.paper_case_data(), bt.paper_event()),
+        (bt.toy_case_data(), bt.DrEvent(slots=(1, 2), lambda_rate=0.54, b_ref=(2.0, 2.0), delta_l_min=1.0)),
+    ]
+    rng = random.Random(2024)
+    cases += [random_toy(rng)[:2] for _ in range(1000)]
+    cases += [random_layout(rng) for _ in range(200)]
+    raised = set()
+    for data, event in cases:
+        expected = saved_bytes_or_error(hand_wired_battery_kg, data, event)
+        assert saved_bytes_or_error(bt.build_battery_kg, data, event) == expected
+        if not isinstance(expected, str):
+            raised.add(expected)
+    assert raised == {ValueError, DimensionMismatch}  # an empty and a gappy event window
+    paper = bt.build_battery_kg(*cases[0])
+    assert (len(paper.entities), len(paper.edges)) == (66, 159)
+
+
 def test_battery_kg_closure_matches_documented_member_set():
     data = bt.paper_case_data()
     graph = bt.build_battery_kg(data, bt.paper_event())
@@ -449,3 +574,74 @@ def test_battery_kg_save_load_round_trip():
     kg.ingest_concept_cards(bt.battery_concept_cards(), graph)
     kg.align(graph)
     assert kg.load(kg.save(graph)) == graph
+
+
+def paper_doc():
+    return bt.data_to_json(bt.paper_case_data(), bt.paper_event())
+
+
+@pytest.mark.parametrize("path, value", [
+    (("n_slots",), None),
+    (("machines", 0, "p_on"), None),
+    (("event", "b_ref"), None),
+    (("products", 0, "price"), None),
+    (("event", "b_ref"), "x"),
+    (("event", "b_ref"), ["x"] * 12),
+    (("prices",), 0.3),
+    (("n_slots",), 144.0),
+    (("slots_per_hour",), True),
+    (("machines", 0, "name"), 11),
+    (("machines", 0, "upstream"), "B11"),
+    (("machines",), [None]),
+    (("products", 0, "quantity_buffer"), ["B04"]),
+    (("materials",), {"cost": 1}),
+    (("event",), [1, 2]),
+], ids=lambda part: "-".join(map(str, part)) if isinstance(part, tuple) else repr(part)[:12])
+def test_data_from_json_rejects_missing_or_mistyped_fields(path, value):
+    doc = paper_doc()
+    record = doc
+    for key in path[:-1]:
+        record = record[key]
+    if value is None:
+        del record[path[-1]]
+    else:
+        record[path[-1]] = value
+    with pytest.raises(SchemaViolation):
+        bt.data_from_json(doc)
+
+
+def test_data_from_json_defaults_and_null_optional_fields():
+    doc = {"n_slots": 1, "slots_per_hour": 1, "prices": [0.5], "event": None,
+           "machines": [{"name": "m", "p_on": 1, "p_off": 0, "upstream": None}]}
+    data, event = bt.data_from_json(doc)
+    assert event is None
+    assert data == bt.BatteryCaseData(1, 1, (bt.Machine("m", 0, 1, 0),), (0.5,))
+
+
+@st.composite
+def mutated_paper_docs(draw):
+    """The paper instance with one field, at any depth, replaced or deleted."""
+    doc = paper_doc()
+    doc["machines"] = doc["machines"][:2]
+    record = doc
+    while True:
+        keys = list(record) if isinstance(record, dict) else list(range(len(record)))
+        key = draw(st.sampled_from(keys))
+        if isinstance(record[key], (dict, list)) and record[key] and draw(st.booleans()):
+            record = record[key]
+            continue
+        if isinstance(record, dict) and draw(st.booleans()):
+            del record[key]
+        else:
+            record[key] = draw(JSON_VALUES)
+        return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES | mutated_paper_docs())
+def test_data_from_json_raises_only_closurekb_errors(doc):
+    try:
+        data, event = bt.data_from_json(doc)
+    except ClosureKbError:
+        return
+    assert bt.data_from_json(bt.data_to_json(data, event)) == (data, event)

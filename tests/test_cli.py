@@ -304,3 +304,74 @@ def test_validate_command_on_extreme_input_fails_without_traceback(tmp_path, cod
     assert proc.returncode == EXIT_FAILED
     assert "status=failed" in proc.stdout
     assert "Traceback" not in proc.stderr + proc.stdout
+
+
+def run_cli(*args, entry=("-m", "closurekb.cli")):
+    """Run the command line in a fresh interpreter, as a user would."""
+    return subprocess.run(
+        [sys.executable, *entry, *map(str, args)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(closurekb.__file__).parents[1])},
+        timeout=60,
+    )
+
+
+def test_ingest_of_a_1500_term_sum_succeeds(tmp_path):
+    path = tmp_path / "long.mm"
+    path.write_text("var x continuous; con c: " + " + ".join(["x"] * 1500) + " <= 1;", encoding="utf-8")
+    proc = run_cli("ingest", path, "--graph", tmp_path / "g.json")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "entities=2" in proc.stdout
+    assert json.loads((tmp_path / "g.json").read_text(encoding="utf-8"))["entities"][0]["id"] == "c"
+
+
+def broken_battery_doc(path, value):
+    doc = battery.data_to_json(battery.toy_case_data(), battery.DrEvent((1, 2), 0.5, (1.0, 1.0), 0.0))
+    record = doc
+    for key in path[:-1]:
+        record = record[key]
+    if value is None:
+        del record[path[-1]]
+    else:
+        record[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("name, document, message", [
+    ("bad.cards.json", [None], "each concept card must be an object"),
+    ("bad.cards.json", [{"kind": "concept"}], "missing field 'name'"),
+    ("bad.kg.json", {"version": 1, "entities": None, "edges": []}, "entities and edges must be lists"),
+    ("bad.battery.json", broken_battery_doc(("event", "b_ref"), "xy"), "field 'b_ref' must be a list of numbers"),
+    ("bad.battery.json", broken_battery_doc(("machines", 0, "p_on"), None), "missing field 'p_on'"),
+], ids=["null-card", "card-without-name", "null-entities", "string-b_ref", "no-p_on"])
+def test_ingest_of_malformed_input_is_a_usage_error_without_traceback(tmp_path, name, document, message):
+    path = tmp_path / name
+    path.write_text(json.dumps(document), encoding="utf-8")
+    proc = run_cli("ingest", path, "--graph", tmp_path / "g.json")
+    assert proc.returncode == EXIT_USAGE
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr + proc.stdout
+
+
+@pytest.mark.parametrize("path, value", [
+    (("n_slots",), None),
+    (("event", "b_ref"), "xy"),
+], ids=["no-n_slots", "string-b_ref"])
+def test_eval_battery_of_malformed_instance_is_a_usage_error_without_traceback(tmp_path, path, value):
+    instance = tmp_path / "bad.json"
+    instance.write_text(json.dumps(broken_battery_doc(path, value)), encoding="utf-8")
+    proc = run_cli("eval", "battery", instance, "--brute-force")
+    assert proc.returncode == EXIT_USAGE
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr + proc.stdout
+
+
+def test_console_main_exits_with_the_command_status(tmp_path):
+    entry = ("-c", "from closurekb.cli import console_main; console_main()")
+    out = tmp_path / "tiny.fjs"
+    proc = run_cli("fjsp-gen", "--jobs", 2, "--machines", 2, "--out", out, entry=entry)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert fjsp.parse_fjs(out.read_text(encoding="utf-8")).n_jobs == 2
+    assert run_cli("closure", "--graph", tmp_path / "missing.json", "--target", "x",
+                   entry=entry).returncode == EXIT_USAGE

@@ -215,6 +215,73 @@ def test_external_process_pipe_generator(tmp_path):
     assert out.strip() == "param q = 3;"
 
 
+def serve_raw(response: bytes):
+    """A local HTTP endpoint that answers every POST with the raw bytes `response`."""
+    import http.server
+    import threading
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            try:
+                self.wfile.write(response)
+            except OSError:  # the client stops reading at the size cap
+                pass
+
+        def log_message(self, *args):
+            pass
+
+    server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    return server, thread
+
+
+def http_ok(body: bytes) -> bytes:
+    return b"HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n" % len(body) + body
+
+
+@pytest.mark.parametrize("response, message", [
+    (http_ok(b"\xff\xfe"), "not UTF-8"),
+    (http_ok(b"#" * (codegen.MAX_RESPONSE_BYTES + 1)), "exceeds"),
+    (b"garbage\r\n\r\n", "unreachable"),
+], ids=["non-utf8", "over-cap", "bad-status-line"])
+def test_external_http_generator_bad_response_is_unavailable(response, message):
+    server, thread = serve_raw(response)
+    try:
+        generator = codegen.ExternalEndpointGenerator(
+            f"http://127.0.0.1:{server.server_port}/generate", timeout=10.0
+        )
+        with pytest.raises(GeneratorUnavailable, match=message):
+            generator(package_for(ingest("param q = 3;"), "q"))
+    finally:
+        server.shutdown()
+        thread.join(timeout=2)
+
+
+@pytest.mark.parametrize("command, message", [
+    ("printf '\\377\\376'", "not UTF-8"),
+    (f"head -c {codegen.MAX_RESPONSE_BYTES + 1} /dev/zero", "exceeds"),
+], ids=["non-utf8", "over-cap"])
+def test_external_process_generator_bad_output_is_unavailable(tmp_path, command, message):
+    script = tmp_path / "gen.sh"
+    script.write_text(f"#!/bin/sh\ncat > /dev/null\n{command}\n", encoding="utf-8")
+    script.chmod(0o755)
+    with pytest.raises(GeneratorUnavailable, match=message):
+        codegen.ExternalEndpointGenerator(str(script))(package_for(ingest("param q = 3;"), "q"))
+
+
+def test_external_generator_accepts_a_response_at_the_cap(tmp_path):
+    script = tmp_path / "gen.sh"
+    script.write_text(
+        f"#!/bin/sh\ncat > /dev/null\nhead -c {codegen.MAX_RESPONSE_BYTES} /dev/zero\n",
+        encoding="utf-8",
+    )
+    script.chmod(0o755)
+    out = codegen.ExternalEndpointGenerator(str(script))(package_for(ingest("param q = 3;"), "q"))
+    assert len(out) == codegen.MAX_RESPONSE_BYTES
+
+
 # --- Validation -----------------------------------------------------------------
 
 def test_validate_missing_declaration():

@@ -1,12 +1,16 @@
 """Entity/edge store, ingestion, alignment, and persistence tests."""
 
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from closurekb import knowledge_graph as kg
 from closurekb import model_dsl as md
 from closurekb.errors import (
+    ClosureKbError,
     ConflictingEntity,
     DanglingRelation,
     FrozenGraphError,
@@ -296,3 +300,144 @@ def test_save_load_lossless_on_random_graphs_up_to_200_entities():
         loaded = kg.load(kg.save(graph))
         assert loaded == graph
         assert kg.save(loaded) == kg.save(graph)
+
+
+def test_ingest_model_of_a_1500_term_sum_stores_its_text():
+    source = "var x continuous; con c: " + " + ".join(["x"] * 1500) + " <= 1;"
+    graph = ingest_source(source)
+    assert graph.entity("c").fields["expression"] == source[len("var x continuous; "):]
+    assert edge_set(graph) == {("c", "x", kg.USED_IN)}
+
+
+@pytest.mark.parametrize("document", [
+    {"version": 1, "entities": None, "edges": []},
+    {"version": 1, "entities": [], "edges": None},
+    {"version": 1, "entities": {}, "edges": []},
+    {"version": 1, "entities": [{"id": 1, "kind": "concept", "name": "n", "description": "",
+                                 "source": "paper", "fields": {}}], "edges": []},
+    {"version": 1, "entities": [{"id": ["a"], "kind": "concept", "name": "n", "description": "",
+                                 "source": "paper", "fields": {}}], "edges": []},
+    {"version": 1, "entities": [], "edges": [{"src": ["a"], "dst": "b", "kind": "used_in"}]},
+], ids=["entities-null", "edges-null", "entities-object", "int-id", "list-id", "list-src"])
+def test_load_rejects_malformed_documents_with_schema_violation(document):
+    with pytest.raises(SchemaViolation):
+        kg.load(document)
+
+
+@pytest.mark.parametrize("document", [
+    [None],
+    [{"kind": "concept"}],
+    [{"name": "n"}],
+    [{"name": 3, "kind": "concept"}],
+    [{"name": "n", "kind": "concept", "relations": [["x"]]}],
+    [{"name": "n", "kind": "concept", "relations": "depends_on"}],
+    [{"name": "n", "kind": "concept", "snippet": ["text"]}],
+], ids=["null-card", "no-name", "no-kind", "int-name", "one-part-relation",
+        "string-relations", "list-snippet"])
+def test_cards_from_json_rejects_malformed_cards_with_schema_violation(document):
+    with pytest.raises(SchemaViolation):
+        kg.cards_from_json(document)
+
+
+def test_cards_from_json_reads_cards_to_json():
+    cards = [
+        kg.ConceptCard("a", kg.CONCEPT, snippet="s", solver_symbol_hint="x"),
+        kg.ConceptCard("b", kg.CONSTRAINT, "d", relations=(("depends_on", "a"),)),
+    ]
+    assert kg.cards_from_json(json.loads(json.dumps(kg.cards_to_json(cards)))) == cards
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=8,
+)
+
+
+def shaped(valid):
+    """Mostly a valid value, sometimes any JSON value."""
+    return st.one_of(valid, valid, JSON_VALUES)
+
+
+ENTITY_RECORDS = st.fixed_dictionaries({
+    "id": shaped(st.sampled_from(["a", "b", "c"])),
+    "kind": shaped(st.sampled_from(kg.ENTITY_KINDS)),
+    "name": shaped(st.text(max_size=6)),
+    "description": shaped(st.text(max_size=6)),
+    "source": shaped(st.sampled_from(kg.SOURCES)),
+    "fields": shaped(st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=3)),
+})
+EDGE_RECORDS = st.fixed_dictionaries({
+    "src": shaped(st.sampled_from(["a", "b", "c"])),
+    "dst": shaped(st.sampled_from(["a", "b", "c"])),
+    "kind": shaped(st.sampled_from(kg.EDGE_KINDS)),
+})
+DOCUMENTS = st.one_of(
+    JSON_VALUES,
+    st.fixed_dictionaries({
+        "version": shaped(st.just(1)),
+        "entities": shaped(st.lists(shaped(ENTITY_RECORDS), max_size=4)),
+        "edges": shaped(st.lists(shaped(EDGE_RECORDS), max_size=4)),
+    }),
+)
+CARD_RECORDS = st.fixed_dictionaries({}, optional={
+    "name": shaped(st.sampled_from(["a", "b", ""])),
+    "kind": shaped(st.sampled_from(kg.ENTITY_KINDS)),
+    "description": shaped(st.text(max_size=6)),
+    "solver_symbol_hint": shaped(st.none() | st.text(max_size=3)),
+    "snippet": shaped(st.text(max_size=6)),
+    "relations": shaped(st.lists(
+        shaped(st.tuples(st.sampled_from([kg.USED_IN, kg.DEPENDS_ON]), st.sampled_from("ab")).map(list)),
+        max_size=3,
+    )),
+})
+
+
+@settings(max_examples=150, deadline=None)
+@given(DOCUMENTS)
+def test_load_raises_only_closurekb_errors(document):
+    try:
+        graph = kg.load(document)
+    except ClosureKbError:
+        return
+    assert all(isinstance(entity_id, str) for entity_id in graph.entities)
+    assert kg.load(kg.save(graph)) == graph
+
+
+@settings(max_examples=150, deadline=None)
+@given(JSON_VALUES | st.lists(shaped(CARD_RECORDS), max_size=4))
+def test_cards_from_json_raises_only_closurekb_errors(document):
+    try:
+        cards = kg.cards_from_json(document)
+        kg.ingest_concept_cards(cards, kg.KnowledgeGraph())
+    except ClosureKbError:
+        pass
+
+
+@st.composite
+def graphs(draw):
+    graph = kg.KnowledgeGraph()
+    for entity_id in draw(st.lists(st.text(max_size=6), unique=True, max_size=8)):
+        graph.add_entity(kg.Entity(
+            id=entity_id,
+            kind=draw(st.sampled_from(kg.ENTITY_KINDS)),
+            name=draw(st.text(max_size=6)),
+            description=draw(st.text(max_size=6)),
+            fields=draw(st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=3)),
+            source=draw(st.sampled_from(kg.SOURCES)),
+        ))
+    ids = graph.sorted_ids()
+    if len(ids) >= 2:
+        for src, dst, kind in draw(st.lists(st.tuples(
+            st.sampled_from(ids), st.sampled_from(ids), st.sampled_from(kg.EDGE_KINDS)
+        ), max_size=12)):
+            if src != dst:
+                graph.add_edge(src, dst, kind)
+    return graph
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs())
+def test_load_of_saved_json_equals_the_graph(graph):
+    assert kg.load(json.loads(json.dumps(kg.save(graph)))) == graph

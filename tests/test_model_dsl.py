@@ -234,6 +234,23 @@ def test_long_left_deep_sum_parses_and_walks_without_recursion():
     assert md.iteration_sets(con.quantifier, [con.left, con.right]) == []
 
 
+@pytest.mark.parametrize("chain", [
+    " + ".join(["x"] * 1500),
+    "*".join(["x"] * 1500),
+    " - ".join(["x*2"] * 750) + "/x",
+    "(" + " + ".join(["x"] * 1500) + ")*x",
+], ids=["1500-term-sum", "1500-factor-product", "mixed-chain", "parenthesized-sum"])
+def test_long_left_deep_chain_emits_and_renames_without_recursion(chain):
+    source = f"var x continuous; con c: {chain} <= 1;"
+    ast = md.parse_model(source)
+    assert md.emit_constraint(ast.constraints[0]) == f"con c: {chain} <= 1;"
+    assert md.emit_model(ast) == source.replace("; ", ";\n", 1) + "\n"
+    lingo = md.emit_model(ast, md.LINGO_FLAVORED)
+    assert chain in lingo
+    renamed = md.rename_symbols(ast, {"x": "y"})
+    assert md.emit_constraint(renamed.constraints[0]) == f"con c: {chain.replace('x', 'y')} <= 1;"
+
+
 _PIECES = st.sampled_from([
     "set", "param", "var", "con", "max", "min", "sum", "in", "and", "binary",
     "x", "T", "t", "S1", "1", "2.5", "9" * 400, "..", "<=", ">=", "<", ">", "=",
