@@ -453,6 +453,19 @@ def starvation_constraint_asts(data: BatteryCaseData) -> list[Constraint]:
 
 # --- Knowledge graph builder ---------------------------------------------------------
 
+def _check_family_inputs(data: BatteryCaseData, event: DrEvent) -> None:
+    """What the battery family needs of its inputs: at least one machine
+    (SchemaViolation), and event slots inside the horizon that form a
+    non-empty contiguous range (DimensionMismatch)."""
+    if not data.machines:
+        raise SchemaViolation("battery instance has no machines")
+    if not event.slots:
+        raise DimensionMismatch("event window has no slots")
+    _check_event(data, event)
+    if list(event.slots) != list(range(min(event.slots), max(event.slots) + 1)):
+        raise DimensionMismatch("event slots must form a contiguous range")
+
+
 def build_battery_kg(data: BatteryCaseData, event: DrEvent) -> KnowledgeGraph:
     """Knowledge graph containing every symbol of the battery family.
 
@@ -465,10 +478,7 @@ def build_battery_kg(data: BatteryCaseData, event: DrEvent) -> KnowledgeGraph:
     set). Code entities carry empty descriptions: solver code contributes
     structure, concept cards contribute prose.
     """
-    _check_event(data, event)
-    if list(event.slots) != list(range(min(event.slots), max(event.slots) + 1)):
-        raise DimensionMismatch("event slots must form a contiguous range")
-
+    _check_family_inputs(data, event)
     powers = []
     for machine in data.machines:
         powers.append(ParamDecl(f"{machine.name}PowerOn", data=machine.p_on))
@@ -785,9 +795,16 @@ def data_from_json(doc: dict) -> tuple[BatteryCaseData, DrEvent | None]:
 
 
 def schedule_from_json(doc: dict) -> Schedule:
-    buffers = None
-    if doc.get("buffers"):
-        buffers = {name: tuple(series) for name, series in doc["buffers"].items()}
+    """Schedule from a solution document: `y`, and `buffers` when present,
+    are objects of numeric series; SchemaViolation otherwise."""
+    if not isinstance(doc, dict):
+        raise SchemaViolation("battery solution must be an object")
+
+    def series_by_name(raw: dict) -> dict[str, tuple]:
+        return {name: tuple(json_field(raw, name, [float])) for name in raw}
+
+    buffers = json_field(doc, "buffers", dict, None)
     return Schedule(
-        y={name: tuple(series) for name, series in doc["y"].items()}, buffers=buffers
+        y=series_by_name(json_field(doc, "y", dict)),
+        buffers=series_by_name(buffers) if buffers else None,
     )

@@ -3,8 +3,9 @@
 The closure of a target entity is the forward-reachable set over used_in and
 depends_on edges, including the target. Traversal is breadth-first with
 neighbors expanded in sorted-id order, so visit order is deterministic and
-cycles terminate via the visited set. Every check on a member set walks the
-members' own out-edges, so its cost follows the set, not the graph.
+cycles terminate via the visited set. The closure of several targets is
+walked in one traversal with one visited set. Every check on a member set
+walks the members' own out-edges, so its cost follows the set, not the graph.
 """
 
 from __future__ import annotations
@@ -63,6 +64,25 @@ def closure(graph: KnowledgeGraph, target: str) -> ClosureResult:
         visit_order=tuple(order),
         edge_count=edge_count,
     )
+
+
+def closure_union(graph: KnowledgeGraph, targets) -> frozenset[str]:
+    """Members of the union of the closures of `targets`.
+
+    One traversal from all targets at once, sharing a single visited set, so
+    an entity reached from several targets is expanded once.
+    """
+    visited = set(targets)
+    for target in visited:
+        if target not in graph:
+            raise UnknownEntity(f"no entity with id {target!r}")
+    stack = list(visited)
+    while stack:
+        for edge in graph.edges_from(stack.pop()):
+            if edge.kind in EXEC_KINDS and edge.dst not in visited:
+                visited.add(edge.dst)
+                stack.append(edge.dst)
+    return frozenset(visited)
 
 
 def induced_subgraph(graph: KnowledgeGraph, members) -> KnowledgeGraph:

@@ -359,24 +359,36 @@ def validate(code: str, graph: KnowledgeGraph | None = None) -> ValidationReport
     supplied, exist there with a compatible kind: value positions accept
     variables/parameters, iteration positions accept index sets only, and the
     used arity must match the declared arity.
-    """
-    try:
-        ast = model_dsl.parse_model(code)
-    except (ParseError, DuplicateDeclaration) as exc:
-        return ValidationReport(status="failed", parse_error=str(exc))
 
-    table = model_dsl.extract_symbols(ast)
+    The code's symbol facts come line by line from a memo keyed by each
+    line's exact text and bounded at 8,192 lines
+    (`model_dsl.symbol_facts_by_line`). It holds code facts only, so graph
+    resolution runs on every call and no entry goes stale. When the lines
+    cannot stand alone (a parse error, a statement over several lines, a
+    name declared twice, a second objective), the whole source is parsed
+    once instead, and a parse error is reported exactly as that parse
+    raises it.
+    """
+    facts = model_dsl.symbol_facts_by_line(code)
+    if facts is None:
+        try:
+            ast = model_dsl.parse_model(code)
+        except (ParseError, DuplicateDeclaration) as exc:
+            return ValidationReport(status="failed", parse_error=str(exc))
+        facts = model_dsl.symbol_facts(ast)
+
+    declared = {decl.name: decl for decl in facts.declarations}
     missing: set[str] = set()
     kind_mismatches: set[tuple[str, str, str]] = set()
     arity_mismatches: set[tuple[str, int, int]] = set()
 
     def resolve(name: str) -> tuple[str, int] | None:
-        decl = table.declarations.get(name)
+        decl = declared.get(name)
         if decl is not None:
             return _CODE_KIND_LABEL[decl.kind], decl.arity
         return _graph_resolution(graph, name)
 
-    for ref in table.references:
+    for ref in facts.references:
         resolution = resolve(ref.name)
         if resolution is None:
             missing.add(ref.name)
@@ -388,15 +400,7 @@ def validate(code: str, graph: KnowledgeGraph | None = None) -> ValidationReport
         if declared_arity != ref.arity:
             arity_mismatches.add((ref.name, declared_arity, ref.arity))
 
-    iteration_names: list[str] = []
-    for con in ast.constraints:
-        iteration_names.extend(model_dsl.iteration_sets(con.quantifier, [con.left, con.right]))
-    if ast.objective is not None:
-        iteration_names.extend(model_dsl.iteration_sets(None, [ast.objective.expr]))
-    for decl in list(ast.params) + list(ast.vars):
-        iteration_names.extend(decl.index_sets)
-
-    for name in iteration_names:
+    for name in facts.iteration_names:
         resolution = resolve(name)
         if resolution is None:
             missing.add(name)

@@ -586,6 +586,10 @@ def load(document: dict) -> KnowledgeGraph:
             raise SchemaViolation(f"unknown entity source {raw['source']!r}")
         if not isinstance(raw["fields"], dict):
             raise SchemaViolation("entity fields must be an object")
+        for label, text in (("name", raw["name"]), ("description", raw["description"]),
+                            ("snippet", raw["fields"].get("snippet", ""))):
+            if not isinstance(text, str):
+                raise SchemaViolation(f"entity {label} must be a string, got {type(text).__name__}")
         if raw["id"] in graph:
             raise SchemaViolation(f"duplicate entity id {raw['id']!r}")
         graph.add_entity(

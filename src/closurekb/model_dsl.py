@@ -13,10 +13,20 @@ Resolution of names to declarations is deliberately NOT done here; the parser
 only enforces grammar and name uniqueness. Kind/arity checking lives in the
 code validator so that broken generated code can be diagnosed rather than
 rejected outright.
+
+The validator reads a source's symbol facts (declarations, references and
+iteration-set names) line by line through a memo keyed by the exact text of
+one line (`str.split("\n")`, not `splitlines()`), bounded at 8,192 lines. An
+entry holds code facts only: no AST and nothing of a graph. A line that does
+not parse on its own, a name declared on two lines or a second objective
+sends the validator back to one whole-source parse, so every error message,
+line and column is the whole source's. Ingest parses through `parse_model`
+and `extract_symbols`, which are not memoised.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -608,6 +618,73 @@ def extract_symbols(ast: ModelAst) -> SymbolTable:
         record(ast.objective.name, _statement_refs(None, [ast.objective.expr]))
 
     return SymbolTable(declarations=declarations, references=tuple(references))
+
+
+@dataclass(frozen=True)
+class SymbolFacts:
+    """What static validation reads from a source: its declarations, its
+    references, and the names of the sets it iterates over (quantifier and
+    sum sets, and param/var index sets)."""
+
+    declarations: tuple[Declaration, ...]
+    references: tuple[Reference, ...]
+    iteration_names: tuple[str, ...]
+
+
+def symbol_facts(ast: ModelAst) -> SymbolFacts:
+    """The symbol facts of a parsed model."""
+    table = extract_symbols(ast)
+    names: list[str] = []
+    for con in ast.constraints:
+        names += iteration_sets(con.quantifier, [con.left, con.right])
+    if ast.objective is not None:
+        names += iteration_sets(None, [ast.objective.expr])
+    for decl in ast.params + ast.vars:
+        names += decl.index_sets
+    return SymbolFacts(tuple(table.declarations.values()), table.references, tuple(names))
+
+
+@functools.lru_cache(maxsize=8192)
+def _line_facts(line: str) -> SymbolFacts:
+    """symbol_facts of one source line, memoised by the line's exact text.
+
+    Holds at most 8,192 lines, the least recently used leaving first; the
+    whole model of the benchmark's FJSP instance has 1,094. An error
+    propagates and is not memoised.
+    """
+    return symbol_facts(parse_model(line))
+
+
+def symbol_facts_by_line(source: str) -> SymbolFacts | None:
+    """symbol_facts(parse_model(source)), assembled from memoised lines.
+
+    Tokens never span a line, so when every line parses on its own the whole
+    source parses to the same statements. Returns None where only a
+    whole-source parse can tell: a line that does not parse on its own (a
+    statement split over lines, or an error), a name declared on two lines,
+    or a second objective.
+    """
+    declared: set[str] = set()
+    declarations: list[Declaration] = []
+    references: list[Reference] = []
+    names: list[str] = []
+    objectives = 0
+    for line in source.split("\n"):
+        try:
+            facts = _line_facts(line)
+        except (ParseError, DuplicateDeclaration):
+            return None
+        for decl in facts.declarations:
+            if decl.name in declared:
+                return None
+            declared.add(decl.name)
+            objectives += decl.kind == OBJECTIVE
+        if objectives > 1:
+            return None
+        declarations += facts.declarations
+        references += facts.references
+        names += facts.iteration_names
+    return SymbolFacts(tuple(declarations), tuple(references), tuple(names))
 
 
 # --- Renaming -----------------------------------------------------------------

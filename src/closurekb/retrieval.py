@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import knowledge_graph as kg
-from .closure import closure, is_well_defined
+from .closure import closure_union, is_well_defined
 from .errors import EmptyQuery, NotClosed, UnknownEntity
 from .knowledge_graph import EXEC_KINDS, KnowledgeGraph
 
@@ -317,8 +317,9 @@ def semantic_search(index: SemanticIndex, text: str, k: int) -> list[tuple[str, 
 # --- Structural stream -----------------------------------------------------------
 
 def structural_retrieve(graph: KnowledgeGraph, seeds) -> frozenset[str]:
-    """Union of dependency closures over the seeds; aligns_to edges are followed
-    one hop from paper seeds first so concepts pull in their code realizations."""
+    """Union of dependency closures over the seeds, walked in one traversal;
+    aligns_to edges are followed one hop from paper seeds first so concepts
+    pull in their code realizations."""
     expanded: set[str] = set()
     for seed in seeds:
         if seed not in graph:
@@ -326,10 +327,7 @@ def structural_retrieve(graph: KnowledgeGraph, seeds) -> frozenset[str]:
         expanded.add(seed)
         if graph.entity(seed).source == kg.SOURCE_PAPER:
             expanded.update(graph.neighbors(seed, {kg.ALIGNS_TO}, "out"))
-    members: set[str] = set()
-    for seed in sorted(expanded):
-        members.update(closure(graph, seed).members)
-    return frozenset(members)
+    return closure_union(graph, expanded)
 
 
 def _dependents_of_kind(graph: KnowledgeGraph, seeds, edge_kinds, wanted_kind) -> set[str]:

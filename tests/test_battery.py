@@ -367,10 +367,7 @@ def test_brute_force_tie_break_lexicographic():
 def hand_wired_battery_kg(data, event):
     """Reference: the battery graph wired entity by entity and edge by edge,
     as `build_battery_kg` did before it declared the family as a MiniModel AST."""
-    bt._check_event(data, event)
-    if list(event.slots) != list(range(min(event.slots), max(event.slots) + 1)):
-        raise DimensionMismatch("event slots must form a contiguous range")
-
+    bt._check_family_inputs(data, event)
     graph = kg.KnowledgeGraph()
 
     def add(entity_id, kind, fields):
@@ -472,7 +469,7 @@ def test_battery_kg_saves_byte_identical_to_hand_wired_reference():
         assert saved_bytes_or_error(bt.build_battery_kg, data, event) == expected
         if not isinstance(expected, str):
             raised.add(expected)
-    assert raised == {ValueError, DimensionMismatch}  # an empty and a gappy event window
+    assert raised == {DimensionMismatch}  # an empty and a gappy event window
     paper = bt.build_battery_kg(*cases[0])
     assert (len(paper.entities), len(paper.edges)) == (66, 159)
 
@@ -511,6 +508,19 @@ def test_battery_kg_requires_contiguous_event_slots():
     )
     with pytest.raises(DimensionMismatch):
         bt.build_battery_kg(data3, gappy)
+
+
+def test_battery_kg_rejects_an_instance_without_machines():
+    data = bt.BatteryCaseData(n_slots=2, slots_per_hour=1, machines=(), prices=(0.0, 0.0))
+    event = bt.DrEvent(slots=(1,), lambda_rate=0.1, b_ref=(1.0,), delta_l_min=0.0)
+    with pytest.raises(SchemaViolation):
+        bt.build_battery_kg(data, event)
+
+
+def test_battery_kg_rejects_an_empty_event_window():
+    event = bt.DrEvent(slots=(), lambda_rate=0.1, b_ref=(), delta_l_min=0.0)
+    with pytest.raises(DimensionMismatch):
+        bt.build_battery_kg(bt.toy_case_data(), event)
 
 
 def test_battery_query_end_to_end_structural_and_snippets():
@@ -645,3 +655,38 @@ def test_data_from_json_raises_only_closurekb_errors(doc):
     except ClosureKbError:
         return
     assert bt.data_from_json(bt.data_to_json(data, event)) == (data, event)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_paper_docs())
+def test_build_battery_kg_of_any_read_instance_raises_only_closurekb_errors(doc):
+    try:
+        data, event = bt.data_from_json(doc)
+        if event is not None:
+            bt.build_battery_kg(data, event)
+    except ClosureKbError:
+        pass
+
+
+@pytest.mark.parametrize("doc", [
+    None,
+    [],
+    {},
+    {"y": None},
+    {"y": [0, 1]},
+    {"y": {"m01": None}},
+    {"y": {"m01": "01"}},
+    {"y": {"m01": [0, True]}},
+    {"y": {"m01": [0, 1]}, "buffers": [1, 2]},
+    {"y": {"m01": [0, 1]}, "buffers": {"B11": [1, "2"]}},
+], ids=["null", "list", "no-y", "null-y", "list-y", "null-series", "string-series",
+        "boolean-value", "list-buffers", "string-buffer-value"])
+def test_schedule_from_json_rejects_misshapen_solutions(doc):
+    with pytest.raises(SchemaViolation):
+        bt.schedule_from_json(doc)
+
+
+def test_schedule_from_json_reads_series():
+    doc = {"y": {"m01": [0, 1]}, "buffers": {"B11": [2, 3.5]}}
+    assert bt.schedule_from_json(doc) == bt.Schedule(y={"m01": (0, 1)}, buffers={"B11": (2, 3.5)})
+    assert bt.schedule_from_json({"y": {}, "buffers": {}}) == bt.Schedule(y={})

@@ -375,3 +375,46 @@ def test_console_main_exits_with_the_command_status(tmp_path):
     assert fjsp.parse_fjs(out.read_text(encoding="utf-8")).n_jobs == 2
     assert run_cli("closure", "--graph", tmp_path / "missing.json", "--target", "x",
                    entry=entry).returncode == EXIT_USAGE
+
+
+def test_eval_battery_of_misshapen_solution_is_a_usage_error_without_traceback(tmp_path):
+    instance = tmp_path / "toy.json"
+    instance.write_text(json.dumps(broken_battery_doc(("n_slots",), 2)), encoding="utf-8")
+    solution = tmp_path / "s.json"
+    solution.write_text(json.dumps({"y": None}), encoding="utf-8")
+    proc = run_cli("eval", "battery", instance, "--solution", solution)
+    assert proc.returncode == EXIT_USAGE
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr + proc.stdout
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("machines",), [], "battery instance has no machines"),
+    (("event",), {"slots": [], "lambda_rate": 0.5, "b_ref": [], "delta_l_min": 0.0},
+     "event window has no slots"),
+], ids=["no-machines", "empty-event-window"])
+def test_ingest_of_battery_instance_the_family_cannot_hold_is_a_usage_error(tmp_path, path, value, message):
+    path_in = tmp_path / "bad.battery.json"
+    path_in.write_text(json.dumps(broken_battery_doc(path, value)), encoding="utf-8")
+    proc = run_cli("ingest", path_in, "--graph", tmp_path / "g.json")
+    assert proc.returncode == EXIT_USAGE
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr + proc.stdout
+
+
+@pytest.mark.parametrize("fields, description", [
+    ({}, 5),
+    ({"snippet": 7}, "a note"),
+], ids=["int-description", "int-snippet"])
+@pytest.mark.parametrize("command", ["generate", "query"])
+def test_graph_with_non_string_text_is_a_usage_error_without_traceback(tmp_path, command, fields, description):
+    document = {"version": 1, "edges": [], "entities": [
+        {"id": "x", "kind": "parameter", "name": "x", "description": description,
+         "source": "code", "fields": {"solver_symbol": "x", **fields}},
+    ]}
+    graph = tmp_path / "g.kg.json"
+    graph.write_text(json.dumps(document), encoding="utf-8")
+    proc = run_cli(command, "what is the value of x", "--graph", graph)
+    assert proc.returncode == EXIT_USAGE
+    assert "must be a string" in proc.stderr
+    assert "Traceback" not in proc.stderr + proc.stdout

@@ -4,9 +4,11 @@ idempotence / minimality / monotonicity property suites."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from closurekb import knowledge_graph as kg
-from closurekb.closure import closure, induced_subgraph, is_well_defined
+from closurekb.closure import closure, closure_union, induced_subgraph, is_well_defined
 from closurekb.errors import UnknownEntity
 
 
@@ -81,6 +83,21 @@ def test_closure_equals_relaxation_oracle_on_1000_random_digraphs():
         graph, n = random_digraph(rng)
         target = f"n{rng.randint(0, n - 1):02d}"
         assert closure(graph, target).members == reachable_by_relaxation(graph, target)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**9), st.data())
+def test_closure_union_equals_the_union_of_single_closures(seed, data):
+    graph, n = random_digraph(random.Random(seed))
+    targets = data.draw(st.lists(st.sampled_from(graph.sorted_ids()), max_size=n + 2))
+    expected = frozenset().union(*(closure(graph, t).members for t in targets))
+    assert closure_union(graph, targets) == expected
+
+
+def test_closure_union_rejects_an_unknown_target():
+    graph = make_graph(2, [(0, 1, kg.USED_IN)])
+    with pytest.raises(UnknownEntity):
+        closure_union(graph, ["n00", "ghost"])
 
 
 def test_idempotence_minimality_monotonicity():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from closurekb import knowledge_graph as kg
 from closurekb import model_dsl as md
+from closurekb import retrieval
 from closurekb.errors import (
     ClosureKbError,
     ConflictingEntity,
@@ -318,7 +319,14 @@ def test_ingest_model_of_a_1500_term_sum_stores_its_text():
     {"version": 1, "entities": [{"id": ["a"], "kind": "concept", "name": "n", "description": "",
                                  "source": "paper", "fields": {}}], "edges": []},
     {"version": 1, "entities": [], "edges": [{"src": ["a"], "dst": "b", "kind": "used_in"}]},
-], ids=["entities-null", "edges-null", "entities-object", "int-id", "list-id", "list-src"])
+    {"version": 1, "entities": [{"id": "a", "kind": "concept", "name": "n", "description": 5,
+                                 "source": "paper", "fields": {}}], "edges": []},
+    {"version": 1, "entities": [{"id": "a", "kind": "concept", "name": "n", "description": "",
+                                 "source": "paper", "fields": {"snippet": ["text"]}}], "edges": []},
+    {"version": 1, "entities": [{"id": "a", "kind": "concept", "name": None, "description": "",
+                                 "source": "paper", "fields": {}}], "edges": []},
+], ids=["entities-null", "edges-null", "entities-object", "int-id", "list-id", "list-src",
+        "int-description", "list-snippet", "null-name"])
 def test_load_rejects_malformed_documents_with_schema_violation(document):
     with pytest.raises(SchemaViolation):
         kg.load(document)
@@ -403,6 +411,10 @@ def test_load_raises_only_closurekb_errors(document):
         return
     assert all(isinstance(entity_id, str) for entity_id in graph.entities)
     assert kg.load(kg.save(graph)) == graph
+    # A loaded graph indexes and answers queries without a stray exception.
+    index = retrieval.index_snippets(graph)
+    retrieval.semantic_search(index, "a b c", 5)
+    retrieval.understand_query("explain a and generate code", graph)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,16 +1,22 @@
 """Query understanding, semantic index, and stream fusion tests."""
 
 import math
+import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from closurekb import fjsp
+from closurekb import corpus, fjsp
 from closurekb import knowledge_graph as kg
 from closurekb import model_dsl as md
 from closurekb import retrieval as rt
+from closurekb.closure import closure
 from closurekb.errors import EmptyQuery, NotClosed, UnknownEntity
+
+from test_knowledge_graph import random_graph
 
 
 def entity(graph, entity_id, kind=kg.PARAMETER, name=None, description="", source=kg.SOURCE_CODE,
@@ -259,6 +265,55 @@ def test_structural_retrieve_union_of_closures():
     assert rt.structural_retrieve(graph, []) == frozenset()
     with pytest.raises(UnknownEntity):
         rt.structural_retrieve(graph, ["ghost"])
+
+
+def closure_union_reference(graph, seeds):
+    """One closure per seed, after the one-hop aligns_to expansion of paper seeds."""
+    expanded = set(seeds)
+    for seed in seeds:
+        if graph.entity(seed).source == kg.SOURCE_PAPER:
+            expanded.update(graph.neighbors(seed, {kg.ALIGNS_TO}, "out"))
+    return frozenset().union(*(closure(graph, s).members for s in expanded))
+
+
+@pytest.fixture(scope="module")
+def benchmark_graphs(tmp_path_factory):
+    """The set-up graph and request seeds of each of the three benchmark workloads."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import bench_inputs
+    finally:
+        sys.path.pop(0)
+    graphs = {}
+    for name, build in sorted(bench_inputs.BUILDERS.items()):
+        workload = build(tmp_path_factory.mktemp(name), 1)
+        graph, _ = corpus.ingest_corpus([str(p) for p in workload.inputs])
+        seeds = [rt.select_seeds(rt.understand_query(r.text, graph), graph) for r in workload.requests]
+        graphs[name] = (graph, seeds)
+    return graphs
+
+
+@pytest.mark.parametrize("workload", ["battery-paper", "fjsp-full-model", "kb-scale"])
+def test_structural_retrieve_equals_per_seed_closures_on_benchmark_graphs(benchmark_graphs, workload):
+    graph, request_seeds = benchmark_graphs[workload]
+    for seeds in request_seeds:
+        assert rt.structural_retrieve(graph, seeds) == closure_union_reference(graph, seeds)
+    ids = graph.sorted_ids()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from(ids), max_size=12))
+    def check(seeds):
+        assert rt.structural_retrieve(graph, seeds) == closure_union_reference(graph, seeds)
+
+    check()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**9), st.data())
+def test_structural_retrieve_equals_per_seed_closures_on_random_graphs(seed, data):
+    graph = random_graph(random.Random(seed), data.draw(st.integers(2, 30)))
+    seeds = data.draw(st.lists(st.sampled_from(graph.sorted_ids()), max_size=6))
+    assert rt.structural_retrieve(graph, seeds) == closure_union_reference(graph, seeds)
 
 
 def test_structural_retrieve_follows_alignment_one_hop_from_paper_seeds():
