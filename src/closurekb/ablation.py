@@ -52,7 +52,7 @@ def config_from_json(doc: dict) -> AblationConfig:
 @dataclass(frozen=True)
 class RunRow:
     run: int
-    status: str  # ok | failed | generation_failed
+    status: str  # ok | failed | generation_failed | unresolved (the query named no entity)
     missing: tuple[str, ...]
     empty_snippets: bool
     detail: str = ""
@@ -145,6 +145,10 @@ def run_single(query: str, graph, index, generator, mode: str, window_k: int) ->
     parsed = retrieval.understand_query(query, graph)
     if mode == CLOSURE_MODE:
         seeds = retrieval.select_seeds(parsed, graph)
+        if not seeds:
+            # As in codegen.repair_loop: empty code would otherwise validate as ok.
+            return RunRow(run=0, status="unresolved", missing=(), empty_snippets=True,
+                          detail="query resolved no entity")
         structural = retrieval.structural_retrieve(graph, seeds)
         snippets = retrieval.semantic_search(index, query, retrieval.DEFAULT_SNIPPET_K)
         fused = retrieval.fuse(parsed, structural, snippets, graph)

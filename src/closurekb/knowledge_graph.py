@@ -124,6 +124,7 @@ class KnowledgeGraph:
         self.edges: set[Edge] = set()
         self._out: dict[str, set[Edge]] = {}
         self._in: dict[str, set[Edge]] = {}
+        self._sorted_out: dict[str, tuple[Edge, ...]] = {}
         self._names: NameLookup | None = None
         self.frozen = False
 
@@ -160,6 +161,7 @@ class KnowledgeGraph:
             self.edges.add(edge)
             self._out[src].add(edge)
             self._in[dst].add(edge)
+            self._sorted_out.pop(src, None)
         return edge
 
     def freeze(self) -> "KnowledgeGraph":
@@ -196,8 +198,17 @@ class KnowledgeGraph:
             raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
         return sorted(found)
 
-    def edges_from(self, entity_id: str):
-        return sorted(self._out.get(entity_id, ()), key=lambda e: (e.dst, e.kind))
+    def edges_from(self, entity_id: str) -> tuple[Edge, ...]:
+        """Out-edges sorted by (dst, kind), kept until add_edge adds another."""
+        edges = self._sorted_out.get(entity_id)
+        if edges is None:
+            out = self._out.get(entity_id)
+            if out is None:
+                return ()
+            edges = self._sorted_out[entity_id] = tuple(
+                sorted(out, key=lambda e: (e.dst, e.kind))
+            )
+        return edges
 
     def names(self) -> "NameLookup":
         """The name lookup, built on first use after the last added entity.

@@ -1,8 +1,9 @@
 """Query understanding plus the two retrieval streams (semantic and structural).
 
 The semantic stream is a deterministic TF-IDF index over entity snippets and
-descriptions, stored as per-term postings with per-document norms, so a
-search touches only the documents that share a term with the query. The
+descriptions, stored as per-term postings with per-document norms and
+per-term score bounds, so a top-k search stops reading postings once the
+query terms left cannot lift an unseen document into the top k. The
 structural stream is a union of dependency closures seeded from entities
 resolved in the query, with aligns_to followed one hop from paper seeds so
 concepts pull in their executable realizations. Entity names are matched
@@ -11,6 +12,7 @@ through the graph's name lookup (KnowledgeGraph.names()).
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from collections import Counter
@@ -259,11 +261,23 @@ def _norm(pairs) -> float:
 
 @dataclass
 class SemanticIndex:
+    """Sparse TF-IDF index over the snippet documents.
+
+    postings maps a slot to (doc id, weight) of every document holding the
+    term, by doc id; doc_weights maps a document to its {slot: weight}, and
+    norms to its Euclidean norm. slot_bounds maps a slot to the largest
+    weight / norm over its postings, so a query term of weight q adds at most
+    q * slot_bound / query_norm to any document's cosine. semantic_search
+    prunes with that bound, less a relative margin of 1e-9 for rounding, and
+    re-scores the documents it keeps exactly from doc_weights.
+    """
+
     doc_ids: list[str] = field(default_factory=list)
     texts: dict[str, str] = field(default_factory=dict)
-    # slot -> (doc id, weight) of every document holding the term, by doc id
     postings: dict[int, list[tuple[str, float]]] = field(default_factory=dict)
     norms: dict[str, float] = field(default_factory=dict)
+    doc_weights: dict[str, dict[int, float]] = field(default_factory=dict)
+    slot_bounds: dict[int, float] = field(default_factory=dict)
     embedder: TfidfEmbedder | None = None
 
 
@@ -287,31 +301,88 @@ def index_snippets(graph: KnowledgeGraph, cards=()) -> SemanticIndex:
     embedder = TfidfEmbedder().fit([docs[i] for i in doc_ids])
     postings: dict[int, list[tuple[str, float]]] = {}
     norms: dict[str, float] = {}
+    doc_weights: dict[str, dict[int, float]] = {}
+    slot_bounds: dict[int, float] = {}
     for doc_id in doc_ids:
         pairs = embedder.weights(docs[doc_id])
-        norms[doc_id] = _norm(pairs)
+        norm = norms[doc_id] = _norm(pairs)
+        doc_weights[doc_id] = dict(pairs)
         for slot, weight in pairs:
             postings.setdefault(slot, []).append((doc_id, weight))
-    return SemanticIndex(doc_ids=doc_ids, texts=docs, postings=postings, norms=norms, embedder=embedder)
+            slot_bounds[slot] = max(slot_bounds.get(slot, 0.0), weight / norm)
+    return SemanticIndex(
+        doc_ids=doc_ids,
+        texts=docs,
+        postings=postings,
+        norms=norms,
+        doc_weights=doc_weights,
+        slot_bounds=slot_bounds,
+        embedder=embedder,
+    )
+
+
+# Relative slack of the pruning test: partial cosines and bounds are rounded
+# differently from the exact scores, so each may be a few ulps off.
+_PRUNE_MARGIN = 1e-9
 
 
 def semantic_search(index: SemanticIndex, text: str, k: int) -> list[tuple[str, float, str]]:
     """Top-k snippets by cosine similarity; zero-score documents are dropped,
-    ties broken by smaller doc id.
+    ties broken by smaller doc id. k == 0 returns []; k < 0 raises ValueError.
 
-    Dot products are summed left to right in ascending slot order over the
-    query's postings, the same additions a dense dot product makes once its
-    zero terms are left out, so scores do not depend on the index layout.
+    Max-score pruning, term at a time: query terms are walked from the
+    shortest posting list up, accumulating each document's partial cosine.
+    The terms not yet walked can add at most the sum of their
+    query_weight * slot_bound / query_norm to any document; once k documents
+    have a partial cosine and that sum is below the k-th largest by a
+    relative margin of 1e-9, no document outside them can reach the top k,
+    and the walk stops. The same test drops the candidates whose partial
+    cosine plus that sum is below it (after the last term the sum is 0).
+
+    Every remaining candidate is then re-scored exactly: its dot product is
+    summed left to right in ascending slot order, the same additions a dense
+    dot product makes once its zero terms are left out, so scores are
+    bit-identical to scoring every document and do not depend on the pruning
+    or index layout.
     """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     query = index.embedder.weights(text)
+    if k == 0 or not query:
+        return []
     query_norm = _norm(query)
-    dots: dict[str, float] = {}
-    for slot, query_weight in query:
-        for doc_id, weight in index.postings.get(slot, ()):
-            dots[doc_id] = dots.get(doc_id, 0.0) + query_weight * weight
-    scored = [(doc_id, dot / (query_norm * index.norms[doc_id])) for doc_id, dot in dots.items()]
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    return [(doc_id, score, index.texts[doc_id]) for doc_id, score in scored[:k]]
+    postings, norms = index.postings, index.norms
+    terms = sorted(query, key=lambda pair: (len(postings[pair[0]]), pair[0]))
+    scales = [query_weight / query_norm for _slot, query_weight in terms]
+    # rest[i]: the most the terms after the i-th can add to any cosine
+    rest = [0.0] * len(terms)
+    for i in range(len(terms) - 1, 0, -1):
+        rest[i - 1] = rest[i] + scales[i] * index.slot_bounds[terms[i][0]]
+    partial: dict[str, float] = {}
+    floor = 0.0  # a candidate whose partial cosine is below it cannot reach the top k
+    for (slot, _query_weight), scale, bound in zip(terms, scales, rest):
+        for doc_id, weight in postings[slot]:
+            partial[doc_id] = partial.get(doc_id, 0.0) + scale * (weight / norms[doc_id])
+        if len(partial) >= k:
+            kth = (1.0 - _PRUNE_MARGIN) * heapq.nlargest(k, partial.values())[-1]
+            if bound < kth:
+                floor = kth - bound
+                break
+    ranked = []
+    for doc_id, partial_score in partial.items():
+        if partial_score < floor:
+            continue
+        weights = index.doc_weights[doc_id]
+        dot = 0.0
+        for slot, query_weight in query:
+            weight = weights.get(slot)
+            if weight is not None:
+                dot += query_weight * weight
+        ranked.append((-(dot / (query_norm * norms[doc_id])), doc_id))
+    return [
+        (doc_id, -neg_score, index.texts[doc_id])
+        for neg_score, doc_id in heapq.nsmallest(k, ranked)
+    ]
 
 
 # --- Structural stream -----------------------------------------------------------

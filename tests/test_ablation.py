@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from closurekb import ablation, corpus
+from closurekb import ablation, codegen, corpus, fjsp, retrieval
 from closurekb.errors import ClosureKbError
 
 
@@ -99,3 +99,16 @@ def test_config_validation():
 def test_missing_query_file_is_an_error(tmp_path):
     with pytest.raises(ClosureKbError):
         ablation.run_ablation(ablation.AblationConfig(), tmp_path)
+
+
+def test_closure_mode_query_resolving_no_entity_is_unresolved(tmp_path):
+    (tmp_path / "two.fjs").write_text(fjsp.generate_fjs(2, 2, 2, 2, seed=1), encoding="utf-8")
+    (tmp_path / "query.txt").write_text("zzz qqq\n", encoding="utf-8")
+    report = ablation.run_ablation(ablation.AblationConfig(runs=2), tmp_path)
+    assert [row.status for row in report.rows] == ["unresolved", "unresolved"]
+    assert report.ok_runs == 0
+    graph, _alignment = corpus.ingest_corpus([tmp_path / "two.fjs"])
+    _code, loop_report, _rounds = codegen.repair_loop(
+        "zzz qqq", graph, retrieval.index_snippets(graph), codegen.TemplateGenerator()
+    )
+    assert loop_report.status == "unresolved"

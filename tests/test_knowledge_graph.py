@@ -215,6 +215,25 @@ def test_neighbors_sorted_and_filtered():
         graph.neighbors("nope", {kg.USED_IN}, "out")
 
 
+def test_edges_from_is_sorted_and_sees_an_edge_added_after_a_read():
+    def sorted_reference(graph, entity_id):
+        return sorted(
+            (e for e in graph.edges if e.src == entity_id), key=lambda e: (e.dst, e.kind)
+        )
+
+    rng = random.Random(31)
+    graph = random_graph(rng, 12)
+    ids = graph.sorted_ids()
+    for _ in range(60):
+        src, dst = rng.sample(ids, 2)
+        assert list(graph.edges_from(src)) == sorted_reference(graph, src)
+        edge = graph.add_edge(src, dst, rng.choice(kg.EDGE_KINDS))
+        assert edge in graph.edges_from(src)
+        for entity_id in ids:
+            assert list(graph.edges_from(entity_id)) == sorted_reference(graph, entity_id)
+    assert graph.edges_from("ghost") == ()
+
+
 def test_self_loop_and_dangling_edges_rejected():
     graph = ingest_source("set T = 1..2;")
     with pytest.raises(SchemaViolation):

@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -236,15 +237,103 @@ _WORDS = st.sampled_from(["alpha", "beta", "gamma", "delta", "rule", "the", "x1"
 _TEXT = st.lists(_WORDS, max_size=8).map(" ".join)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(
-    docs=st.dictionaries(st.sampled_from([f"d{i}" for i in range(8)]), _TEXT, max_size=8),
+    texts=st.lists(_TEXT, min_size=1, max_size=24),
+    picks=st.dictionaries(
+        st.sampled_from([f"d{i:02d}" for i in range(24)]), st.integers(0, 23), max_size=24
+    ),
+    common=st.booleans(),
     query=_TEXT,
-    k=st.integers(min_value=1, max_value=10),
+    k=st.sampled_from([1, 5, 20]),
 )
-def test_semantic_search_matches_dense_cosine_bit_for_bit(docs, query, k):
+def test_semantic_search_matches_dense_cosine_bit_for_bit(texts, picks, common, query, k):
+    # Documents share texts from a small pool, so equal scores (ties) are
+    # common; with `common`, one word is in every document, the lowest-idf
+    # term whose bound lets the search stop early.
+    docs = {
+        doc_id: texts[i % len(texts)] + (" rule" if common else "")
+        for doc_id, i in picks.items()
+    }
     hits = rt.semantic_search(rt.index_snippets(corpus_graph(docs)), query, k)
     assert [(i, score.hex()) for i, score, _text in hits] == dense_search(docs, query, k)
+
+
+def full_sort_search(index, text, k):
+    """Reference: score every document sharing a query term, then sort them all."""
+    query = index.embedder.weights(text)
+    query_norm = rt._norm(query)
+    dots = {}
+    for slot, query_weight in query:
+        for doc_id, weight in index.postings.get(slot, ()):
+            dots[doc_id] = dots.get(doc_id, 0.0) + query_weight * weight
+    scored = [(doc_id, dot / (query_norm * index.norms[doc_id])) for doc_id, dot in dots.items()]
+    scored.sort(key=lambda item: (-item[1], item[0]))
+    return [(doc_id, score, index.texts[doc_id]) for doc_id, score in scored[:k]]
+
+
+def test_semantic_search_equals_full_sort_on_the_kb_scale_graph(benchmark_graphs):
+    # The requests, 800 random vocabulary strings and 300 snippet prefixes.
+    graph, _seeds, queries = benchmark_graphs["kb-scale"]
+    index = rt.index_snippets(graph)
+    rng = random.Random(2026)
+    vocabulary = index.embedder.vocabulary
+    queries = list(queries)
+    for _ in range(800):
+        queries.append(" ".join(rng.choice(vocabulary) for _ in range(rng.randint(1, 6))))
+    for _ in range(300):
+        text = index.texts[rng.choice(index.doc_ids)]
+        queries.append(text[: rng.randint(1, len(text))])
+    for query in queries:
+        expected = [(i, score.hex()) for i, score, _text in full_sort_search(index, query, 20)]
+        for k in (1, 5, 20):
+            hits = rt.semantic_search(index, query, k)
+            assert [(i, score.hex()) for i, score, _text in hits] == expected[:k], (query, k)
+
+
+def test_semantic_search_reads_few_postings_and_documents_on_benchmark_requests(benchmark_graphs):
+    # Every kb-scale request holds "the", which is in all 2,000 snippets; the
+    # planted rare tokens bound the rest, so the walk stops before reaching
+    # it and only a few documents are re-scored.
+    graph, _seeds, requests = benchmark_graphs["kb-scale"]
+    index = rt.index_snippets(graph)
+    expected = [full_sort_search(index, request, 5) for request in requests]
+    reads = Counter()
+
+    class CountedDocuments(dict):
+        def __getitem__(self, key):
+            reads["documents"] += 1
+            return dict.__getitem__(self, key)
+
+    class CountedPostings(list):
+        def __iter__(self):
+            reads["postings"] += len(self)
+            return list.__iter__(self)
+
+    index.doc_weights = CountedDocuments(index.doc_weights)
+    index.postings = {slot: CountedPostings(p) for slot, p in index.postings.items()}
+    for request, hits in zip(requests, expected):
+        reads.clear()
+        assert rt.semantic_search(index, request, 5) == hits
+        assert reads["postings"] < len(index.doc_ids)
+        assert 5 <= reads["documents"] < len(index.doc_ids) // 20
+
+
+def test_semantic_search_keeps_a_document_tying_the_stop_bound():
+    # After "x", the only unwalked term "y" can add exactly b's partial
+    # cosine: the walk must go on, since "a" ties "b" and wins on its id.
+    index = rt.index_snippets(corpus_graph({"a": "y", "b": "x"}))
+    hits = rt.semantic_search(index, "x y", 1)
+    assert hits == full_sort_search(index, "x y", 1)
+    assert [h[0] for h in hits] == ["a"]
+
+
+def test_semantic_search_k_contract():
+    index = rt.index_snippets(corpus_graph({"a": "alpha beta", "b": "alpha gamma"}))
+    assert rt.semantic_search(index, "alpha", 0) == []
+    with pytest.raises(ValueError):
+        rt.semantic_search(index, "alpha", -1)
+    assert [h[0] for h in rt.semantic_search(index, "alpha", 1)] == ["a"]
 
 
 # --- Structural stream ---------------------------------------------------------
@@ -278,7 +367,7 @@ def closure_union_reference(graph, seeds):
 
 @pytest.fixture(scope="module")
 def benchmark_graphs(tmp_path_factory):
-    """The set-up graph and request seeds of each of the three benchmark workloads."""
+    """The set-up graph, request seeds and request texts of each benchmark workload."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     try:
         import bench_inputs
@@ -289,13 +378,13 @@ def benchmark_graphs(tmp_path_factory):
         workload = build(tmp_path_factory.mktemp(name), 1)
         graph, _ = corpus.ingest_corpus([str(p) for p in workload.inputs])
         seeds = [rt.select_seeds(rt.understand_query(r.text, graph), graph) for r in workload.requests]
-        graphs[name] = (graph, seeds)
+        graphs[name] = (graph, seeds, [r.text for r in workload.requests])
     return graphs
 
 
 @pytest.mark.parametrize("workload", ["battery-paper", "fjsp-full-model", "kb-scale"])
 def test_structural_retrieve_equals_per_seed_closures_on_benchmark_graphs(benchmark_graphs, workload):
-    graph, request_seeds = benchmark_graphs[workload]
+    graph, request_seeds, _requests = benchmark_graphs[workload]
     for seeds in request_seeds:
         assert rt.structural_retrieve(graph, seeds) == closure_union_reference(graph, seeds)
     ids = graph.sorted_ids()
