@@ -3,14 +3,15 @@
 Each run executes a single retrieve -> package -> generate -> validate pass
 (no corrective re-retrieval, so the contrast between closure expansion and a
 plain top-k window is visible in the reports). Closure mode is the full
-pipeline; window mode feeds the k nearest semantic hits to the generator with
-no closure expansion, which is the non-type-aware baseline.
+pipeline (`codegen.run_pipeline`, one round); window mode feeds the k nearest
+semantic hits to the generator with no closure expansion, which is the
+non-type-aware baseline.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import codegen, corpus, retrieval
@@ -142,36 +143,28 @@ def _make_generator(selector: str):
 
 
 def run_single(query: str, graph, index, generator, mode: str, window_k: int) -> RunRow:
-    parsed = retrieval.understand_query(query, graph)
     if mode == CLOSURE_MODE:
-        seeds = retrieval.select_seeds(parsed, graph)
-        if not seeds:
-            # As in codegen.repair_loop: empty code would otherwise validate as ok.
+        run = codegen.run_pipeline(query, graph, index, generator, max_rounds=1)
+        if run.report.status == "unresolved":
             return RunRow(run=0, status="unresolved", missing=(), empty_snippets=True,
                           detail="query resolved no entity")
-        structural = retrieval.structural_retrieve(graph, seeds)
-        snippets = retrieval.semantic_search(index, query, retrieval.DEFAULT_SNIPPET_K)
-        fused = retrieval.fuse(parsed, structural, snippets, graph)
-        package = codegen.build_context(graph, fused, query)
+        snippets, error, report = run.retrieval.snippets, run.generation_error, run.report
     else:
         hits = retrieval.semantic_search(index, query, window_k)
         members = [doc_id for doc_id, _score, _text in hits if doc_id in graph]
         package = codegen.build_context_from_members(
             graph, members, hits, query, check_closed=False
         )
-    empty_snippets = not package.snippets
-    try:
-        code = codegen.generate(package, generator)
-    except MissingExpression as exc:
-        return RunRow(run=0, status="generation_failed", missing=(), empty_snippets=empty_snippets, detail=str(exc))
-    report = codegen.validate(code)
-    return RunRow(
-        run=0,
-        status="ok" if report.ok else "failed",
-        missing=report.missing_declarations,
-        empty_snippets=empty_snippets,
-        detail=report.parse_error or "",
-    )
+        snippets, error = package.snippets, None
+        try:
+            report = codegen.validate(codegen.generate(package, generator))
+        except MissingExpression as exc:
+            error = str(exc)
+    if error is not None:
+        return RunRow(run=0, status="generation_failed", missing=(),
+                      empty_snippets=not snippets, detail=error)
+    return RunRow(run=0, status="ok" if report.ok else "failed", missing=report.missing_declarations,
+                  empty_snippets=not snippets, detail=report.parse_error or "")
 
 
 def run_ablation(config: AblationConfig, corpus_dir) -> AblationReport:
@@ -191,6 +184,5 @@ def run_ablation(config: AblationConfig, corpus_dir) -> AblationReport:
     rows = []
     for run in range(1, config.runs + 1):
         row = run_single(query, graph, index, generator, config.retrieval_mode, config.window_k)
-        rows.append(RunRow(run=run, status=row.status, missing=row.missing,
-                           empty_snippets=row.empty_snippets, detail=row.detail))
+        rows.append(replace(row, run=run))
     return AblationReport(config=config, rows=tuple(rows))

@@ -68,12 +68,9 @@ def cmd_ingest(args) -> int:
 
 def cmd_query(args) -> int:
     graph = _load_graph(args.graph)
-    parsed = retrieval.understand_query(args.text, graph)
-    seeds = retrieval.select_seeds(parsed, graph)
-    structural = retrieval.structural_retrieve(graph, seeds)
     index = retrieval.index_snippets(graph)
-    snippets = retrieval.semantic_search(index, args.text, retrieval.DEFAULT_SNIPPET_K)
-    fused = retrieval.fuse(parsed, structural, snippets, graph)
+    run = codegen.run_pipeline(args.text, graph, index, codegen.TemplateGenerator(), max_rounds=1)
+    parsed, seeds, fused = run.parsed, run.seeds, run.retrieval
     payload = {
         "intents": list(parsed.intents),
         "entities": [
@@ -93,7 +90,7 @@ def cmd_query(args) -> int:
     for doc_id, score, _text in fused.snippets:
         lines.append(f"snippet id={doc_id} score={score:.4f}")
     _emit(args, payload, lines)
-    return EXIT_OK
+    return EXIT_OK if seeds else EXIT_FAILED
 
 
 def cmd_closure(args) -> int:
@@ -127,9 +124,8 @@ def cmd_generate(args) -> int:
     graph = _load_graph(args.graph)
     index = retrieval.index_snippets(graph)
     generator = _select_generator(args)
-    code, report, rounds = codegen.repair_loop(
-        args.text, graph, index, generator, max_rounds=args.max_rounds
-    )
+    run = codegen.run_pipeline(args.text, graph, index, generator, max_rounds=args.max_rounds)
+    code, report, rounds = run.code, run.report, run.rounds
     output_code = code
     if report.ok and args.dialect == model_dsl.LINGO_FLAVORED:
         output_code = model_dsl.emit_model(model_dsl.parse_model(code), model_dsl.LINGO_FLAVORED)

@@ -11,6 +11,9 @@ Validation is static symbol checking: every referenced name must be declared
 in the code itself or, when a graph is supplied (fragment mode), exist there
 with a compatible kind and arity. The pipeline validates generated models
 self-contained, because the solver only ever sees the code.
+
+`run_pipeline` is the one path from a query to validated code: CLI `generate`
+and `query`, closure-mode ablation and `repair_loop` (its tuple form) use it.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ from .errors import (
 )
 from .knowledge_graph import EXEC_KINDS, Entity, KnowledgeGraph
 from .retrieval import (
+    DEFAULT_SNIPPET_K,
+    ParsedQuery,
     RetrievalResult,
     fuse,
     select_seeds,
@@ -56,9 +61,6 @@ class ContextPackage:
     typed_entities: tuple[tuple[Entity, str], ...]  # (entity, formal definition line)
     subgraph_description: str
     snippets: tuple[tuple[str, float, str], ...]
-
-    def entity_ids(self) -> list[str]:
-        return [ent.id for ent, _line in self.typed_entities]
 
     def render(self) -> str:
         lines = ["TYPED ENTITIES"]
@@ -320,6 +322,10 @@ _CODE_KIND_LABEL = {
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """The verdict on generated code. "ok" means a usable model: at least one
+    statement and every reference resolved. Code with no statement (empty or
+    comments only) fails with parse_error "model has no statement"."""
+
     status: str  # ok | failed | unresolved (the query named no entity)
     missing_declarations: tuple[str, ...] = ()
     kind_mismatches: tuple[tuple[str, str, str], ...] = ()
@@ -376,6 +382,8 @@ def validate(code: str, graph: KnowledgeGraph | None = None) -> ValidationReport
         except (ParseError, DuplicateDeclaration) as exc:
             return ValidationReport(status="failed", parse_error=str(exc))
         facts = model_dsl.symbol_facts(ast)
+    if not facts.declarations:
+        return ValidationReport(status="failed", parse_error="model has no statement")
 
     declared = {decl.name: decl for decl in facts.declarations}
     missing: set[str] = set()
@@ -429,14 +437,23 @@ def resolve_missing_name(graph: KnowledgeGraph, name: str) -> str | None:
     return hinted[0].id if hinted else None
 
 
-def repair_loop(
-    query: str,
-    graph: KnowledgeGraph,
-    index,
-    generator,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
-    snippet_k: int = 5,
-) -> tuple[str, ValidationReport, int]:
+@dataclass(frozen=True)
+class PipelineRun:
+    """One pipeline run. `retrieval` is the last round's fused result (for an
+    unresolved query, no structure plus the search hits); `generation_error`
+    is the last round's MissingExpression text, or None."""
+
+    parsed: ParsedQuery
+    seeds: tuple[str, ...]
+    retrieval: RetrievalResult
+    code: str
+    report: ValidationReport
+    rounds: int
+    generation_error: str | None
+
+
+def run_pipeline(query: str, graph: KnowledgeGraph, index, generator,
+                 max_rounds: int = DEFAULT_MAX_ROUNDS) -> PipelineRun:
     """retrieve -> build -> generate -> validate, re-retrieving missing symbols.
 
     On missing declarations, each name is looked up in the graph and its
@@ -446,30 +463,28 @@ def repair_loop(
     self-contained (no graph assist): the solver only sees the code.
 
     A query that resolves no seed entity has nothing to build from: it
-    returns empty code, an `unresolved` report and zero rounds, since empty
-    code would otherwise validate as ok.
+    returns empty code, an `unresolved` report and zero rounds.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     parsed = understand_query(query, graph)
-    seeds = select_seeds(parsed, graph)
+    snippets = semantic_search(index, query, DEFAULT_SNIPPET_K)
+    seeds = tuple(select_seeds(parsed, graph))
     if not seeds:
-        return "", ValidationReport(status="unresolved"), 0
-    snippets = semantic_search(index, query, snippet_k) if index is not None else []
+        unresolved = ValidationReport(status="unresolved")
+        return PipelineRun(parsed, seeds, fuse((), snippets), "", unresolved, 0, None)
     extra: set[str] = set()
     code = ""
-    report = ValidationReport(status="failed", parse_error="generator never ran")
-    rounds_used = 0
-    for _round in range(max_rounds):
-        rounds_used += 1
-        structural = structural_retrieve(graph, sorted(set(seeds) | extra))
-        fused = fuse(parsed, structural, snippets, graph, k=snippet_k)
+    for rounds in range(1, max_rounds + 1):
+        fused = fuse(structural_retrieve(graph, sorted(set(seeds) | extra)), snippets)
         package = build_context(graph, fused, query)
         try:
             code = generate(package, generator)
         except MissingExpression as exc:
-            report = ValidationReport(status="failed", parse_error=f"generation failed: {exc}")
+            error = str(exc)
+            report = ValidationReport(status="failed", parse_error=f"generation failed: {error}")
             continue
+        error = None
         report = validate(code)
         if report.ok:
             break
@@ -477,4 +492,10 @@ def repair_loop(
             found = resolve_missing_name(graph, name)
             if found is not None:
                 extra.add(found)
-    return code, report, rounds_used
+    return PipelineRun(parsed, seeds, fused, code, report, rounds, error)
+
+
+def repair_loop(query, graph, index, generator, max_rounds=DEFAULT_MAX_ROUNDS):
+    """run_pipeline as a (code, report, rounds) tuple."""
+    run = run_pipeline(query, graph, index, generator, max_rounds)
+    return run.code, run.report, run.rounds

@@ -19,8 +19,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import knowledge_graph as kg
-from .closure import closure_union, is_well_defined
-from .errors import EmptyQuery, NotClosed, UnknownEntity
+from .closure import closure_union
+from .errors import EmptyQuery, UnknownEntity
 from .knowledge_graph import EXEC_KINDS, KnowledgeGraph
 
 ADD_CONSTRAINT = "add_constraint"
@@ -62,7 +62,6 @@ class ParsedQuery:
 
 @dataclass(frozen=True)
 class RetrievalResult:
-    seed_ids: tuple[str, ...]
     structural: frozenset[str]
     snippets: tuple[tuple[str, float, str], ...]  # (doc id, score, text)
 
@@ -438,25 +437,10 @@ def select_seeds(parsed: ParsedQuery, graph: KnowledgeGraph) -> list[str]:
     return seeds
 
 
-def fuse(
-    parsed: ParsedQuery,
-    structural,
-    snippets,
-    graph: KnowledgeGraph,
-    k: int = DEFAULT_SNIPPET_K,
-) -> RetrievalResult:
-    """Fuse the two streams; the structural set must be dependency-closed."""
+def fuse(structural, snippets) -> RetrievalResult:
+    """Fuse the two streams: the structural set, plus the snippets of entities
+    outside it. Closedness is checked where the set becomes a context package
+    (codegen.build_context)."""
     structural = frozenset(structural)
-    ok, violations = is_well_defined(graph, structural)
-    if not ok:
-        raise NotClosed(violations)
-    kept = [
-        (doc_id, score, text)
-        for doc_id, score, text in snippets
-        if doc_id not in structural
-    ]
-    return RetrievalResult(
-        seed_ids=tuple(parsed.resolved_ids()),
-        structural=structural,
-        snippets=tuple(kept[:k]),
-    )
+    kept = tuple(hit for hit in snippets if hit[0] not in structural)
+    return RetrievalResult(structural=structural, snippets=kept)

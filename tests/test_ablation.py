@@ -63,6 +63,15 @@ def test_heterogeneous_validates_with_snippets(battery_dir):
     assert row.empty_snippets is False
 
 
+def test_window_rendering_no_code_fails(battery_dir):
+    config = ablation.AblationConfig(
+        knowledge_sources=corpus.CODE_ONLY, retrieval_mode=ablation.WINDOW_MODE, runs=2
+    )
+    report = ablation.run_ablation(config, battery_dir)
+    assert report.ok_runs == 0
+    assert [(row.status, row.detail) for row in report.rows] == [("failed", "model has no statement")] * 2
+
+
 def test_report_bytes_deterministic(dispersed_dir):
     config = ablation.AblationConfig(retrieval_mode=ablation.WINDOW_MODE, window_k=3, runs=3)
     first = ablation.run_ablation(config, dispersed_dir)

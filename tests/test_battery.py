@@ -536,7 +536,7 @@ def test_battery_query_end_to_end_structural_and_snippets():
     parsed = rt.understand_query(query, graph)
     seeds = rt.select_seeds(parsed, graph)
     structural = rt.structural_retrieve(graph, seeds)
-    fused = rt.fuse(parsed, structural, rt.semantic_search(index, query, 5), graph)
+    fused = rt.fuse(structural, rt.semantic_search(index, query, 5))
     documented = bt.expected_load_reduction_closure(data)
     assert documented <= fused.structural
     extras = fused.structural - documented

@@ -67,6 +67,19 @@ def test_query_command(battery_graph, capsys):
     assert "loadReduction" in payload["seeds"]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_query_resolving_no_entity_exits_failed_and_still_previews_snippets(battery_graph, capsys, fmt):
+    code = main(["query", "what is the price", "--graph", str(battery_graph), "--format", fmt])
+    out = capsys.readouterr().out
+    assert code == EXIT_FAILED
+    if fmt == "json":
+        payload = json.loads(out)
+        assert (payload["seeds"], payload["structural"]) == ([], [])
+        assert payload["snippets"]
+    else:
+        assert "seeds=-\nstructural=-\nsnippet id=" in out
+
+
 def test_generate_ok_and_byte_identical(battery_graph, tmp_path, capsys):
     out1 = tmp_path / "a.mm"
     out2 = tmp_path / "b.mm"

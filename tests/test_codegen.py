@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from closurekb import battery, codegen
+from closurekb import battery, codegen, corpus
 from closurekb import knowledge_graph as kg
 from closurekb import model_dsl as md
 from closurekb import retrieval as rt
@@ -44,7 +44,7 @@ def package_for(graph, target, instruction="build it"):
 def test_build_context_orders_dependencies_first():
     graph = ingest(LISTING_STYLE)
     package = package_for(graph, "c")
-    order = package.entity_ids()
+    order = [ent.id for ent, _line in package.typed_entities]
     assert order.index("T") < order.index("y")
     assert order.index("T") < order.index("B13")
     assert order.index("y") < order.index("c")
@@ -74,7 +74,7 @@ def test_build_context_single_isolated_entity():
 
 def test_build_context_rejects_open_sets():
     graph = ingest(LISTING_STYLE)
-    retrievalish = rt.RetrievalResult(seed_ids=("c",), structural=frozenset({"c"}), snippets=())
+    retrievalish = rt.RetrievalResult(structural=frozenset({"c"}), snippets=())
     with pytest.raises(NotClosed):
         codegen.build_context(graph, retrievalish, "x")
 
@@ -324,6 +324,16 @@ def test_validate_parse_error_reported_not_raised():
     assert report.status == "failed" and report.parse_error
 
 
+@pytest.mark.parametrize("code", ["", "! comment\n", "\n\n", "! one\n! two"])
+@pytest.mark.parametrize("path", ["memo", "whole-parse"])
+def test_validate_model_with_no_statement_fails(monkeypatch, code, path):
+    if path == "whole-parse":
+        monkeypatch.setattr(md, "symbol_facts_by_line", lambda _source: None)
+    report = codegen.validate(code)
+    assert (report.status, report.ok) == ("failed", False)
+    assert report.parse_error == "model has no statement"
+
+
 # --- Repair loop ------------------------------------------------------------------
 
 def battery_fixture():
@@ -373,6 +383,73 @@ def test_repair_loop_recovers_omitted_parameter_in_round_two():
     assert report.status == "ok"
     assert rounds == 2
     assert "param deltaLmin = 10;" in code
+
+
+def test_run_pipeline_record_of_a_two_round_request():
+    graph, index = battery_fixture()
+    query = "modify the objective with the incentive reward for the demand response event"
+    run = codegen.run_pipeline(query, graph, index, OmitUntilPresent())
+    parsed = rt.understand_query(query, graph)
+    assert run.parsed == parsed
+    assert run.seeds == tuple(rt.select_seeds(parsed, graph))
+    assert (run.report.status, run.rounds, run.generation_error) == ("ok", 2, None)
+    assert "deltaLmin" in run.retrieval.structural
+    assert "param deltaLmin = 10;" in run.code
+    hits = rt.semantic_search(index, query, rt.DEFAULT_SNIPPET_K)
+    assert run.retrieval.snippets == tuple(h for h in hits if h[0] not in run.retrieval.structural)
+
+
+def test_run_pipeline_reports_the_generation_error_of_a_papers_only_graph(tmp_path):
+    inputs = corpus.write_battery_corpus(tmp_path)
+    graph, _alignment = corpus.ingest_corpus(inputs[:2], sources=corpus.PAPERS_ONLY)
+    query = (tmp_path / "query.txt").read_text(encoding="utf-8").strip()
+    run = codegen.run_pipeline(query, graph, rt.index_snippets(graph), codegen.TemplateGenerator())
+    assert "no stored expression" in run.generation_error
+    assert run.report.status == "failed"
+    assert run.report.parse_error == f"generation failed: {run.generation_error}"
+    assert (run.code, run.rounds) == ("", codegen.DEFAULT_MAX_ROUNDS)
+
+
+def test_run_pipeline_clears_the_generation_error_once_the_generator_runs():
+    graph, index = battery_fixture()
+    calls = []
+
+    def fails_once(package):
+        calls.append(package)
+        if len(calls) == 1:
+            raise MissingExpression("paper:a rule")
+        return codegen.TemplateGenerator()(package)
+
+    run = codegen.run_pipeline(
+        "Add a load-reduction constraint for the demand-response event", graph, index, fails_once
+    )
+    assert (run.report.status, run.rounds, run.generation_error) == ("ok", 2, None)
+
+
+def test_run_pipeline_of_an_unresolved_query_keeps_the_search_hits():
+    graph, index = battery_fixture()
+    run = codegen.run_pipeline("what is the price", graph, index, codegen.TemplateGenerator())
+    assert (run.seeds, run.code, run.report.status, run.rounds) == ((), "", "unresolved", 0)
+    assert run.retrieval.structural == frozenset()
+    assert run.retrieval.snippets == tuple(rt.semantic_search(index, "what is the price", 5))
+    assert run.retrieval.snippets
+
+
+def test_repair_loop_code_with_no_statement_is_never_ok():
+    graph, index = battery_fixture()
+    query = "Add a load-reduction constraint for the demand-response event"
+    code, report, rounds = codegen.repair_loop(query, graph, index, lambda _package: "")
+    assert (code, report.status, report.parse_error) == ("", "failed", "model has no statement")
+    assert rounds == codegen.DEFAULT_MAX_ROUNDS
+    # An unaligned graph seeds only the event concept, whose closure holds no code.
+    graph = battery.build_battery_kg(battery.paper_case_data(), battery.paper_event())
+    kg.ingest_concept_cards(battery.battery_concept_cards(), graph)
+    graph.freeze()
+    code, report, _rounds = codegen.repair_loop(
+        "Add the loadReduction constraint for the demand-response event",
+        graph, rt.index_snippets(graph), codegen.TemplateGenerator(),
+    )
+    assert (code, report.status, report.parse_error) == ("", "failed", "model has no statement")
 
 
 def test_repair_loop_budget_exhausted_on_unresolvable_symbol():

@@ -1,0 +1,137 @@
+"""run_pipeline against the three copies of the pipeline it replaced.
+
+`reference_repair_loop` and `reference_closure_row` are `codegen.repair_loop`
+and the closure branch of `ablation.run_single` as they stood before both
+went through `codegen.run_pipeline`, kept here as the specification the one
+path must reproduce (as `full_sort_search` is kept for `semantic_search`).
+"""
+
+import pytest
+
+from closurekb import ablation, codegen, corpus
+from closurekb import retrieval as rt
+from closurekb.closure import is_well_defined
+from closurekb.errors import MissingExpression, NotClosed
+
+
+def reference_fuse(structural, snippets, graph, k=rt.DEFAULT_SNIPPET_K):
+    """fuse with its old closedness check and k slice."""
+    structural = frozenset(structural)
+    ok, violations = is_well_defined(graph, structural)
+    if not ok:
+        raise NotClosed(violations)
+    kept = [(doc_id, score, text) for doc_id, score, text in snippets if doc_id not in structural]
+    return rt.RetrievalResult(structural=structural, snippets=tuple(kept[:k]))
+
+
+def reference_repair_loop(query, graph, index, generator, max_rounds=codegen.DEFAULT_MAX_ROUNDS,
+                          snippet_k=5):
+    """The old repair loop; also returns the last package, rendered (None when unresolved)."""
+    parsed = rt.understand_query(query, graph)
+    seeds = rt.select_seeds(parsed, graph)
+    if not seeds:
+        return "", codegen.ValidationReport(status="unresolved"), 0, None
+    snippets = rt.semantic_search(index, query, snippet_k) if index is not None else []
+    extra = set()
+    code = ""
+    report = codegen.ValidationReport(status="failed", parse_error="generator never ran")
+    rounds_used = 0
+    for _round in range(max_rounds):
+        rounds_used += 1
+        structural = rt.structural_retrieve(graph, sorted(set(seeds) | extra))
+        fused = reference_fuse(structural, snippets, graph, k=snippet_k)
+        package = codegen.build_context(graph, fused, query)
+        try:
+            code = generator(package)
+        except MissingExpression as exc:
+            report = codegen.ValidationReport(status="failed", parse_error=f"generation failed: {exc}")
+            continue
+        report = codegen.validate(code)
+        if report.ok:
+            break
+        for name in report.missing_declarations:
+            found = codegen.resolve_missing_name(graph, name)
+            if found is not None:
+                extra.add(found)
+    return code, report, rounds_used, package.render()
+
+
+def reference_closure_row(query, graph, index, generator):
+    """The old closure branch of ablation.run_single."""
+    parsed = rt.understand_query(query, graph)
+    seeds = rt.select_seeds(parsed, graph)
+    if not seeds:
+        return ablation.RunRow(run=0, status="unresolved", missing=(), empty_snippets=True,
+                               detail="query resolved no entity")
+    structural = rt.structural_retrieve(graph, seeds)
+    snippets = rt.semantic_search(index, query, rt.DEFAULT_SNIPPET_K)
+    fused = reference_fuse(structural, snippets, graph)
+    package = codegen.build_context(graph, fused, query)
+    empty_snippets = not package.snippets
+    try:
+        code = generator(package)
+    except MissingExpression as exc:
+        return ablation.RunRow(run=0, status="generation_failed", missing=(),
+                               empty_snippets=empty_snippets, detail=str(exc))
+    report = codegen.validate(code)
+    return ablation.RunRow(
+        run=0,
+        status="ok" if report.ok else "failed",
+        missing=report.missing_declarations,
+        empty_snippets=empty_snippets,
+        detail=report.parse_error or "",
+    )
+
+
+class DropFirstVar:
+    """Template output without its first `var` line, on the first call only."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, package):
+        self.calls += 1
+        code = codegen.TemplateGenerator()(package)
+        if self.calls == 1:
+            lines = code.splitlines(keepends=True)
+            first = next((i for i, line in enumerate(lines) if line.startswith("var ")), None)
+            if first is not None:
+                del lines[first]
+            code = "".join(lines)
+        return code
+
+
+GENERATORS = {"template": codegen.TemplateGenerator, "drop-first-var": DropFirstVar}
+
+
+def assert_same_as_references(query, graph, index, make_generator):
+    code, report, rounds, rendered = reference_repair_loop(query, graph, index, make_generator())
+    run = codegen.run_pipeline(query, graph, index, make_generator())
+    assert (run.code, run.report, run.rounds) == (code, report, rounds)
+    if rendered is None:
+        assert run.retrieval.structural == frozenset()
+    else:
+        assert codegen.build_context(graph, run.retrieval, query).render() == rendered
+    assert codegen.repair_loop(query, graph, index, make_generator()) == (code, report, rounds)
+    row = ablation.run_single(query, graph, index, make_generator(), ablation.CLOSURE_MODE, 3)
+    assert row == reference_closure_row(query, graph, index, make_generator())
+
+
+@pytest.mark.parametrize("generator", sorted(GENERATORS))
+@pytest.mark.parametrize("workload", ["battery-paper", "fjsp-full-model", "kb-scale"])
+def test_run_pipeline_matches_the_old_copies_on_benchmark_requests(benchmark_graphs, workload, generator):
+    graph, _seeds, requests = benchmark_graphs[workload]
+    index = rt.index_snippets(graph)
+    for query in dict.fromkeys(requests + ["zzz qqq"]):
+        assert_same_as_references(query, graph, index, GENERATORS[generator])
+
+
+@pytest.mark.parametrize("generator", sorted(GENERATORS))
+@pytest.mark.parametrize("sources", corpus.SOURCE_MODES)
+def test_run_pipeline_matches_the_old_copies_on_the_battery_corpus(tmp_path, sources, generator):
+    inputs = corpus.write_battery_corpus(tmp_path)
+    query = (tmp_path / "query.txt").read_text(encoding="utf-8").strip()
+    graph, _alignment = corpus.ingest_corpus(
+        [p for p in inputs if p.name != "query.txt"], sources=sources
+    )
+    assert_same_as_references(query, graph, rt.index_snippets(graph), GENERATORS[generator])

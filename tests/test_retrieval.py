@@ -2,20 +2,18 @@
 
 import math
 import random
-import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from closurekb import corpus, fjsp
+from closurekb import fjsp
 from closurekb import knowledge_graph as kg
 from closurekb import model_dsl as md
 from closurekb import retrieval as rt
 from closurekb.closure import closure
-from closurekb.errors import EmptyQuery, NotClosed, UnknownEntity
+from closurekb.errors import EmptyQuery, UnknownEntity
 
 from test_knowledge_graph import random_graph
 
@@ -365,23 +363,6 @@ def closure_union_reference(graph, seeds):
     return frozenset().union(*(closure(graph, s).members for s in expanded))
 
 
-@pytest.fixture(scope="module")
-def benchmark_graphs(tmp_path_factory):
-    """The set-up graph, request seeds and request texts of each benchmark workload."""
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-    try:
-        import bench_inputs
-    finally:
-        sys.path.pop(0)
-    graphs = {}
-    for name, build in sorted(bench_inputs.BUILDERS.items()):
-        workload = build(tmp_path_factory.mktemp(name), 1)
-        graph, _ = corpus.ingest_corpus([str(p) for p in workload.inputs])
-        seeds = [rt.select_seeds(rt.understand_query(r.text, graph), graph) for r in workload.requests]
-        graphs[name] = (graph, seeds, [r.text for r in workload.requests])
-    return graphs
-
-
 @pytest.mark.parametrize("workload", ["battery-paper", "fjsp-full-model", "kb-scale"])
 def test_structural_retrieve_equals_per_seed_closures_on_benchmark_graphs(benchmark_graphs, workload):
     graph, request_seeds, _requests = benchmark_graphs[workload]
@@ -450,28 +431,15 @@ def test_select_seeds_modify_objective_pulls_dependent_objectives():
 
 # --- Fusion ---------------------------------------------------------------------
 
-def test_fuse_requires_closed_structural_set():
-    graph = chain_graph()
-    parsed = rt.understand_query("anything", graph)
-    with pytest.raises(NotClosed):
-        rt.fuse(parsed, {"con1"}, [], graph)
-
-
 def test_fuse_dedupes_snippets_against_structural_members():
-    graph = chain_graph()
-    entity(graph, "paper:note", kind=kg.CONCEPT, name="note",
-           description="background prose", source=kg.SOURCE_PAPER)
-    parsed = rt.understand_query("anything", graph)
     snippets = [("var1", 0.9, "its own description"), ("paper:note", 0.5, "background prose")]
-    fused = rt.fuse(parsed, {"con1", "var1", "set1"}, snippets, graph)
+    fused = rt.fuse({"con1", "var1", "set1"}, snippets)
     assert [s[0] for s in fused.snippets] == ["paper:note"]
 
 
-def test_fuse_truncates_to_k_and_is_deterministic():
-    graph = chain_graph()
-    parsed = rt.understand_query("anything", graph)
+def test_fuse_keeps_every_outside_snippet_in_order_and_is_deterministic():
     snippets = [(f"paper:s{i}", 1.0 - i / 10, f"text {i}") for i in range(8)]
-    fused1 = rt.fuse(parsed, set(), snippets, graph, k=5)
-    fused2 = rt.fuse(parsed, set(), snippets, graph, k=5)
-    assert len(fused1.snippets) == 5
+    fused1 = rt.fuse({"paper:s3"}, snippets)
+    fused2 = rt.fuse({"paper:s3"}, snippets)
+    assert fused1.snippets == tuple(s for s in snippets if s[0] != "paper:s3")
     assert fused1 == fused2
