@@ -506,7 +506,7 @@ def build_battery_kg(data: BatteryCaseData, event: DrEvent) -> KnowledgeGraph:
     )
     graph = KnowledgeGraph()
     for ast in (family, ModelAst(objective=dr_objective_ast(data, event))):
-        kg.ingest_model(ast, model_dsl.extract_symbols(ast), graph)
+        kg.ingest_model(ast, graph)
     # The constraint qualifies the incentive payment, so the full event
     # definition is a requirement even though the inequality inlines the
     # minimum as a literal; the event objective inlines the rate likewise.

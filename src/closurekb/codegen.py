@@ -381,7 +381,7 @@ def validate(code: str, graph: KnowledgeGraph | None = None) -> ValidationReport
             ast = model_dsl.parse_model(code)
         except (ParseError, DuplicateDeclaration) as exc:
             return ValidationReport(status="failed", parse_error=str(exc))
-        facts = model_dsl.symbol_facts(ast)
+        facts = model_dsl.extract_symbols(ast)
     if not facts.declarations:
         return ValidationReport(status="failed", parse_error="model has no statement")
 
@@ -408,7 +408,7 @@ def validate(code: str, graph: KnowledgeGraph | None = None) -> ValidationReport
         if declared_arity != ref.arity:
             arity_mismatches.add((ref.name, declared_arity, ref.arity))
 
-    for name in facts.iteration_names:
+    for _site, name in facts.iterations:
         resolution = resolve(name)
         if resolution is None:
             missing.add(name)

@@ -73,10 +73,10 @@ def ingest_path(path: Path, graph: KnowledgeGraph) -> list[str]:
     if name.endswith(".fjs"):
         instance = fjsp.parse_fjs(text)
         ast = fjsp.build_fjsp_model(instance, fjsp.BASELINE)
-        return kg.ingest_model(ast, model_dsl.extract_symbols(ast), graph)
+        return kg.ingest_model(ast, graph)
     if name.endswith(".mm"):
         ast = model_dsl.parse_model(text)
-        return kg.ingest_model(ast, model_dsl.extract_symbols(ast), graph)
+        return kg.ingest_model(ast, graph)
     raise ClosureKbError(f"unrecognized input file type: {name}")
 
 

@@ -23,7 +23,7 @@ from .errors import (
     SchemaViolation,
     UnknownEntity,
 )
-from .model_dsl import ModelAst, SymbolTable
+from .model_dsl import ModelAst
 
 DECISION_VARIABLE = "decision_variable"
 PARAMETER = "parameter"
@@ -52,15 +52,6 @@ EXEC_KINDS = frozenset({USED_IN, DEPENDS_ON})
 SOURCE_CODE = "code"
 SOURCE_PAPER = "paper"
 SOURCES = (SOURCE_CODE, SOURCE_PAPER)
-
-_DECL_KIND_MAP = {
-    model_dsl.SET: INDEX_SET,
-    model_dsl.PARAM: PARAMETER,
-    model_dsl.VAR: DECISION_VARIABLE,
-    model_dsl.CONSTRAINT: CONSTRAINT,
-    model_dsl.OBJECTIVE: OBJECTIVE,
-}
-
 
 @dataclass
 class Entity:
@@ -276,33 +267,17 @@ class NameLookup:
             hits.sort(key=lambda e: e.source != SOURCE_CODE)
 
 
-def audit_graph(graph: KnowledgeGraph) -> list[str]:
-    """Referential-integrity audit; returns a list of violation strings."""
-    problems = []
-    for edge in sorted(graph.edges, key=lambda e: (e.src, e.dst, e.kind)):
-        if edge.src not in graph.entities:
-            problems.append(f"dangling edge source {edge.src!r}")
-        if edge.dst not in graph.entities:
-            problems.append(f"dangling edge target {edge.dst!r}")
-        if edge.src == edge.dst:
-            problems.append(f"self-loop on {edge.src!r}")
-        if edge.kind not in EDGE_KINDS:
-            problems.append(f"unknown edge kind {edge.kind!r}")
-    for ent in graph.entities.values():
-        if ent.source == SOURCE_CODE and "solver_symbol" not in ent.fields:
-            problems.append(f"code entity {ent.id!r} lacks solver_symbol")
-    return problems
-
-
 # --- Ingestion ------------------------------------------------------------------
 
-def ingest_model(ast: ModelAst, table: SymbolTable, graph: KnowledgeGraph) -> list[str]:
+def ingest_model(ast: ModelAst, graph: KnowledgeGraph) -> list[str]:
     """Ingest a parsed model: one entity per declaration, requirement-direction edges.
 
-    References from a constraint/objective produce site -(used_in)-> name edges;
-    declarations indexed by sets and iteration bindings produce depends_on edges.
-    A reference to a name with no declaration still becomes an entity (kind
-    parameter, flagged inferred) so that every reference edge is representable.
+    The edges come from `model_dsl.extract_symbols(ast)`: each reference from a
+    constraint/objective gives a site -(used_in)-> name edge, and each
+    iteration (a param/var index set, a quantifier or sum set) a site
+    -(depends_on)-> set edge. A reference to a name with no declaration still
+    becomes an entity (kind parameter, flagged inferred) so that every edge
+    is representable. Returns the ids of the entities added, in that order.
     """
     ids: list[str] = []
 
@@ -349,20 +324,12 @@ def ingest_model(ast: ModelAst, table: SymbolTable, graph: KnowledgeGraph) -> li
             ids.append(name)
         return name
 
-    for ref in table.references:
-        if ref.name == ref.site:
-            continue
-        graph.add_edge(ref.site, ensure_target(ref.name), USED_IN)
-
-    for decl in list(ast.params) + list(ast.vars):
-        for set_name in decl.index_sets:
-            graph.add_edge(decl.name, ensure_target(set_name), DEPENDS_ON)
-    for con in ast.constraints:
-        for set_name in model_dsl.iteration_sets(con.quantifier, [con.left, con.right]):
-            graph.add_edge(con.name, ensure_target(set_name), DEPENDS_ON)
-    if ast.objective is not None:
-        for set_name in model_dsl.iteration_sets(None, [ast.objective.expr]):
-            graph.add_edge(ast.objective.name, ensure_target(set_name), DEPENDS_ON)
+    facts = model_dsl.extract_symbols(ast)
+    for ref in facts.references:
+        if ref.name != ref.site:
+            graph.add_edge(ref.site, ensure_target(ref.name), USED_IN)
+    for site, set_name in facts.iterations:
+        graph.add_edge(site, ensure_target(set_name), DEPENDS_ON)
 
     return ids
 

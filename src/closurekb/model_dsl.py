@@ -1,7 +1,7 @@
 """MiniModel: a minimal canonical optimization-modeling language.
 
 Parses `;`-terminated declarations (sets, params, vars, constraints, one
-objective) into an immutable AST, extracts a symbol table, and emits text in
+objective) into an immutable AST, extracts its symbol facts, and emits text in
 the canonical dialect (round-trips through the parser) or a LINGO-flavored
 dialect (`@for`/`@sum`/`#ge#` style). Comments run from `!` to end of line.
 
@@ -15,7 +15,7 @@ code validator so that broken generated code can be diagnosed rather than
 rejected outright.
 
 The validator reads a source's symbol facts (declarations, references and
-iteration-set names) line by line through a memo keyed by the exact text of
+iterations) line by line through a memo keyed by the exact text of
 one line (`str.split("\n")`, not `splitlines()`), bounded at 8,192 lines. An
 entry holds code facts only: no AST and nothing of a graph. A line that does
 not parse on its own, a name declared on two lines or a second objective
@@ -152,7 +152,7 @@ class ModelAst:
     objective: Objective | None = None
 
 
-# --- Symbol table ------------------------------------------------------------
+# --- Symbol facts ------------------------------------------------------------
 
 SET = "set"
 PARAM = "param"
@@ -177,9 +177,16 @@ class Reference:
 
 
 @dataclass(frozen=True)
-class SymbolTable:
-    declarations: dict[str, Declaration]
+class SymbolFacts:
+    """What a parsed model declares and uses: its declarations (sets, params,
+    vars, constraints, objective), its references deduplicated on (name,
+    arity, site), and the sets it iterates over as (site, set) pairs: param
+    and var index sets first, then each constraint's quantifier and sum sets,
+    then the objective's."""
+
+    declarations: tuple[Declaration, ...]
     references: tuple[Reference, ...]
+    iterations: tuple[tuple[str, str], ...]
 
 
 # --- Lexer -------------------------------------------------------------------
@@ -526,137 +533,86 @@ def _sides(where: Predicate | None) -> list[Expr]:
     return [side for cmp in where.parts for side in (cmp.left, cmp.right)]
 
 
-def _statement_refs(quantifier: Quantifier | None, exprs: list[Expr]) -> list[tuple[str, int]]:
-    """Collect (name, arity) for every free symbol used in a statement, in order.
+def _statement_uses(
+    quantifier: Quantifier | None, exprs: list[Expr]
+) -> tuple[list[tuple[str, int]], list[str]]:
+    """What one statement uses: (name, arity) for every free symbol, and the
+    names of the sets it iterates over, each in source order.
 
     Names bound by enclosing quantifiers/sums are local and skipped; a bound
     name used inside an index expression is likewise not a symbol reference.
-    Quantifier/sum set names are bindings, not references, and are collected
-    separately by iteration_sets. The walk keeps its own stack, so a long
+    A quantifier's or sum's set is an iteration, not a reference; that holds
+    for a sum inside a filter too. The walk keeps its own stack, so a long
     chain of `+` or `*` cannot exhaust the interpreter's.
     """
-    out: list[tuple[str, int]] = []
+    refs: list[tuple[str, int]] = []
+    sets: list[str] = []
     bound: frozenset[str] = frozenset()
     if quantifier is not None:
         bound = frozenset({quantifier.index})
+        sets.append(quantifier.over)
         exprs = _sides(quantifier.where) + list(exprs)
     stack = [(expr, bound) for expr in reversed(exprs)]
     while stack:
         expr, bound = stack.pop()
         if isinstance(expr, Ref):
             if expr.name not in bound:
-                out.append((expr.name, len(expr.indices)))
+                refs.append((expr.name, len(expr.indices)))
             for index in expr.indices:
                 if index.base is not None and index.base not in bound:
-                    out.append((index.base, 0))
+                    refs.append((index.base, 0))
         elif isinstance(expr, BinOp):
             stack += ((expr.right, bound), (expr.left, bound))
         elif isinstance(expr, Sum):
+            sets.append(expr.quantifier.over)
             inner = bound | {expr.quantifier.index}
             stack.append((expr.body, inner))
             stack += ((side, inner) for side in reversed(_sides(expr.quantifier.where)))
         elif not isinstance(expr, Num):
             raise TypeError(f"unknown expression node {type(expr).__name__}")
-    return out
+    return refs, sets
 
 
-def statement_references(quantifier: Quantifier | None, exprs: list[Expr]) -> list[tuple[str, int]]:
-    """(name, arity) pairs for the free symbols of one statement, in order."""
-    pairs = _statement_refs(quantifier, exprs)
-    seen: set[tuple[str, int]] = set()
-    out = []
-    for pair in pairs:
-        if pair not in seen:
-            seen.add(pair)
-            out.append(pair)
-    return out
-
-
-def iteration_sets(quantifier: Quantifier | None, exprs: list[Expr]) -> list[str]:
-    """Set names bound by the statement quantifier and any nested sums."""
-    names = [quantifier.over] if quantifier is not None else []
-    stack = list(reversed(exprs))
-    while stack:
-        expr = stack.pop()
-        if isinstance(expr, BinOp):
-            stack += (expr.right, expr.left)
-        elif isinstance(expr, Sum):
-            names.append(expr.quantifier.over)
-            stack.append(expr.body)
-            stack += reversed(_sides(expr.quantifier.where))
-    return names
-
-
-def extract_symbols(ast: ModelAst) -> SymbolTable:
-    """Read declarations and expression references out of a parsed model."""
-    declarations: dict[str, Declaration] = {}
-    for decl in ast.sets:
-        declarations[decl.name] = Declaration(decl.name, SET, None, 0)
-    for decl in ast.params:
-        declarations[decl.name] = Declaration(decl.name, PARAM, None, len(decl.index_sets))
-    for decl in ast.vars:
-        declarations[decl.name] = Declaration(decl.name, VAR, decl.domain, len(decl.index_sets))
-    for con in ast.constraints:
-        declarations[con.name] = Declaration(con.name, CONSTRAINT, None, 0)
+def extract_symbols(ast: ModelAst) -> SymbolFacts:
+    """Read declarations, references and iterations out of a parsed model."""
+    declarations = [Declaration(decl.name, SET, None, 0) for decl in ast.sets]
+    declarations += (Declaration(decl.name, PARAM, None, len(decl.index_sets)) for decl in ast.params)
+    declarations += (Declaration(decl.name, VAR, decl.domain, len(decl.index_sets)) for decl in ast.vars)
+    declarations += (Declaration(con.name, CONSTRAINT, None, 0) for con in ast.constraints)
+    iterations = [(decl.name, set_name) for decl in ast.params + ast.vars for set_name in decl.index_sets]
+    statements = [(con.name, con.quantifier, [con.left, con.right]) for con in ast.constraints]
     if ast.objective is not None:
         obj = ast.objective
-        declarations[obj.name] = Declaration(obj.name, OBJECTIVE, None, 0)
+        declarations.append(Declaration(obj.name, OBJECTIVE, None, 0))
+        statements.append((obj.name, None, [obj.expr]))
 
     references: list[Reference] = []
     seen: set[tuple[str, int, str]] = set()
-
-    def record(site: str, pairs: list[tuple[str, int]]) -> None:
-        for name, arity in pairs:
+    for site, quantifier, exprs in statements:
+        refs, sets = _statement_uses(quantifier, exprs)
+        for name, arity in refs:
             key = (name, arity, site)
             if key not in seen:
                 seen.add(key)
                 references.append(Reference(name=name, arity=arity, site=site))
-
-    for con in ast.constraints:
-        record(con.name, _statement_refs(con.quantifier, [con.left, con.right]))
-    if ast.objective is not None:
-        record(ast.objective.name, _statement_refs(None, [ast.objective.expr]))
-
-    return SymbolTable(declarations=declarations, references=tuple(references))
-
-
-@dataclass(frozen=True)
-class SymbolFacts:
-    """What static validation reads from a source: its declarations, its
-    references, and the names of the sets it iterates over (quantifier and
-    sum sets, and param/var index sets)."""
-
-    declarations: tuple[Declaration, ...]
-    references: tuple[Reference, ...]
-    iteration_names: tuple[str, ...]
-
-
-def symbol_facts(ast: ModelAst) -> SymbolFacts:
-    """The symbol facts of a parsed model."""
-    table = extract_symbols(ast)
-    names: list[str] = []
-    for con in ast.constraints:
-        names += iteration_sets(con.quantifier, [con.left, con.right])
-    if ast.objective is not None:
-        names += iteration_sets(None, [ast.objective.expr])
-    for decl in ast.params + ast.vars:
-        names += decl.index_sets
-    return SymbolFacts(tuple(table.declarations.values()), table.references, tuple(names))
+        iterations += ((site, set_name) for set_name in sets)
+    return SymbolFacts(tuple(declarations), tuple(references), tuple(iterations))
 
 
 @functools.lru_cache(maxsize=8192)
 def _line_facts(line: str) -> SymbolFacts:
-    """symbol_facts of one source line, memoised by the line's exact text.
+    """extract_symbols of one source line, memoised by the line's exact text.
 
     Holds at most 8,192 lines, the least recently used leaving first; the
     whole model of the benchmark's FJSP instance has 1,094. An error
     propagates and is not memoised.
     """
-    return symbol_facts(parse_model(line))
+    return extract_symbols(parse_model(line))
 
 
 def symbol_facts_by_line(source: str) -> SymbolFacts | None:
-    """symbol_facts(parse_model(source)), assembled from memoised lines.
+    """extract_symbols(parse_model(source)) up to order, assembled from
+    memoised lines.
 
     Tokens never span a line, so when every line parses on its own the whole
     source parses to the same statements. Returns None where only a
@@ -667,7 +623,7 @@ def symbol_facts_by_line(source: str) -> SymbolFacts | None:
     declared: set[str] = set()
     declarations: list[Declaration] = []
     references: list[Reference] = []
-    names: list[str] = []
+    iterations: list[tuple[str, str]] = []
     objectives = 0
     for line in source.split("\n"):
         try:
@@ -683,8 +639,8 @@ def symbol_facts_by_line(source: str) -> SymbolFacts | None:
             return None
         declarations += facts.declarations
         references += facts.references
-        names += facts.iteration_names
-    return SymbolFacts(tuple(declarations), tuple(references), tuple(names))
+        iterations += facts.iterations
+    return SymbolFacts(tuple(declarations), tuple(references), tuple(iterations))
 
 
 # --- Renaming -----------------------------------------------------------------

@@ -260,7 +260,7 @@ def test_criterion_6_closure_completeness_theorem():
         for _ in range(500):
             ast = random_model(rng)
             graph = kg.KnowledgeGraph()
-            kg.ingest_model(ast, md.extract_symbols(ast), graph)
+            kg.ingest_model(ast, graph)
             targets = [c.name for c in ast.constraints]
             if ast.objective is not None:
                 targets.append(ast.objective.name)

@@ -24,7 +24,7 @@ from test_retrieval import fjsp_graph
 def ingest(source: str) -> kg.KnowledgeGraph:
     graph = kg.KnowledgeGraph()
     ast = md.parse_model(source)
-    kg.ingest_model(ast, md.extract_symbols(ast), graph)
+    kg.ingest_model(ast, graph)
     return graph
 
 
@@ -288,6 +288,9 @@ def test_validate_missing_declaration():
     report = codegen.validate("set T = 1..3; var y{T} binary; con c{t in T}: y[t] <= B13[t-1];")
     assert report.status == "failed"
     assert report.missing_declarations == ("B13",)
+    # A set iterated by a sum inside a quantifier's filter must be declared too.
+    code = "set T = 1..3; var y{T} binary; con c{t in T : sum{s in U}(y[s]) >= 1}: y[t] <= 1;"
+    assert codegen.validate(code).missing_declarations == ("U",)
 
 
 def test_validate_graph_supplies_fragment_context():
@@ -511,7 +514,7 @@ def test_validate_soundness_reported_missing_is_genuinely_undeclared():
         # With the originating graph supplied, the dropped symbol resolves there,
         # so nothing may be reported missing at all.
         graph = kg.KnowledgeGraph()
-        kg.ingest_model(ast, md.extract_symbols(ast), graph)
+        kg.ingest_model(ast, graph)
         assert codegen.validate(broken, graph).missing_declarations == ()
 
 
@@ -524,7 +527,7 @@ def test_closure_completeness_on_500_random_kgs():
     for _ in range(500):
         ast = random_model(rng)
         graph = kg.KnowledgeGraph()
-        kg.ingest_model(ast, md.extract_symbols(ast), graph)
+        kg.ingest_model(ast, graph)
         targets = [c.name for c in ast.constraints]
         if ast.objective is not None:
             targets.append(ast.objective.name)

@@ -106,7 +106,7 @@ def test_terminology_cards_align_to_standard_symbols():
     inst = fjsp.parse_fjs(TWO_JOBS_ONE_MACHINE)
     ast = fjsp.build_fjsp_model(inst)
     graph = kg.KnowledgeGraph()
-    kg.ingest_model(ast, md.extract_symbols(ast), graph)
+    kg.ingest_model(ast, graph)
     kg.ingest_concept_cards(fjsp.fjsp_terminology_cards(), graph)
     result = kg.align(graph)
     pairs = {(e.src, e.dst) for e in result.edges}

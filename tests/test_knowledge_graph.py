@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from closurekb import fjsp
 from closurekb import knowledge_graph as kg
 from closurekb import model_dsl as md
 from closurekb import retrieval
@@ -19,6 +20,8 @@ from closurekb.errors import (
     UnknownEntity,
 )
 
+from test_model_dsl import random_model
+
 LISTING_STYLE = (
     "set T = 1..4; var y{T} binary; param B13{T};"
     " con c{t in T : t >= 2}: y[t] <= B13[t-1];"
@@ -28,7 +31,7 @@ LISTING_STYLE = (
 def ingest_source(source: str) -> kg.KnowledgeGraph:
     graph = kg.KnowledgeGraph()
     ast = md.parse_model(source)
-    kg.ingest_model(ast, md.extract_symbols(ast), graph)
+    kg.ingest_model(ast, graph)
     return graph
 
 
@@ -48,7 +51,25 @@ def test_ingest_listing_style_edges():
     assert graph.entity("c").kind == kg.CONSTRAINT
     assert graph.entity("y").kind == kg.DECISION_VARIABLE
     assert "expression" in graph.entity("c").fields
-    assert kg.audit_graph(graph) == []
+    assert all("solver_symbol" in ent.fields for ent in graph.entities.values())
+
+
+def test_ingested_executability_edges_are_the_symbol_facts():
+    # The whole FJSP model of test_retrieval's fjsp_graph, a constraint that
+    # names itself, and random models.
+    asts = [
+        fjsp.build_fjsp_model(fjsp.parse_fjs("2 1\n1 1 1 3\n1 1 1 4\n")),
+        md.parse_model("set T = 1..2; var x{T} continuous; con c{t in T}: x[t] + c <= 1;"),
+    ]
+    rng = random.Random(909)
+    for ast in asts + [random_model(rng) for _ in range(50)]:
+        graph = kg.KnowledgeGraph()
+        kg.ingest_model(ast, graph)
+        facts = md.extract_symbols(ast)
+        used_in = {(e.src, e.dst) for e in graph.edges if e.kind == kg.USED_IN}
+        depends_on = {(e.src, e.dst) for e in graph.edges if e.kind == kg.DEPENDS_ON}
+        assert used_in == {(ref.site, ref.name) for ref in facts.references if ref.name != ref.site}
+        assert depends_on == set(facts.iterations)
 
 
 def test_ingest_set_only_model_has_no_edges():
@@ -61,7 +82,7 @@ def test_ingest_conflicting_kind_raises():
     graph = ingest_source("set T = 1..2; var y{T} binary;")
     ast = md.parse_model("param y = 1;")
     with pytest.raises(ConflictingEntity):
-        kg.ingest_model(ast, md.extract_symbols(ast), graph)
+        kg.ingest_model(ast, graph)
 
 
 def test_ingest_undeclared_reference_becomes_inferred_parameter():

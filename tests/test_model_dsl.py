@@ -1,4 +1,4 @@
-"""Parser, symbol table, and emitter tests, including the random round-trip suite."""
+"""Parser, symbol facts, and emitter tests, including the random round-trip suite."""
 
 import random
 import re
@@ -77,32 +77,31 @@ def test_index_arithmetic_limited_to_name_plus_integer():
 
 def test_empty_model_parses_to_empty_tables():
     ast = md.parse_model("")
-    table = md.extract_symbols(ast)
     assert ast == md.ModelAst()
-    assert table.declarations == {}
-    assert table.references == ()
+    assert md.extract_symbols(ast) == md.SymbolFacts((), (), ())
 
 
 def test_extract_symbols_declarations_and_references():
     ast = md.parse_model("set T = 1..2; var y{T} binary; max obj: y[1];")
-    table = md.extract_symbols(ast)
-    assert table.declarations["T"] == md.Declaration("T", md.SET, None, 0)
-    assert table.declarations["y"] == md.Declaration("y", md.VAR, md.BINARY, 1)
-    assert table.declarations["obj"].kind == md.OBJECTIVE
-    assert table.references == (md.Reference("y", 1, "obj"),)
+    facts = md.extract_symbols(ast)
+    assert facts.declarations == (
+        md.Declaration("T", md.SET, None, 0),
+        md.Declaration("y", md.VAR, md.BINARY, 1),
+        md.Declaration("obj", md.OBJECTIVE, None, 0),
+    )
+    assert facts.references == (md.Reference("y", 1, "obj"),)
 
 
 def test_extract_symbols_undeclared_reference_is_reported_not_raised():
     ast = md.parse_model("set T = 1..3; var y{T} binary; con c{t in T}: y[t] <= B13[t-1];")
-    table = md.extract_symbols(ast)
-    assert "B13" not in table.declarations
-    assert md.Reference("B13", 1, "c") in table.references
+    facts = md.extract_symbols(ast)
+    assert "B13" not in {decl.name for decl in facts.declarations}
+    assert md.Reference("B13", 1, "c") in facts.references
 
 
 def test_extract_symbols_bound_indices_are_not_references():
     ast = md.parse_model(LISTING_STYLE)
-    table = md.extract_symbols(ast)
-    names = {r.name for r in table.references}
+    names = {r.name for r in md.extract_symbols(ast).references}
     assert names == {"y", "B13"}
 
 
@@ -112,8 +111,7 @@ def test_extract_symbols_sum_filter_references():
         " var x{O, M} binary;"
         " con a{o in O}: sum{k in M : e[o,k] = 1}(x[o,k]) = 1;"
     )
-    table = md.extract_symbols(md.parse_model(src))
-    pairs = {(r.name, r.arity) for r in table.references}
+    pairs = {(r.name, r.arity) for r in md.extract_symbols(md.parse_model(src)).references}
     assert pairs == {("e", 2), ("x", 2)}
 
 
@@ -121,9 +119,12 @@ def test_iteration_sets_cover_quantifier_and_sums():
     ast = md.parse_model(
         "set T = 1..2; set S = 1..2; var y{T} binary;"
         " con c{t in T}: sum{s in S}(y[t]) <= 1;"
+        " con d{t in T : sum{s in S}(y[s]) >= 1}: y[t] <= 1;"
+        " max obj: sum{t in T}(y[t]);"
     )
-    con = ast.constraints[0]
-    assert md.iteration_sets(con.quantifier, [con.left, con.right]) == ["T", "S"]
+    assert md.extract_symbols(ast).iterations == (
+        ("y", "T"), ("c", "T"), ("c", "S"), ("d", "T"), ("d", "S"), ("obj", "T"),
+    )
 
 
 # --- Errors: messages, positions, totality ----------------------------------------
@@ -228,10 +229,9 @@ def test_nesting_deeper_than_the_stack_is_a_parse_error(source):
 
 def test_long_left_deep_sum_parses_and_walks_without_recursion():
     source = "var x continuous; con c: " + " + ".join(["x"] * 1500) + " <= 1;"
-    ast = md.parse_model(source)
-    con = ast.constraints[0]
-    assert md.extract_symbols(ast).references == (md.Reference("x", 0, "c"),)
-    assert md.iteration_sets(con.quantifier, [con.left, con.right]) == []
+    facts = md.extract_symbols(md.parse_model(source))
+    assert facts.references == (md.Reference("x", 0, "c"),)
+    assert facts.iterations == ()
 
 
 @pytest.mark.parametrize("chain", [
@@ -451,8 +451,8 @@ def test_reference_completeness_on_random_models():
     rng = random.Random(4242)
     for _ in range(200):
         ast = random_model(rng)
-        table = md.extract_symbols(ast)
-        declared = set(table.declarations)
-        for ref in table.references:
+        facts = md.extract_symbols(ast)
+        declared = {decl.name: decl for decl in facts.declarations}
+        for ref in facts.references:
             assert ref.name in declared
-            assert table.declarations[ref.name].arity == ref.arity
+            assert declared[ref.name].arity == ref.arity

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from closurekb import fjsp
 from closurekb import knowledge_graph as kg
-from closurekb import model_dsl as md
 from closurekb import retrieval as rt
 from closurekb.closure import closure
 from closurekb.errors import EmptyQuery, UnknownEntity
@@ -106,7 +105,7 @@ def fjsp_graph():
     instance = fjsp.parse_fjs("2 1\n1 1 1 3\n1 1 1 4\n")
     ast = fjsp.build_fjsp_model(instance)
     graph = empty_graph()
-    kg.ingest_model(ast, md.extract_symbols(ast), graph)
+    kg.ingest_model(ast, graph)
     kg.ingest_concept_cards(fjsp.fjsp_terminology_cards(), graph)
     kg.align(graph)
     return graph.freeze()

@@ -31,7 +31,7 @@ def assert_same_reports(code, graph):
 def model_and_graph(seed):
     ast = random_model(random.Random(seed))
     graph = kg.KnowledgeGraph()
-    kg.ingest_model(ast, md.extract_symbols(ast), graph)
+    kg.ingest_model(ast, graph)
     return md.emit_model(ast), graph
 
 
