@@ -507,7 +507,8 @@ def test_validate_soundness_reported_missing_is_genuinely_undeclared():
         decl_lines = [i for i, l in enumerate(lines) if l.startswith(("set ", "param ", "var "))]
         drop = rng.choice(decl_lines)
         broken = "\n".join(l for i, l in enumerate(lines) if i != drop) + "\n"
-        code_decls = set(md.extract_symbols(md.parse_model(broken)).declarations)
+        facts = md.extract_symbols(md.parse_model(broken))
+        code_decls = {decl.name for decl in facts.declarations}
         report = codegen.validate(broken)
         for name in report.missing_declarations:
             assert name not in code_decls
