@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import codegen, corpus, retrieval
-from .errors import ClosureKbError, MissingExpression
+from .errors import ClosureKbError, MissingExpression, SchemaViolation
+from .knowledge_graph import json_field
 
 CLOSURE_MODE = "closure"
 WINDOW_MODE = "window"
@@ -41,12 +42,16 @@ class AblationConfig:
 
 
 def config_from_json(doc: dict) -> AblationConfig:
+    """Config from a JSON object whose fields are all optional;
+    SchemaViolation on a field of the wrong type."""
+    if not isinstance(doc, dict):
+        raise SchemaViolation("ablation config must be an object")
     return AblationConfig(
-        knowledge_sources=doc.get("knowledge_sources", corpus.HETEROGENEOUS),
-        retrieval_mode=doc.get("retrieval_mode", CLOSURE_MODE),
-        window_k=doc.get("window_k", 3),
-        runs=doc.get("runs", 1),
-        generator=doc.get("generator", "template"),
+        knowledge_sources=json_field(doc, "knowledge_sources", str, corpus.HETEROGENEOUS),
+        retrieval_mode=json_field(doc, "retrieval_mode", str, CLOSURE_MODE),
+        window_k=json_field(doc, "window_k", int, 3),
+        runs=json_field(doc, "runs", int, 1),
+        generator=json_field(doc, "generator", str, "template"),
     )
 
 
@@ -128,7 +133,9 @@ class ScriptedGenerator:
     @classmethod
     def from_path(cls, path) -> "ScriptedGenerator":
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(doc["responses"])
+        if not isinstance(doc, dict):
+            raise SchemaViolation("mock script must be an object")
+        return cls(json_field(doc, "responses", [str]))
 
     def __call__(self, package) -> str:
         response = self.responses[self.calls % len(self.responses)]
@@ -173,11 +180,7 @@ def run_ablation(config: AblationConfig, corpus_dir) -> AblationReport:
     if not query_path.exists():
         raise ClosureKbError(f"corpus dir {corpus_dir} lacks query.txt")
     query = query_path.read_text(encoding="utf-8").strip()
-    inputs = sorted(
-        p
-        for p in corpus_dir.iterdir()
-        if p.name.endswith((".mm", ".cards.json", ".battery.json", ".fjs", ".kg.json"))
-    )
+    inputs = sorted(p for p in corpus_dir.iterdir() if p.name.endswith(corpus.INPUT_SUFFIXES))
     graph, _alignment = corpus.ingest_corpus(inputs, sources=config.knowledge_sources)
     index = retrieval.index_snippets(graph)
     generator = _make_generator(config.generator)

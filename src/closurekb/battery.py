@@ -342,13 +342,6 @@ def brute_force_optimum(
 
 # --- Expression builders -----------------------------------------------------------
 
-def _chain(op: str, terms: list) -> model_dsl.Expr:
-    expr = terms[0]
-    for term in terms[1:]:
-        expr = BinOp(op=op, left=expr, right=term)
-    return expr
-
-
 def _machine_energy_expr(machine: Machine, binder: str) -> model_dsl.Expr:
     on = BinOp("*", Ref(f"{machine.name}PowerOn"), Ref(machine.name, (Index(binder, 0),)))
     off = BinOp(
@@ -360,7 +353,7 @@ def _machine_energy_expr(machine: Machine, binder: str) -> model_dsl.Expr:
 
 
 def _total_energy_expr(data: BatteryCaseData, binder: str) -> model_dsl.Expr:
-    return _chain("+", [_machine_energy_expr(m, binder) for m in data.machines])
+    return model_dsl.chain("+", [_machine_energy_expr(m, binder) for m in data.machines])
 
 
 def _revenue_expr(data: BatteryCaseData) -> model_dsl.Expr:
@@ -372,7 +365,7 @@ def _revenue_expr(data: BatteryCaseData) -> model_dsl.Expr:
             terms.append(BinOp("*", Num(product.price), Ref(buf, (Index(None, slot),))))
     if fixed or not terms:
         terms.insert(0, Num(float(fixed)))
-    expr = _chain("+", terms)
+    expr = model_dsl.chain("+", terms)
     materials = sum(m.cost * m.quantity for m in data.materials)
     if materials:
         expr = BinOp("-", expr, Num(float(materials)))

@@ -360,7 +360,7 @@ def main(argv=None) -> int:
     except TooLarge as exc:
         print(f"instance too large: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ClosureKbError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ClosureKbError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

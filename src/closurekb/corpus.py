@@ -26,6 +26,8 @@ CODE_ONLY = "code_only"
 HETEROGENEOUS = "heterogeneous"
 SOURCE_MODES = (PAPERS_ONLY, CODE_ONLY, HETEROGENEOUS)
 
+INPUT_SUFFIXES = (".mm", ".cards.json", ".battery.json", ".fjs", ".kg.json")
+
 
 def merge_graphs(dst: KnowledgeGraph, src: KnowledgeGraph) -> None:
     for entity_id in src.sorted_ids():
@@ -53,6 +55,8 @@ def filter_sources(graph: KnowledgeGraph, mode: str) -> KnowledgeGraph:
 def ingest_path(path: Path, graph: KnowledgeGraph) -> list[str]:
     """Ingest one input file into the graph; returns the new entity ids."""
     name = path.name
+    if not name.endswith(INPUT_SUFFIXES):
+        raise ClosureKbError(f"unrecognized input file type: {name}")
     text = path.read_text(encoding="utf-8")
     if name.endswith(".kg.json"):
         loaded = kg.load(json.loads(text))
@@ -74,10 +78,7 @@ def ingest_path(path: Path, graph: KnowledgeGraph) -> list[str]:
         instance = fjsp.parse_fjs(text)
         ast = fjsp.build_fjsp_model(instance, fjsp.BASELINE)
         return kg.ingest_model(ast, graph)
-    if name.endswith(".mm"):
-        ast = model_dsl.parse_model(text)
-        return kg.ingest_model(ast, graph)
-    raise ClosureKbError(f"unrecognized input file type: {name}")
+    return kg.ingest_model(model_dsl.parse_model(text), graph)  # *.mm
 
 
 def ingest_corpus(paths, sources: str = HETEROGENEOUS) -> tuple[KnowledgeGraph, kg.AlignResult]:

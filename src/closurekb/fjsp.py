@@ -3,7 +3,9 @@
 `.fjs` instance ingestion, MILP model emission in three variants (baseline
 makespan minimization, machine unavailability windows via big-M indicator
 pairs, alternate industrial terminology), feasibility checking with makespan
-evaluation, and a small exhaustive oracle.
+evaluation, and a small exhaustive oracle. Models are built in the standard
+vocabulary; the alternate terminology is the baseline model renamed by
+`name_bijection`.
 
 Operations are numbered globally 1..O in job-major order so that job
 precedence is `o -> o+1` guarded by a final-operation flag. Pairwise machine
@@ -16,13 +18,14 @@ begin exactly at its end.
 from __future__ import annotations
 
 import itertools
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import knowledge_graph as kg
 from . import model_dsl
-from .errors import DimensionMismatch, MalformedInstance, MissingWindows, TooLarge
-from .knowledge_graph import ConceptCard
+from .errors import DimensionMismatch, MalformedInstance, MissingWindows, SchemaViolation, TooLarge
+from .knowledge_graph import ConceptCard, json_field
 from .model_dsl import (
     BinOp,
     Compare,
@@ -103,7 +106,6 @@ class FjspInstance:
     n_machines: int
     jobs: tuple[tuple[Operation, ...], ...]
     windows: dict[int, tuple[tuple[float, float], ...]] | None = None
-    terminology: str = "standard"
 
     @property
     def total_ops(self) -> int:
@@ -132,13 +134,7 @@ def with_windows(instance: FjspInstance, windows: dict[int, list[tuple[float, fl
             if not w_start < w_end:
                 raise DimensionMismatch(f"degenerate window [{w_start}, {w_end}) on machine {machine}")
         checked[machine] = tuple(tuple(span) for span in spans)
-    return FjspInstance(
-        n_jobs=instance.n_jobs,
-        n_machines=instance.n_machines,
-        jobs=instance.jobs,
-        windows=checked,
-        terminology=instance.terminology,
-    )
+    return replace(instance, windows=checked)
 
 
 def parse_fjs(text: str) -> FjspInstance:
@@ -249,291 +245,165 @@ def _one_minus(name: str, indices: tuple[Index, ...] = ()) -> BinOp:
     return BinOp("-", Num(1.0), Ref(name, indices))
 
 
+def _big_m(expr: model_dsl.Expr) -> BinOp:
+    return BinOp("*", Ref("bigM"), expr)
+
+
+def _completion(o_idx: Index, machine: Index) -> BinOp:
+    return BinOp("+", Ref("s", (o_idx,)), Ref("p", (o_idx, machine)))
+
+
 def build_fjsp_model(instance: FjspInstance, variant: str = BASELINE) -> ModelAst:
-    """Emit the MILP for one variant; alt_terms is the baseline/unavailability
-    structure under the alternate vocabulary (a pure name bijection)."""
+    """Emit the MILP for one variant. The model is built in the standard
+    vocabulary; alt_terms is the baseline model renamed by `name_bijection`."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if variant == UNAVAILABILITY and not instance.windows:
         raise MissingWindows("unavailability variant requires a windows side file")
-    vocab = (
-        ALTERNATE_VOCAB
-        if variant == ALT_TERMS or instance.terminology == "alternate"
-        else STANDARD_VOCAB
-    )
-    v = vocab
     ops = instance.op_list()
     n_ops = len(ops)
     n_machines = instance.n_machines
     big_m = big_m_value(instance)
 
     ptab = {}
-    etab = {}
     for o_idx, (_i, _j, op) in enumerate(ops, start=1):
         for machine, ptime in op.eligible:
             ptab[(o_idx, machine)] = ptime
-            etab[(o_idx, machine)] = 1
-    p_data = tuple(
-        float(ptab.get((o, m), 0.0)) for o in range(1, n_ops + 1) for m in range(1, n_machines + 1)
+    cells = [(o_idx, m) for o_idx in range(1, n_ops + 1) for m in range(1, n_machines + 1)]
+    sets = (SetDecl("OPS", lo=1, hi=n_ops), SetDecl("M", lo=1, hi=n_machines))
+    params = (
+        ParamDecl("p", index_sets=("OPS", "M"), data=tuple(float(ptab.get(c, 0.0)) for c in cells)),
+        ParamDecl("elig", index_sets=("OPS", "M"), data=tuple(float(c in ptab) for c in cells)),
+        ParamDecl(
+            "last",
+            index_sets=("OPS",),
+            data=tuple(1.0 if j == len(instance.jobs[i]) - 1 else 0.0 for i, j, _op in ops),
+        ),
+        ParamDecl("bigM", data=big_m),
     )
-    e_data = tuple(
-        float(etab.get((o, m), 0)) for o in range(1, n_ops + 1) for m in range(1, n_machines + 1)
-    )
-    last_data = tuple(
-        1.0 if j == len(instance.jobs[i]) - 1 else 0.0 for i, j, _op in ops
-    )
-
-    sets = [
-        SetDecl(v["ops_set"], lo=1, hi=n_ops),
-        SetDecl(v["machine_set"], lo=1, hi=n_machines),
-    ]
-    params = [
-        ParamDecl(v["ptime_param"], index_sets=(v["ops_set"], v["machine_set"]), data=p_data),
-        ParamDecl(v["elig_param"], index_sets=(v["ops_set"], v["machine_set"]), data=e_data),
-        ParamDecl(v["last_param"], index_sets=(v["ops_set"],), data=last_data),
-        ParamDecl(v["bigm_param"], data=big_m),
-    ]
     variables = [
-        VarDecl(v["assign_var"], index_sets=(v["ops_set"], v["machine_set"]), domain=model_dsl.BINARY),
-        VarDecl(v["start_var"], index_sets=(v["ops_set"],), domain=model_dsl.CONTINUOUS, bounds=(0.0, big_m)),
-        VarDecl(v["makespan_var"], domain=model_dsl.CONTINUOUS, bounds=(0.0, big_m)),
+        VarDecl("x", index_sets=("OPS", "M"), domain=model_dsl.BINARY),
+        VarDecl("s", index_sets=("OPS",), domain=model_dsl.CONTINUOUS, bounds=(0.0, big_m)),
+        VarDecl("cmax", domain=model_dsl.CONTINUOUS, bounds=(0.0, big_m)),
     ]
 
-    def x_ref(o: Index, m: Index) -> Ref:
-        return Ref(v["assign_var"], (o, m))
+    o, k = Index("o", 0), Index("k", 0)
 
-    def elig_filter(value: float) -> Predicate:
-        return Predicate(
-            (Compare("=", Ref(v["elig_param"], (Index("o", 0), Index("k", 0))), Num(value)),)
-        )
+    def where(name: str, indices: tuple[Index, ...], value: float) -> Predicate:
+        return Predicate((Compare("=", Ref(name, indices), Num(value)),))
 
-    def work_sum(o: Index) -> Sum:
-        return Sum(
-            Quantifier("k", v["machine_set"]),
-            BinOp("*", Ref(v["ptime_param"], (o, Index("k", 0))), x_ref(o, Index("k", 0))),
-        )
+    def machines_with_elig(value: float) -> Quantifier:
+        return Quantifier("k", "M", where("elig", (o, k), value))
 
+    def ops_with_last(value: float) -> Quantifier:
+        return Quantifier("o", "OPS", where("last", (o,), value))
+
+    # assign: one eligible machine per operation; noInelig: no ineligible one.
     constraints = [
-        Constraint(
-            v["assign_con"],
-            Quantifier("o", v["ops_set"]),
-            left=Sum(
-                Quantifier("k", v["machine_set"], elig_filter(1.0)),
-                x_ref(Index("o", 0), Index("k", 0)),
-            ),
-            op="=",
-            right=Num(1.0),
-        ),
-        Constraint(
-            v["inelig_con"],
-            Quantifier("o", v["ops_set"]),
-            left=Sum(
-                Quantifier("k", v["machine_set"], elig_filter(0.0)),
-                x_ref(Index("o", 0), Index("k", 0)),
-            ),
-            op="=",
-            right=Num(0.0),
-        ),
-        Constraint(
-            v["prec_con"],
-            Quantifier(
-                "o",
-                v["ops_set"],
-                Predicate((Compare("=", Ref(v["last_param"], (Index("o", 0),)), Num(0.0)),)),
-            ),
-            left=Ref(v["start_var"], (Index("o", 1),)),
-            op=">=",
-            right=BinOp("+", Ref(v["start_var"], (Index("o", 0),)), work_sum(Index("o", 0))),
-        ),
+        Constraint(name, Quantifier("o", "OPS"), Sum(machines_with_elig(value), Ref("x", (o, k))), "=", Num(value))
+        for name, value in (("assign", 1.0), ("noInelig", 0.0))
     ]
+    # prec and finish bound the completion of a non-final / final operation.
+    work = Sum(Quantifier("k", "M"), BinOp("*", Ref("p", (o, k)), Ref("x", (o, k))))
+    done = BinOp("+", Ref("s", (o,)), work)
+    constraints.append(Constraint("prec", ops_with_last(0.0), Ref("s", (Index("o", 1),)), ">=", done))
 
     # Pairwise machine capacity: one ordering binary and two big-M inequalities
     # per machine-shared operation pair, active only when both are assigned.
     for machine in range(1, n_machines + 1):
-        sharing = [o for o in range(1, n_ops + 1) if (o, machine) in ptab]
+        m = Index(None, machine)
+        sharing = [o_idx for o_idx in range(1, n_ops + 1) if (o_idx, machine) in ptab]
         for a, b in itertools.combinations(sharing, 2):
-            seq_name = f"{v['seq_var']}_{a}_{b}_{machine}"
-            variables.append(VarDecl(seq_name, domain=model_dsl.BINARY))
-            a_idx, b_idx, m_idx = Index(None, a), Index(None, b), Index(None, machine)
-            off_a = BinOp("*", Ref(v["bigm_param"]), _one_minus(v["assign_var"], (a_idx, m_idx)))
-            off_b = BinOp("*", Ref(v["bigm_param"]), _one_minus(v["assign_var"], (b_idx, m_idx)))
-            constraints.append(
-                Constraint(
-                    f"{v['cap_con']}_{a}_{b}_{machine}_1",
+            seq = f"seq_{a}_{b}_{machine}"
+            variables.append(VarDecl(seq, domain=model_dsl.BINARY))
+            unassigned = [_big_m(_one_minus("x", (Index(None, member), m))) for member in (a, b)]
+            # seq = 1 puts a first, seq = 0 puts b first.
+            orderings = ((a, b, _one_minus(seq)), (b, a, Ref(seq)))
+            for side, (first, then, gate) in enumerate(orderings, start=1):
+                constraints.append(Constraint(
+                    f"cap_{a}_{b}_{machine}_{side}",
                     None,
-                    left=BinOp("+", Ref(v["start_var"], (a_idx,)), Ref(v["ptime_param"], (a_idx, m_idx))),
-                    op="<=",
-                    right=BinOp(
-                        "+",
-                        BinOp(
-                            "+",
-                            BinOp(
-                                "+",
-                                Ref(v["start_var"], (b_idx,)),
-                                BinOp("*", Ref(v["bigm_param"]), _one_minus(seq_name)),
-                            ),
-                            off_a,
-                        ),
-                        off_b,
-                    ),
-                )
-            )
-            constraints.append(
-                Constraint(
-                    f"{v['cap_con']}_{a}_{b}_{machine}_2",
-                    None,
-                    left=BinOp("+", Ref(v["start_var"], (b_idx,)), Ref(v["ptime_param"], (b_idx, m_idx))),
-                    op="<=",
-                    right=BinOp(
-                        "+",
-                        BinOp(
-                            "+",
-                            BinOp(
-                                "+",
-                                Ref(v["start_var"], (a_idx,)),
-                                BinOp("*", Ref(v["bigm_param"]), Ref(seq_name)),
-                            ),
-                            off_a,
-                        ),
-                        off_b,
-                    ),
-                )
-            )
+                    _completion(Index(None, first), m),
+                    "<=",
+                    model_dsl.chain("+", [Ref("s", (Index(None, then),)), _big_m(gate), *unassigned]),
+                ))
 
-    constraints.append(
-        Constraint(
-            v["finish_con"],
-            Quantifier(
-                "o",
-                v["ops_set"],
-                Predicate((Compare("=", Ref(v["last_param"], (Index("o", 0),)), Num(1.0)),)),
-            ),
-            left=Ref(v["makespan_var"]),
-            op=">=",
-            right=BinOp("+", Ref(v["start_var"], (Index("o", 0),)), work_sum(Index("o", 0))),
-        )
-    )
+    constraints.append(Constraint("finish", ops_with_last(1.0), Ref("cmax"), ">=", done))
 
     if variant == UNAVAILABILITY:
         # Listing-style indicator pair per (operation, eligible machine, window):
         # complete before the window starts (z=1) or begin after it ends (z=0),
         # both disabled when the operation is not assigned to the machine.
-        for o_idx in range(1, n_ops + 1):
-            for machine in range(1, n_machines + 1):
-                if (o_idx, machine) not in ptab:
-                    continue
-                for w_idx, (w_start, w_end) in enumerate(instance.windows_on(machine), start=1):
-                    z_name = f"{v['window_var']}_{o_idx}_{machine}_{w_idx}"
-                    variables.append(VarDecl(z_name, domain=model_dsl.BINARY))
-                    o_ref = Index(None, o_idx)
-                    m_ref = Index(None, machine)
-                    off_x = BinOp("*", Ref(v["bigm_param"]), _one_minus(v["assign_var"], (o_ref, m_ref)))
-                    constraints.append(
-                        Constraint(
-                            f"{v['window_con']}_{o_idx}_{machine}_{w_idx}_before",
-                            None,
-                            left=BinOp(
-                                "+",
-                                Ref(v["start_var"], (o_ref,)),
-                                Ref(v["ptime_param"], (o_ref, m_ref)),
-                            ),
-                            op="<=",
-                            right=BinOp(
-                                "+",
-                                BinOp(
-                                    "+",
-                                    Num(float(w_start)),
-                                    BinOp("*", Ref(v["bigm_param"]), _one_minus(z_name)),
-                                ),
-                                off_x,
-                            ),
-                        )
-                    )
-                    constraints.append(
-                        Constraint(
-                            f"{v['window_con']}_{o_idx}_{machine}_{w_idx}_after",
-                            None,
-                            left=Ref(v["start_var"], (o_ref,)),
-                            op=">=",
-                            right=BinOp(
-                                "-",
-                                BinOp(
-                                    "-",
-                                    Num(float(w_end)),
-                                    BinOp("*", Ref(v["bigm_param"]), Ref(z_name)),
-                                ),
-                                off_x,
-                            ),
-                        )
-                    )
+        for o_idx, machine in sorted(ptab):
+            at, m = Index(None, o_idx), Index(None, machine)
+            unassigned = _big_m(_one_minus("x", (at, m)))
+            for w_idx, (w_start, w_end) in enumerate(instance.windows_on(machine), start=1):
+                z = f"z_{o_idx}_{machine}_{w_idx}"
+                variables.append(VarDecl(z, domain=model_dsl.BINARY))
+                constraints.append(Constraint(
+                    f"win_{o_idx}_{machine}_{w_idx}_before",
+                    None,
+                    _completion(at, m),
+                    "<=",
+                    model_dsl.chain("+", [Num(float(w_start)), _big_m(_one_minus(z)), unassigned]),
+                ))
+                constraints.append(Constraint(
+                    f"win_{o_idx}_{machine}_{w_idx}_after",
+                    None,
+                    Ref("s", (at,)),
+                    ">=",
+                    model_dsl.chain("-", [Num(float(w_end)), _big_m(Ref(z)), unassigned]),
+                ))
 
-    objective = Objective(sense="min", name=v["objective"], expr=Ref(v["makespan_var"]))
-    return ModelAst(
-        sets=tuple(sets),
-        params=tuple(params),
-        vars=tuple(variables),
-        constraints=tuple(constraints),
-        objective=objective,
-    )
+    model = ModelAst(sets, params, tuple(variables), tuple(constraints), Objective("min", "obj", Ref("cmax")))
+    if variant == ALT_TERMS:
+        return model_dsl.rename_symbols(model, _alternate_names(model))
+    return model
+
+
+_ALTERNATE_NAME = {STANDARD_VOCAB[key]: ALTERNATE_VOCAB[key] for key in STANDARD_VOCAB}
+
+
+def _alternate_names(model: ModelAst) -> dict[str, str]:
+    """Standard -> alternate name of every declaration of a standard model. A
+    generated name (`seq_1_2_1`, `cap_…`, `z_…`, `win_…`) keeps what follows
+    its vocabulary prefix."""
+    mapping = {}
+    for decl in model.sets + model.params + model.vars + model.constraints + (model.objective,):
+        prefix, sep, suffix = decl.name.partition("_")
+        mapping[decl.name] = _ALTERNATE_NAME[prefix] + sep + suffix
+    return mapping
 
 
 def name_bijection(instance: FjspInstance, variant: str = BASELINE) -> dict[str, str]:
-    """Positional standard -> alternate name mapping for identical structure."""
-    base = build_fjsp_model(instance, variant if variant != ALT_TERMS else BASELINE)
-    alt = build_fjsp_model(
-        FjspInstance(
-            n_jobs=instance.n_jobs,
-            n_machines=instance.n_machines,
-            jobs=instance.jobs,
-            windows=instance.windows,
-            terminology="alternate",
-        ),
-        variant if variant != ALT_TERMS else BASELINE,
-    )
-    mapping: dict[str, str] = {}
-    for b_decl, a_decl in zip(base.sets + base.params + base.vars, alt.sets + alt.params + alt.vars):
-        mapping[b_decl.name] = a_decl.name
-    for b_con, a_con in zip(base.constraints, alt.constraints):
-        mapping[b_con.name] = a_con.name
-    if base.objective is not None:
-        mapping[base.objective.name] = alt.objective.name
-    return mapping
+    """Standard -> alternate name of every declaration of the variant's model
+    (for alt_terms, of the baseline model it renames)."""
+    return _alternate_names(build_fjsp_model(instance, BASELINE if variant == ALT_TERMS else variant))
 
 
 def fjsp_terminology_cards() -> list[ConceptCard]:
     """Alternate-vocabulary concepts hinted at their standard realizations, so
     alignment stores the terminology bijection as aligns_to edges."""
-    kinds = {
-        "ops_set": kg.INDEX_SET,
-        "machine_set": kg.INDEX_SET,
-        "assign_var": kg.DECISION_VARIABLE,
-        "start_var": kg.DECISION_VARIABLE,
-        "makespan_var": kg.DECISION_VARIABLE,
-        "ptime_param": kg.PARAMETER,
-        "elig_param": kg.PARAMETER,
-        "last_param": kg.PARAMETER,
-        "bigm_param": kg.PARAMETER,
-    }
-    blurbs = {
-        "ops_set": "Work-order tasks to be dispatched.",
-        "machine_set": "Workcenters available on the shop floor.",
-        "assign_var": "Chooses the workcenter that executes each task.",
-        "start_var": "Moment each task begins processing.",
-        "makespan_var": "Completion span of the whole work order set.",
-        "ptime_param": "Duration of a task on a given workcenter.",
-        "elig_param": "Which workcenters may execute which task.",
-        "last_param": "Marks the final task of each work order.",
-        "bigm_param": "Large constant used to switch disjunctions.",
+    concepts = {
+        "ops_set": (kg.INDEX_SET, "Work-order tasks to be dispatched."),
+        "machine_set": (kg.INDEX_SET, "Workcenters available on the shop floor."),
+        "assign_var": (kg.DECISION_VARIABLE, "Chooses the workcenter that executes each task."),
+        "start_var": (kg.DECISION_VARIABLE, "Moment each task begins processing."),
+        "makespan_var": (kg.DECISION_VARIABLE, "Completion span of the whole work order set."),
+        "ptime_param": (kg.PARAMETER, "Duration of a task on a given workcenter."),
+        "elig_param": (kg.PARAMETER, "Which workcenters may execute which task."),
+        "last_param": (kg.PARAMETER, "Marks the final task of each work order."),
+        "bigm_param": (kg.PARAMETER, "Large constant used to switch disjunctions."),
     }
     return [
         ConceptCard(
             name=ALTERNATE_VOCAB[key],
-            kind=kinds[key],
-            description=blurbs[key],
+            kind=kind,
+            description=blurb,
             solver_symbol_hint=STANDARD_VOCAB[key],
-            snippet=blurbs[key],
+            snippet=blurb,
         )
-        for key in sorted(kinds)
+        for key, (kind, blurb) in sorted(concepts.items())
     ]
 
 
@@ -690,8 +560,6 @@ def _earliest_start(lb: float, ptime: float, windows) -> float:
 
 
 def _count_extensions(counts: list[int]) -> int:
-    import math
-
     total = math.factorial(sum(counts))
     for c in counts:
         total //= math.factorial(c)
@@ -699,18 +567,14 @@ def _count_extensions(counts: list[int]) -> int:
 
 
 def brute_force_makespan(instance: FjspInstance) -> float:
-    """Optimal makespan by exhausting assignments and sequencing orders with
-    earliest-feasible start times; TooLarge beyond the enumeration bound."""
-    value, _solution = _brute_force(instance)
-    return value
+    """The optimum of `brute_force_solution`."""
+    return brute_force_solution(instance)[0]
 
 
 def brute_force_solution(instance: FjspInstance) -> tuple[float, FjspSolution]:
-    """Oracle optimum together with a schedule achieving it."""
-    return _brute_force(instance)
-
-
-def _brute_force(instance: FjspInstance) -> tuple[float, FjspSolution]:
+    """Optimal makespan and a schedule achieving it, by exhausting assignments
+    and sequencing orders with earliest-feasible start times; TooLarge beyond
+    the enumeration bound."""
     ops = instance.op_list()
     if len(ops) > ORACLE_OP_BOUND:
         raise TooLarge(f"{len(ops)} operations exceed the oracle bound of {ORACLE_OP_BOUND}")
@@ -760,19 +624,41 @@ def solution_to_json(sol: FjspSolution) -> dict:
     }
 
 
+def _number_table(doc: dict, key: str, depth: int) -> tuple:
+    """doc[key] as tuples of numbers nested `depth` lists deep."""
+
+    def rows(value, depth: int) -> tuple:
+        if depth == 1:
+            return tuple(json_field({key: value}, key, [float]))
+        return tuple(rows(item, depth - 1) for item in json_field({key: value}, key, [list]))
+
+    return rows(doc.get(key), depth)
+
+
 def solution_from_json(doc: dict) -> FjspSolution:
+    """Solution from solution_to_json's document: `x` is flags by job,
+    operation and machine, `s` start times by job and operation;
+    SchemaViolation otherwise."""
+    if not isinstance(doc, dict):
+        raise SchemaViolation("FJSP solution must be an object")
     return FjspSolution(
-        x=tuple(tuple(tuple(row) for row in job) for job in doc["x"]),
-        s=tuple(tuple(job) for job in doc["s"]),
-        z=doc.get("z"),
-        makespan=doc.get("makespan"),
+        x=_number_table(doc, "x", 3),
+        s=_number_table(doc, "s", 2),
+        z=json_field(doc, "z", list, None),
+        makespan=json_field(doc, "makespan", float, None),
     )
 
 
 def windows_from_json(doc: list) -> dict[int, list[tuple[float, float]]]:
+    """Windows by machine from a list of {machine, w_start, w_end} objects;
+    SchemaViolation otherwise."""
+    if not isinstance(doc, list):
+        raise SchemaViolation("windows file must hold a list of windows")
     windows: dict[int, list[tuple[float, float]]] = {}
     for record in doc:
-        windows.setdefault(int(record["machine"]), []).append(
-            (float(record["w_start"]), float(record["w_end"]))
+        if not isinstance(record, dict):
+            raise SchemaViolation("each window must be an object")
+        windows.setdefault(json_field(record, "machine", int), []).append(
+            (float(json_field(record, "w_start", float)), float(json_field(record, "w_end", float)))
         )
     return windows

@@ -278,17 +278,17 @@ def ingest_model(ast: ModelAst, graph: KnowledgeGraph) -> list[str]:
     -(depends_on)-> set edge. A reference to a name with no declaration still
     becomes an entity (kind parameter, flagged inferred) so that every edge
     is representable. Returns the ids of the entities added, in that order.
-    """
-    ids: list[str] = []
 
-    def declare(name: str, kind: str, fields: dict) -> str:
+    Atomic: a declaration whose kind conflicts with the graph (or with another
+    declaration) and a name iterated by its own declaration are rejected
+    before the graph is touched.
+    """
+    declared: list[Entity] = []
+
+    def declare(name: str, kind: str, fields: dict) -> None:
         fields = dict(fields)
         fields.setdefault("solver_symbol", name)
-        entity = Entity(id=name, kind=kind, name=name, description="", fields=fields, source=SOURCE_CODE)
-        added = graph.add_entity(entity)
-        if added is entity:
-            ids.append(name)
-        return name
+        declared.append(Entity(id=name, kind=kind, name=name, description="", fields=fields, source=SOURCE_CODE))
 
     for decl in ast.sets:
         fields = {"members": list(decl.members)} if decl.members is not None else {"lo": decl.lo, "hi": decl.hi}
@@ -308,6 +308,19 @@ def ingest_model(ast: ModelAst, graph: KnowledgeGraph) -> list[str]:
     if ast.objective is not None:
         obj = ast.objective
         declare(obj.name, OBJECTIVE, {"expression": model_dsl.emit_objective(obj), "sense": obj.sense})
+    facts = model_dsl.extract_symbols(ast)
+
+    kinds: dict[str, str] = {}
+    for entity in declared:
+        existing = graph.entities.get(entity.id)
+        known = kinds.setdefault(entity.id, existing.kind if existing is not None else entity.kind)
+        if known != entity.kind:
+            raise ConflictingEntity(entity.id, known, entity.kind)
+    for site, set_name in facts.iterations:
+        if site == set_name:
+            raise SchemaViolation(f"self-loop on {site!r} rejected")
+
+    ids = [entity.id for entity in declared if graph.add_entity(entity) is entity]
 
     def ensure_target(name: str) -> str:
         if name not in graph:
@@ -324,7 +337,6 @@ def ingest_model(ast: ModelAst, graph: KnowledgeGraph) -> list[str]:
             ids.append(name)
         return name
 
-    facts = model_dsl.extract_symbols(ast)
     for ref in facts.references:
         if ref.name != ref.site:
             graph.add_edge(ref.site, ensure_target(ref.name), USED_IN)

@@ -104,6 +104,15 @@ class Sum:
 Expr = Num | Ref | BinOp | Sum
 
 
+def chain(op: str, terms: list[Expr]) -> Expr:
+    """Left-deep `terms[0] op terms[1] op ...`, the tree the parser builds for
+    a run of one operator."""
+    expr = terms[0]
+    for term in terms[1:]:
+        expr = BinOp(op, expr, term)
+    return expr
+
+
 @dataclass(frozen=True)
 class SetDecl:
     name: str

@@ -284,18 +284,14 @@ def snippet_text(entity) -> str:
     return entity.fields.get("snippet") or entity.description or ""
 
 
-def index_snippets(graph: KnowledgeGraph, cards=()) -> SemanticIndex:
-    """Build the semantic index from entity descriptions/snippets plus any
-    standalone cards. Insertion order independent: documents are sorted by id."""
+def index_snippets(graph: KnowledgeGraph) -> SemanticIndex:
+    """Build the semantic index from entity descriptions/snippets. Insertion
+    order independent: documents are sorted by id."""
     docs: dict[str, str] = {}
     for entity_id in graph.sorted_ids():
         text = snippet_text(graph.entities[entity_id])
         if text:
             docs[entity_id] = text
-    for card in cards:
-        doc_id = f"card:{card.name}"
-        if card.snippet:
-            docs[doc_id] = card.snippet
     doc_ids = sorted(docs)
     embedder = TfidfEmbedder().fit([docs[i] for i in doc_ids])
     postings: dict[int, list[tuple[str, float]]] = {}

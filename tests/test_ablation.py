@@ -5,7 +5,7 @@ import json
 import pytest
 
 from closurekb import ablation, codegen, corpus, fjsp, retrieval
-from closurekb.errors import ClosureKbError
+from closurekb.errors import ClosureKbError, SchemaViolation
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +103,38 @@ def test_config_validation():
         ablation.AblationConfig(retrieval_mode="window", window_k=0)
     with pytest.raises(ClosureKbError):
         ablation.AblationConfig(runs=0)
+
+
+@pytest.mark.parametrize("doc", [
+    {"runs": "2"},
+    {"window_k": "3", "retrieval_mode": "window"},
+    [1],
+], ids=["string-runs", "string-window_k", "list"])
+def test_config_from_json_rejects_malformed_documents(doc):
+    with pytest.raises(SchemaViolation):
+        ablation.config_from_json(doc)
+
+
+def test_config_from_json_reads_every_field():
+    doc = {"knowledge_sources": "code_only", "retrieval_mode": "window", "window_k": 2,
+           "runs": 3, "generator": "mock.json"}
+    assert ablation.config_from_json(doc) == ablation.AblationConfig(
+        corpus.CODE_ONLY, ablation.WINDOW_MODE, 2, 3, "mock.json"
+    )
+    assert ablation.config_from_json({}) == ablation.AblationConfig()
+
+
+@pytest.mark.parametrize("doc", [
+    {"responses": 5},
+    {"responses": [5]},
+    {"responses": []},
+    ["param q = 1;"],
+], ids=["int", "list-of-int", "empty", "list"])
+def test_scripted_generator_rejects_malformed_scripts(tmp_path, doc):
+    script = tmp_path / "mock.json"
+    script.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ClosureKbError):
+        ablation.ScriptedGenerator.from_path(script)
 
 
 def test_missing_query_file_is_an_error(tmp_path):

@@ -431,3 +431,80 @@ def test_graph_with_non_string_text_is_a_usage_error_without_traceback(tmp_path,
     assert proc.returncode == EXIT_USAGE
     assert "must be a string" in proc.stderr
     assert "Traceback" not in proc.stderr + proc.stdout
+
+
+NOT_UTF8 = b'{"x": "\xff\xfe"}'
+
+
+@pytest.fixture(scope="module")
+def good_inputs(tmp_path_factory):
+    """One well-formed input of each kind a subcommand reads."""
+    directory = tmp_path_factory.mktemp("cli_inputs")
+    fjs = directory / "two.fjs"
+    fjs.write_text("2 1\n1 1 1 3\n1 1 1 4\n", encoding="utf-8")
+    toy = directory / "toy.json"
+    toy.write_text(json.dumps(battery.data_to_json(battery.toy_case_data())), encoding="utf-8")
+    code = directory / "q.mm"
+    code.write_text("param q = 1;\n", encoding="utf-8")
+    graph = directory / "two.kg.json"
+    assert main(["ingest", str(fjs), "--graph", str(graph)]) == EXIT_OK
+    corpus.write_dispersed_corpus(directory / "corpus")
+    return {"fjs": fjs, "toy": toy, "code": code, "graph": graph, "corpus": directory / "corpus"}
+
+
+FJSP_SOLUTION = ("eval", "fjsp", "{fjs}", "--solution", "{bad}")
+FJSP_WINDOWS = ("eval", "fjsp", "{fjs}", "--windows", "{bad}", "--brute-force")
+ABLATE_CONFIG = ("ablate", "{corpus}", "--config", "{bad}")
+ABLATE_SCRIPT = ("ablate", "{corpus}", "--config", "{script_config}")
+
+
+@pytest.mark.parametrize("argv, name, content", [
+    (FJSP_SOLUTION, "s.json", [1, 2]),
+    (FJSP_SOLUTION, "s.json", {"x": 5, "s": []}),
+    (FJSP_SOLUTION, "s.json", NOT_UTF8),
+    (FJSP_WINDOWS, "w.json", [{"machine": "a", "w_start": 1, "w_end": 2}]),
+    (FJSP_WINDOWS, "w.json", [5]),
+    (FJSP_WINDOWS, "w.json", NOT_UTF8),
+    (("eval", "fjsp", "{bad}", "--brute-force"), "bad.fjs", NOT_UTF8),
+    (("eval", "battery", "{bad}", "--brute-force"), "bad.json", NOT_UTF8),
+    (("eval", "battery", "{toy}", "--solution", "{bad}"), "s.json", NOT_UTF8),
+    (ABLATE_CONFIG, "config.json", {"runs": "2"}),
+    (ABLATE_CONFIG, "config.json", {"window_k": "3", "retrieval_mode": "window"}),
+    (ABLATE_CONFIG, "config.json", [1]),
+    (ABLATE_CONFIG, "config.json", NOT_UTF8),
+    (ABLATE_SCRIPT, "mock.json", {"responses": 5}),
+    (ABLATE_SCRIPT, "mock.json", {"responses": [5]}),
+    (ABLATE_SCRIPT, "mock.json", NOT_UTF8),
+    (("validate", "{bad}"), "bad.mm", NOT_UTF8),
+    (("validate", "{code}", "--graph", "{bad}"), "bad.kg.json", NOT_UTF8),
+    (("query", "explain x", "--graph", "{bad}"), "bad.kg.json", NOT_UTF8),
+    (("generate", "explain x", "--graph", "{bad}"), "bad.kg.json", NOT_UTF8),
+    (("closure", "--graph", "{bad}", "--target", "x"), "bad.kg.json", NOT_UTF8),
+    (("ingest", "{bad}", "--graph", "{out}"), "bad.kg.json", NOT_UTF8),
+    (("ingest", "{bad}", "--graph", "{out}"), "bad.cards.json", NOT_UTF8),
+    (("ingest", "{bad}", "--graph", "{out}"), "bad.battery.json", NOT_UTF8),
+    (("ingest", "{bad}", "--graph", "{out}"), "bad.fjs", NOT_UTF8),
+    (("ingest", "{bad}", "--graph", "{out}"), "bad.mm", NOT_UTF8),
+], ids=[
+    "solution-list", "solution-int-x", "solution-not-utf8",
+    "windows-string-machine", "windows-int-record", "windows-not-utf8",
+    "fjs-not-utf8", "battery-not-utf8", "battery-solution-not-utf8",
+    "config-string-runs", "config-string-window_k", "config-list", "config-not-utf8",
+    "script-int", "script-list-of-int", "script-not-utf8",
+    "validate-not-utf8", "validate-graph-not-utf8", "query-graph-not-utf8",
+    "generate-graph-not-utf8", "closure-graph-not-utf8",
+    "ingest-kg-not-utf8", "ingest-cards-not-utf8", "ingest-battery-not-utf8",
+    "ingest-fjs-not-utf8", "ingest-mm-not-utf8",
+])
+def test_malformed_or_non_utf8_input_file_is_a_usage_error_without_traceback(
+    good_inputs, tmp_path, capsys, argv, name, content
+):
+    bad = tmp_path / name
+    bad.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
+    script_config = tmp_path / "script-config.json"
+    script_config.write_text(json.dumps({"generator": str(bad)}), encoding="utf-8")
+    paths = {**good_inputs, "bad": bad, "script_config": script_config, "out": tmp_path / "g.json"}
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err + captured.out

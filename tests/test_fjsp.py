@@ -7,7 +7,7 @@ import pytest
 from closurekb import codegen, fjsp
 from closurekb import knowledge_graph as kg
 from closurekb import model_dsl as md
-from closurekb.errors import MalformedInstance, MissingWindows, TooLarge
+from closurekb.errors import MalformedInstance, MissingWindows, SchemaViolation, TooLarge
 
 TWO_JOBS_ONE_MACHINE = "2 1\n1 1 1 3\n1 1 1 4\n"
 
@@ -100,6 +100,50 @@ def test_alt_terms_is_a_name_bijection():
     assert md.rename_symbols(baseline, mapping) == alt
     assert md.rename_symbols(alt, {v: k for k, v in mapping.items()}) == baseline
     assert codegen.validate(md.emit_model(alt)).status == "ok"
+
+
+# The alternate-vocabulary model of TWO_JOBS_ONE_MACHINE, as emitted when each
+# vocabulary had its own builder.
+ALT_TERMS_TWO_JOBS_ONE_MACHINE = """\
+set TASKS = 1..2;
+set WORKCENTERS = 1..1;
+param taskDuration{TASKS, WORKCENTERS} = [3, 4];
+param eligibleWorkcenter{TASKS, WORKCENTERS} = [1, 1];
+param finalTask{TASKS} = [1, 1];
+param bigNumber = 7;
+var taskAssign{TASKS, WORKCENTERS} binary;
+var taskBegin{TASKS} continuous in [0, 7];
+var completionSpan continuous in [0, 7];
+var before_1_2_1 binary;
+con taskAssignment{o in TASKS}: sum{k in WORKCENTERS : eligibleWorkcenter[o,k] = 1}(taskAssign[o,k]) = 1;
+con noForeignWorkcenter{o in TASKS}: sum{k in WORKCENTERS : eligibleWorkcenter[o,k] = 0}(taskAssign[o,k]) = 0;
+con taskOrder{o in TASKS : finalTask[o] = 0}: taskBegin[o+1] >= taskBegin[o] + sum{k in WORKCENTERS}(taskDuration[o,k]*taskAssign[o,k]);
+con workcenterBusy_1_2_1_1: taskBegin[1] + taskDuration[1,1] <= taskBegin[2] + bigNumber*(1 - before_1_2_1) + bigNumber*(1 - taskAssign[1,1]) + bigNumber*(1 - taskAssign[2,1]);
+con workcenterBusy_1_2_1_2: taskBegin[2] + taskDuration[2,1] <= taskBegin[1] + bigNumber*before_1_2_1 + bigNumber*(1 - taskAssign[1,1]) + bigNumber*(1 - taskAssign[2,1]);
+con spanBound{o in TASKS : finalTask[o] = 1}: completionSpan >= taskBegin[o] + sum{k in WORKCENTERS}(taskDuration[o,k]*taskAssign[o,k]);
+min spanObjective: completionSpan;
+"""
+
+
+def test_alt_terms_emits_the_pinned_alternate_vocabulary():
+    inst = fjsp.parse_fjs(TWO_JOBS_ONE_MACHINE)
+    assert md.emit_model(fjsp.build_fjsp_model(inst, fjsp.ALT_TERMS)) == ALT_TERMS_TWO_JOBS_ONE_MACHINE
+
+
+def test_name_bijection_renames_the_unavailability_model_to_pinned_statements():
+    inst = fjsp.with_windows(fjsp.parse_fjs("1 1\n1 1 1 3\n"), {1: [(2.0, 5.0)]})
+    mapping = fjsp.name_bijection(inst, fjsp.UNAVAILABILITY)
+    code = md.emit_model(md.rename_symbols(fjsp.build_fjsp_model(inst, fjsp.UNAVAILABILITY), mapping))
+    assert (
+        "con maintenance_1_1_1_before: taskBegin[1] + taskDuration[1,1] <= 2"
+        " + bigNumber*(1 - beforeWindow_1_1_1) + bigNumber*(1 - taskAssign[1,1]);"
+    ) in code
+    assert (
+        "con maintenance_1_1_1_after: taskBegin[1] >= 5 - bigNumber*beforeWindow_1_1_1"
+        " - bigNumber*(1 - taskAssign[1,1]);"
+    ) in code
+    assert len(set(mapping.values())) == len(mapping)
+    assert codegen.validate(code).status == "ok"
 
 
 def test_terminology_cards_align_to_standard_symbols():
@@ -303,3 +347,32 @@ def test_solution_json_round_trip():
     _optimum, solution = fjsp.brute_force_solution(inst)
     doc = fjsp.solution_to_json(solution)
     assert fjsp.solution_from_json(doc) == solution
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    {"x": 5, "s": []},
+    {"x": [[[1]]]},
+    {"x": [[1]], "s": [[0]]},
+    {"x": [[["1"]]], "s": [[0]]},
+    {"x": [[[1]]], "s": [[0]], "makespan": "7"},
+], ids=["list", "int-x", "no-s", "shallow-x", "string-flag", "string-makespan"])
+def test_solution_from_json_rejects_malformed_documents(doc):
+    with pytest.raises(SchemaViolation):
+        fjsp.solution_from_json(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    [{"machine": "a", "w_start": 1, "w_end": 2}],
+    [5],
+    {"machine": 1, "w_start": 1, "w_end": 2},
+    [{"machine": 1, "w_start": 1}],
+], ids=["string-machine", "int-record", "object", "no-w_end"])
+def test_windows_from_json_rejects_malformed_documents(doc):
+    with pytest.raises(SchemaViolation):
+        fjsp.windows_from_json(doc)
+
+
+def test_windows_from_json_groups_windows_by_machine():
+    doc = [{"machine": 2, "w_start": 1, "w_end": 3}, {"machine": 2, "w_start": 5, "w_end": 6.5}]
+    assert fjsp.windows_from_json(doc) == {2: [(1.0, 3.0), (5.0, 6.5)]}

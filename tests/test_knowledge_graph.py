@@ -85,6 +85,19 @@ def test_ingest_conflicting_kind_raises():
         kg.ingest_model(ast, graph)
 
 
+@pytest.mark.parametrize("first, second, error", [
+    ("", md.parse_model("set T = 1..2; param p{p}; var x{T} binary; con c: x[1] <= q;"), SchemaViolation),
+    ("set T = 1..2;", md.parse_model("param a = 1; var T binary;"), ConflictingEntity),
+    ("", md.ModelAst(sets=(md.SetDecl("T", 1, 2),), vars=(md.VarDecl("T"),)), ConflictingEntity),
+], ids=["self-indexed-param", "set-redeclared-as-var", "one-name-two-kinds"])
+def test_ingest_model_leaves_the_graph_unchanged_on_error(first, second, error):
+    graph = ingest_source(first)
+    before = kg.save(graph)
+    with pytest.raises(error):
+        kg.ingest_model(second, graph)
+    assert kg.save(graph) == before
+
+
 def test_ingest_undeclared_reference_becomes_inferred_parameter():
     graph = ingest_source("set T = 1..3; var y{T} binary; con c{t in T}: y[t] <= B13[t-1];")
     ent = graph.entity("B13")
