@@ -111,6 +111,11 @@ class BatteryCaseData:
         names = [m.name for m in self.machines]
         if len(set(names)) != len(names):
             raise DimensionMismatch("machine names must be unique")
+        for product in self.products:
+            if product.quantity_buffer is not None and not 1 <= product.quantity_buffer[1] <= self.n_slots:
+                raise DimensionMismatch(
+                    f"product buffer slot {product.quantity_buffer[1]} outside 1..{self.n_slots}"
+                )
 
     @property
     def machine_names(self) -> tuple[str, ...]:

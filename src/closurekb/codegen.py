@@ -119,30 +119,29 @@ def dependency_order(graph: KnowledgeGraph, members) -> list[str]:
     return order
 
 
-def _domain_label(entity: Entity) -> str:
-    if entity.kind == kg.DECISION_VARIABLE:
-        label = entity.fields.get("domain", "continuous")
-        bounds = entity.fields.get("bounds")
-        if bounds:
-            label += f" in [{model_dsl.format_number(bounds[0])}, {model_dsl.format_number(bounds[1])}]"
+# The domain label by kind, for a parameter and for an entity with no declaration.
+_KIND_DOMAIN = {kg.DECISION_VARIABLE: model_dsl.CONTINUOUS, kg.PARAMETER: "numeric"}
+
+
+def _domain_label(kind: str, decl) -> str:
+    if isinstance(decl, model_dsl.VarDecl):
+        label = decl.domain
+        if decl.bounds is not None:
+            lo, hi = map(model_dsl.format_number, decl.bounds)
+            label += f" in [{lo}, {hi}]"
         return label
-    if entity.kind == kg.PARAMETER:
-        return "numeric"
-    if entity.kind == kg.INDEX_SET:
-        members = entity.fields.get("members")
-        if members:
-            return "{" + ", ".join(members) + "}"
-        lo, hi = entity.fields.get("lo"), entity.fields.get("hi")
-        if lo is not None and hi is not None:
-            return f"{lo}..{hi}"
-        return "-"
-    return "-"
+    if isinstance(decl, model_dsl.SetDecl):
+        if decl.members:
+            return "{" + ", ".join(decl.members) + "}"
+        return f"{decl.lo}..{decl.hi}"
+    return _KIND_DOMAIN.get(kind, "-")
 
 
 def formal_definition(entity: Entity) -> str:
-    sets = ", ".join(entity.fields.get("index_sets", ()))
+    decl = kg.declaration(entity)
+    sets = ", ".join(getattr(decl, "index_sets", ()))
     symbol = entity.fields.get("solver_symbol") or entity.fields.get("solver_symbol_hint") or "-"
-    return f"{entity.name} : {entity.kind} : {_domain_label(entity)} : {{{sets}}} : {symbol}"
+    return f"{entity.name} : {entity.kind} : {_domain_label(entity.kind, decl)} : {{{sets}}} : {symbol}"
 
 
 def build_context_from_members(
@@ -179,40 +178,6 @@ def build_context(graph: KnowledgeGraph, retrieval: RetrievalResult, instruction
 
 # --- Generators ------------------------------------------------------------------
 
-def _declaration_statement(entity: Entity) -> str | None:
-    if entity.kind == kg.INDEX_SET:
-        members = entity.fields.get("members")
-        if members:
-            return model_dsl.emit_set(model_dsl.SetDecl(entity.id, members=tuple(members)))
-        return model_dsl.emit_set(
-            model_dsl.SetDecl(entity.id, lo=entity.fields.get("lo"), hi=entity.fields.get("hi"))
-        )
-    if entity.kind == kg.PARAMETER:
-        data = entity.fields.get("data")
-        if isinstance(data, list):
-            data = tuple(float(v) for v in data)
-        elif data is not None:
-            data = float(data)
-        return model_dsl.emit_param(
-            model_dsl.ParamDecl(
-                entity.id,
-                index_sets=tuple(entity.fields.get("index_sets", ())),
-                data=data,
-            )
-        )
-    if entity.kind == kg.DECISION_VARIABLE:
-        bounds = entity.fields.get("bounds")
-        return model_dsl.emit_var(
-            model_dsl.VarDecl(
-                entity.id,
-                index_sets=tuple(entity.fields.get("index_sets", ())),
-                domain=entity.fields.get("domain", "continuous"),
-                bounds=tuple(bounds) if bounds else None,
-            )
-        )
-    return None
-
-
 class TemplateGenerator:
     """Deterministic generator: declarations in dependency order, then stored
     constraint statements, then one stored objective statement.
@@ -237,12 +202,15 @@ class TemplateGenerator:
                 else:
                     objectives.append((entity.id, expression))
                 continue
-            if entity.source != kg.SOURCE_CODE:
-                # Concepts realize through their aligned code entities.
-                continue
-            statement = _declaration_statement(entity)
-            if statement is not None:
-                declarations.append(statement)
+            # Paper entities declare nothing: they realize through their
+            # aligned code entities.
+            decl = kg.declaration(entity)
+            if isinstance(decl, model_dsl.SetDecl):
+                declarations.append(model_dsl.emit_set(decl))
+            elif isinstance(decl, model_dsl.ParamDecl):
+                declarations.append(model_dsl.emit_param(decl))
+            elif decl is not None:
+                declarations.append(model_dsl.emit_var(decl))
         lines = declarations + constraints
         if objectives:
             objectives.sort()
@@ -311,15 +279,6 @@ def generate(package: ContextPackage, generator) -> str:
 
 VALUE_EXPECTATION = "variable_or_parameter"
 
-_CODE_KIND_LABEL = {
-    model_dsl.SET: kg.INDEX_SET,
-    model_dsl.PARAM: kg.PARAMETER,
-    model_dsl.VAR: kg.DECISION_VARIABLE,
-    model_dsl.CONSTRAINT: kg.CONSTRAINT,
-    model_dsl.OBJECTIVE: kg.OBJECTIVE,
-}
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     """The verdict on generated code. "ok" means a usable model: at least one
@@ -347,15 +306,11 @@ class ValidationReport:
 
 
 def _graph_resolution(graph: KnowledgeGraph | None, name: str) -> tuple[str, int] | None:
-    """(kind label, arity) of the best graph match for an identifier, if any."""
-    if graph is None:
+    """(kind, arity) of the best graph match for an identifier, if any."""
+    found = graph.find_by_name(name) if graph is not None else ()
+    if not found:
         return None
-    for entity in graph.find_by_name(name):
-        if entity.kind in (kg.DECISION_VARIABLE, kg.PARAMETER, kg.INDEX_SET):
-            arity = len(entity.fields.get("index_sets", ())) if entity.kind != kg.INDEX_SET else 0
-            return entity.kind, arity
-        return entity.kind, 0
-    return None
+    return found[0].kind, len(getattr(kg.declaration(found[0]), "index_sets", ()))
 
 
 def validate(code: str, graph: KnowledgeGraph | None = None) -> ValidationReport:
@@ -393,7 +348,7 @@ def validate(code: str, graph: KnowledgeGraph | None = None) -> ValidationReport
     def resolve(name: str) -> tuple[str, int] | None:
         decl = declared.get(name)
         if decl is not None:
-            return _CODE_KIND_LABEL[decl.kind], decl.arity
+            return decl.kind, decl.arity
         return _graph_resolution(graph, name)
 
     for ref in facts.references:

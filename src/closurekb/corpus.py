@@ -13,6 +13,7 @@ Also provides the corpus fixtures used by the ablation harness.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 from . import battery, fjsp
@@ -120,69 +121,39 @@ def write_battery_corpus(directory) -> list[Path]:
     return [instance, cards, query]
 
 
+DISPERSED_MODEL = """
+set horizon = 1..4;
+var flowRate{horizon} continuous in [0, 10];
+param reservePool{horizon} = [3, 3, 3, 3];
+param capScale = 2;
+param baseMargin = 1;
+con couplingLimit{t in horizon : t >= 2}: flowRate[t] <= capScale*reservePool[t-1] + baseMargin;
+"""
+DISPERSED_DESCRIPTIONS = {
+    "horizon": "Planning periods.",
+    "flowRate": "Throughput decision per period.",
+    "reservePool": "Stock held back each period.",
+    "capScale": "Multiplier applied to held stock.",
+    "baseMargin": "Additive slack allowance.",
+    "couplingLimit": "The coupling limit constraint bounds each flow step by the prior reserve.",
+}
+
+
 def dispersed_fixture_graph() -> KnowledgeGraph:
     """Dependencies of the target constraint spread across entities whose
     descriptions share no token with the fixture query, plus two paper notes
     whose descriptions monopolize the semantic top-k."""
+    code = KnowledgeGraph()
+    kg.ingest_model(model_dsl.parse_model(DISPERSED_MODEL), code)
     graph = KnowledgeGraph()
-
-    def code(entity_id, kind, description, fields):
-        fields = dict(fields)
-        fields.setdefault("solver_symbol", entity_id)
-        graph.add_entity(
-            kg.Entity(
-                id=entity_id,
-                kind=kind,
-                name=entity_id,
-                description=description,
-                fields=fields,
-                source=kg.SOURCE_CODE,
-            )
-        )
-
-    code("horizon", kg.INDEX_SET, "Planning periods.", {"lo": 1, "hi": 4})
-    code(
-        "flowRate", kg.DECISION_VARIABLE, "Throughput decision per period.",
-        {"index_sets": ["horizon"], "domain": model_dsl.CONTINUOUS, "bounds": [0, 10]},
-    )
-    code(
-        "reservePool", kg.PARAMETER, "Stock held back each period.",
-        {"index_sets": ["horizon"], "data": [3, 3, 3, 3]},
-    )
-    code("capScale", kg.PARAMETER, "Multiplier applied to held stock.", {"index_sets": [], "data": 2})
-    code("baseMargin", kg.PARAMETER, "Additive slack allowance.", {"index_sets": [], "data": 1})
-    code(
-        "couplingLimit", kg.CONSTRAINT,
-        "The coupling limit constraint bounds each flow step by the prior reserve.",
-        {
-            "expression": (
-                "con couplingLimit{t in horizon : t >= 2}: "
-                "flowRate[t] <= capScale*reservePool[t-1] + baseMargin;"
-            )
-        },
-    )
-    graph.add_edge("couplingLimit", "flowRate", kg.USED_IN)
-    graph.add_edge("couplingLimit", "reservePool", kg.USED_IN)
-    graph.add_edge("couplingLimit", "capScale", kg.USED_IN)
-    graph.add_edge("couplingLimit", "baseMargin", kg.USED_IN)
-    graph.add_edge("couplingLimit", "horizon", kg.DEPENDS_ON)
-    graph.add_edge("flowRate", "horizon", kg.DEPENDS_ON)
-    graph.add_edge("reservePool", "horizon", kg.DEPENDS_ON)
-
+    for entity_id, description in DISPERSED_DESCRIPTIONS.items():
+        graph.add_entity(replace(code.entity(entity_id), description=description))
+    merge_graphs(graph, code)
     for note_id, blurb in (
         ("backgroundNoteA", "Adding a coupling limit constraint keeps the flow network stable."),
         ("backgroundNoteB", "The flow network coupling limit constraint is explained in this note."),
     ):
-        graph.add_entity(
-            kg.Entity(
-                id=note_id,
-                kind=kg.CONCEPT,
-                name=note_id,
-                description=blurb,
-                fields={},
-                source=kg.SOURCE_PAPER,
-            )
-        )
+        graph.add_entity(kg.Entity(note_id, kg.CONCEPT, note_id, blurb, source=kg.SOURCE_PAPER))
     return graph
 
 

@@ -12,6 +12,7 @@ keys and unknown kind strings are rejected.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -23,13 +24,14 @@ from .errors import (
     SchemaViolation,
     UnknownEntity,
 )
-from .model_dsl import ModelAst
+from .model_dsl import Constraint, ModelAst, Objective, ParamDecl, SetDecl, VarDecl
 
-DECISION_VARIABLE = "decision_variable"
-PARAMETER = "parameter"
-INDEX_SET = "index_set"
-CONSTRAINT = "constraint"
-OBJECTIVE = "objective"
+# The five statement kinds are MiniModel's declaration kinds.
+DECISION_VARIABLE = model_dsl.VAR
+PARAMETER = model_dsl.PARAM
+INDEX_SET = model_dsl.SET
+CONSTRAINT = model_dsl.CONSTRAINT
+OBJECTIVE = model_dsl.OBJECTIVE
 AUXILIARY_RULE = "auxiliary_rule"
 CONCEPT = "concept"
 
@@ -53,6 +55,9 @@ SOURCE_CODE = "code"
 SOURCE_PAPER = "paper"
 SOURCES = (SOURCE_CODE, SOURCE_PAPER)
 
+_UNREAD = object()
+
+
 @dataclass
 class Entity:
     id: str
@@ -61,6 +66,8 @@ class Entity:
     description: str = ""
     fields: dict = field(default_factory=dict)
     source: str = SOURCE_CODE
+    # What declaration() read from fields, kept: an entity is not mutated once made.
+    _declaration: object = field(default=_UNREAD, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ENTITY_KINDS:
@@ -249,15 +256,11 @@ class NameLookup:
         self.by_first_token: dict[str, list[tuple[tuple[str, ...], str, int]]] = {}
         for entity_id in graph.sorted_ids():
             ent = graph.entities[entity_id]
-            # A loaded document may hold non-string names or symbols; no
-            # query string can equal them.
-            for key in {k for k in (ent.name, ent.fields.get("solver_symbol")) if isinstance(k, str)}:
+            for key in {ent.name, ent.fields.get("solver_symbol", ent.name)}:
                 self.by_name.setdefault(key, []).append(ent)
             hint = ent.fields.get("solver_symbol_hint")
-            if isinstance(hint, str):
+            if hint is not None:
                 self.by_hint.setdefault(hint, []).append(ent)
-            if not isinstance(ent.name, str):
-                continue
             self.by_norm.setdefault(normalize_name(ent.name), []).append(entity_id)
             tokens = split_name_tokens(ent.name)
             if tokens:
@@ -283,31 +286,9 @@ def ingest_model(ast: ModelAst, graph: KnowledgeGraph) -> list[str]:
     declaration) and a name iterated by its own declaration are rejected
     before the graph is touched.
     """
-    declared: list[Entity] = []
-
-    def declare(name: str, kind: str, fields: dict) -> None:
-        fields = dict(fields)
-        fields.setdefault("solver_symbol", name)
-        declared.append(Entity(id=name, kind=kind, name=name, description="", fields=fields, source=SOURCE_CODE))
-
-    for decl in ast.sets:
-        fields = {"members": list(decl.members)} if decl.members is not None else {"lo": decl.lo, "hi": decl.hi}
-        declare(decl.name, INDEX_SET, fields)
-    for decl in ast.params:
-        fields = {"index_sets": list(decl.index_sets)}
-        if decl.data is not None:
-            fields["data"] = list(decl.data) if isinstance(decl.data, tuple) else decl.data
-        declare(decl.name, PARAMETER, fields)
-    for decl in ast.vars:
-        fields = {"index_sets": list(decl.index_sets), "domain": decl.domain}
-        if decl.bounds is not None:
-            fields["bounds"] = list(decl.bounds)
-        declare(decl.name, DECISION_VARIABLE, fields)
-    for con in ast.constraints:
-        declare(con.name, CONSTRAINT, {"expression": model_dsl.emit_constraint(con)})
-    if ast.objective is not None:
-        obj = ast.objective
-        declare(obj.name, OBJECTIVE, {"expression": model_dsl.emit_objective(obj), "sense": obj.sense})
+    objective = (ast.objective,) if ast.objective is not None else ()
+    statements = (*ast.sets, *ast.params, *ast.vars, *ast.constraints, *objective)
+    declared = [_code_entity(stmt) for stmt in statements]
     facts = model_dsl.extract_symbols(ast)
 
     kinds: dict[str, str] = {}
@@ -344,6 +325,71 @@ def ingest_model(ast: ModelAst, graph: KnowledgeGraph) -> list[str]:
         graph.add_edge(site, ensure_target(set_name), DEPENDS_ON)
 
     return ids
+
+
+# --- Code declarations ----------------------------------------------------------
+# A code entity's fields hold its statement (README, "Knowledge units"):
+# `_code_entity` writes them, `declaration` reads a set, param or var back.
+
+def _code_entity(stmt) -> Entity:
+    """The code entity of one parsed statement."""
+    if isinstance(stmt, SetDecl):
+        kind = INDEX_SET
+        fields = {"lo": stmt.lo, "hi": stmt.hi} if stmt.members is None else {"members": list(stmt.members)}
+    elif isinstance(stmt, ParamDecl):
+        kind, fields = PARAMETER, {"index_sets": list(stmt.index_sets)}
+        if stmt.data is not None:
+            fields["data"] = list(stmt.data) if isinstance(stmt.data, tuple) else stmt.data
+    elif isinstance(stmt, VarDecl):
+        kind, fields = DECISION_VARIABLE, {"index_sets": list(stmt.index_sets), "domain": stmt.domain}
+        if stmt.bounds is not None:
+            fields["bounds"] = list(stmt.bounds)
+    elif isinstance(stmt, Constraint):
+        kind, fields = CONSTRAINT, {"expression": model_dsl.emit_constraint(stmt)}
+    else:
+        kind, fields = OBJECTIVE, {"expression": model_dsl.emit_objective(stmt), "sense": stmt.sense}
+    fields["solver_symbol"] = stmt.name
+    return Entity(id=stmt.name, kind=kind, name=stmt.name, fields=fields, source=SOURCE_CODE)
+
+
+def declaration(entity: Entity) -> SetDecl | ParamDecl | VarDecl | None:
+    """The set, param or var statement a code entity declares, named by its
+    id and read from its fields once; None for any other entity and for an
+    index set with neither members nor a range. SchemaViolation on a
+    malformed field."""
+    decl = entity._declaration
+    if decl is _UNREAD:
+        decl = entity._declaration = _read_declaration(entity)
+    return decl
+
+
+def _read_declaration(entity: Entity) -> SetDecl | ParamDecl | VarDecl | None:
+    if entity.source != SOURCE_CODE:
+        return None
+    fields = entity.fields
+    if entity.kind == INDEX_SET:
+        members = json_field(fields, "members", [str], None)
+        if members:
+            return SetDecl(entity.id, members=tuple(members))
+        lo, hi = json_field(fields, "lo", int, None), json_field(fields, "hi", int, None)
+        if (lo is None) != (hi is None):
+            raise SchemaViolation("an index set range needs both 'lo' and 'hi'")
+        return SetDecl(entity.id, lo=lo, hi=hi) if lo is not None else None
+    if entity.kind == PARAMETER:
+        data = json_field(fields, "data", [float] if isinstance(fields.get("data"), list) else float, None)
+        if data is not None:
+            data = tuple(map(float, data)) if isinstance(data, list) else float(data)
+        return ParamDecl(entity.id, tuple(json_field(fields, "index_sets", [str], ())), data)
+    if entity.kind == DECISION_VARIABLE:
+        domain = json_field(fields, "domain", str, model_dsl.CONTINUOUS)
+        if domain not in model_dsl.VAR_DOMAINS:
+            raise SchemaViolation(f"field 'domain' must be one of {', '.join(model_dsl.VAR_DOMAINS)}")
+        bounds = json_field(fields, "bounds", [float], None)
+        if bounds is not None and len(bounds) != 2:
+            raise SchemaViolation("field 'bounds' must be a [lower, upper] pair")
+        index_sets = tuple(json_field(fields, "index_sets", [str], ()))
+        return VarDecl(entity.id, index_sets, domain, tuple(bounds) if bounds is not None else None)
+    return None
 
 
 def ingest_concept_cards(cards, graph: KnowledgeGraph) -> list[str]:
@@ -416,25 +462,27 @@ def cards_from_json(doc) -> list[ConceptCard]:
 
 
 _REQUIRED = object()
+# kind -> (the exact types it accepts: float is any JSON number, never a boolean; its names)
 _JSON_KINDS = {
-    int: ("an integer", "integers"),
-    float: ("a number", "numbers"),
-    str: ("a string", "strings"),
-    list: ("a list", "lists"),
-    dict: ("an object", "objects"),
+    int: ({int}, "an integer", "integers"),
+    float: ({int, float}, "a number", "numbers"),
+    str: ({str}, "a string", "strings"),
+    list: ({list}, "a list", "lists"),
+    dict: ({dict}, "an object", "objects"),
 }
 
 
-def _is_json(kind: type, value) -> bool:
-    """float stands for any JSON number; a boolean is neither int nor float."""
-    if isinstance(value, bool):
+def _finite(numbers) -> bool:
+    try:
+        return all(map(math.isfinite, numbers))
+    except OverflowError:  # an integer past the float range
         return False
-    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def json_field(record: dict, key: str, kind, default=_REQUIRED):
     """record[key], checked to be of `kind` (int, float, str, list or dict),
-    or a list of them when `kind` is `[item kind]`.
+    or a list of them when `kind` is `[item kind]`. A number must be finite:
+    JSON's 1e400 reads as infinity.
 
     A missing or null field gives `default`; without one it raises
     SchemaViolation, as does a field of the wrong kind.
@@ -445,11 +493,13 @@ def json_field(record: dict, key: str, kind, default=_REQUIRED):
             raise SchemaViolation(f"missing field {key!r}")
         return default
     if isinstance(kind, list):
-        ok = isinstance(value, list) and all(_is_json(kind[0], item) for item in value)
-        expected = "a list of " + _JSON_KINDS[kind[0]][1]
+        types, _one, many = _JSON_KINDS[kind[0]]
+        ok = type(value) is list and all(map(types.__contains__, map(type, value)))
+        ok = ok and (kind[0] is not float or _finite(value))
+        expected = "a list of " + many
     else:
-        ok = _is_json(kind, value)
-        expected = _JSON_KINDS[kind][0]
+        types, expected, _many = _JSON_KINDS[kind]
+        ok = type(value) in types and (kind is not float or _finite((value,)))
     if not ok:
         raise SchemaViolation(f"field {key!r} must be {expected}")
     return value
@@ -524,6 +574,7 @@ def align(graph: KnowledgeGraph) -> AlignResult:
 _DOC_KEYS = {"version", "entities", "edges"}
 _ENTITY_KEYS = {"id", "kind", "name", "description", "source", "fields"}
 _EDGE_KEYS = {"src", "dst", "kind"}
+_TEXT_FIELDS = frozenset({"snippet", "expression", "solver_symbol", "solver_symbol_hint"})
 
 
 def save(graph: KnowledgeGraph) -> dict:
@@ -549,7 +600,8 @@ def save(graph: KnowledgeGraph) -> dict:
 
 
 def load(document: dict) -> KnowledgeGraph:
-    """Rebuild a graph from a knowledge-unit document; SchemaViolation on malformed input."""
+    """Rebuild a graph from a knowledge-unit document; SchemaViolation on
+    malformed input, a code entity's declaration fields included."""
     if not isinstance(document, dict):
         raise SchemaViolation("knowledge-unit document must be an object")
     unknown = set(document) - _DOC_KEYS
@@ -570,28 +622,22 @@ def load(document: dict) -> KnowledgeGraph:
             raise SchemaViolation(f"entity record keys must be {sorted(_ENTITY_KEYS)}")
         if not isinstance(raw["id"], str):
             raise SchemaViolation(f"entity id must be a string, got {type(raw['id']).__name__}")
-        if raw["kind"] not in ENTITY_KINDS:
-            raise SchemaViolation(f"unknown entity kind {raw['kind']!r}")
-        if raw["source"] not in SOURCES:
-            raise SchemaViolation(f"unknown entity source {raw['source']!r}")
         if not isinstance(raw["fields"], dict):
             raise SchemaViolation("entity fields must be an object")
-        for label, text in (("name", raw["name"]), ("description", raw["description"]),
-                            ("snippet", raw["fields"].get("snippet", ""))):
+        for label, text in (("name", raw["name"]), ("description", raw["description"])):
             if not isinstance(text, str):
                 raise SchemaViolation(f"entity {label} must be a string, got {type(text).__name__}")
         if raw["id"] in graph:
             raise SchemaViolation(f"duplicate entity id {raw['id']!r}")
-        graph.add_entity(
-            Entity(
-                id=raw["id"],
-                kind=raw["kind"],
-                name=raw["name"],
-                description=raw["description"],
-                fields=raw["fields"],
-                source=raw["source"],
-            )
-        )
+        entity = Entity(**raw)
+        try:
+            for key, value in entity.fields.items():
+                if key in _TEXT_FIELDS and type(value) is not str:
+                    raise SchemaViolation(f"field {key!r} must be a string")
+            declaration(entity)
+        except SchemaViolation as exc:
+            raise SchemaViolation(f"entity {entity.id!r}: {exc}") from None
+        graph.add_entity(entity)
     for raw in document["edges"]:
         if not isinstance(raw, dict) or set(raw) != _EDGE_KEYS:
             raise SchemaViolation(f"edge record keys must be {sorted(_EDGE_KEYS)}")

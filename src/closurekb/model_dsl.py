@@ -163,9 +163,10 @@ class ModelAst:
 
 # --- Symbol facts ------------------------------------------------------------
 
-SET = "set"
-PARAM = "param"
-VAR = "var"
+# Declaration kinds, spelled as the knowledge graph's entity kinds.
+SET = "index_set"
+PARAM = "parameter"
+VAR = "decision_variable"
 CONSTRAINT = "constraint"
 OBJECTIVE = "objective"
 
@@ -173,7 +174,7 @@ OBJECTIVE = "objective"
 @dataclass(frozen=True)
 class Declaration:
     name: str
-    kind: str  # set | param | var | constraint | objective
+    kind: str  # SET | PARAM | VAR | CONSTRAINT | OBJECTIVE
     domain: str | None
     arity: int
 

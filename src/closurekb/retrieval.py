@@ -120,11 +120,9 @@ def _match_intents(text: str) -> tuple[str, ...]:
 
 def _slots_per_hour(graph: KnowledgeGraph) -> int | None:
     for entity_id in graph.names().by_norm.get("slotsperhour", ()):
-        ent = graph.entities[entity_id]
-        if ent.kind == kg.PARAMETER:
-            data = ent.fields.get("data")
-            if isinstance(data, (int, float)) and data > 0:
-                return int(data)
+        data = getattr(kg.declaration(graph.entities[entity_id]), "data", None)
+        if isinstance(data, float) and data > 0:
+            return int(data)
     return None
 
 

@@ -433,6 +433,45 @@ def test_graph_with_non_string_text_is_a_usage_error_without_traceback(tmp_path,
     assert "Traceback" not in proc.stderr + proc.stdout
 
 
+MODEL = "set T = 1..2; param cap{T} = [1, 2]; var x{T} continuous in [0, 5]; con limit{t in T}: x[t] <= cap[t];"
+
+
+@pytest.mark.parametrize("entity_id, key, raw", [
+    ("cap", "data", "1e400"),
+    ("cap", "data", "[1, 1e400]"),
+    ("x", "bounds", "5"),
+    ("T", "members", "5"),
+    ("cap", "index_sets", "[5]"),
+    ("limit", "expression", "5"),
+    ("cap", "solver_symbol", '["cap"]'),
+    ("x", "domain", '"real"'),
+], ids=["data-1e400", "data-list-1e400", "int-bounds", "int-members", "int-index-set",
+        "int-expression", "list-solver_symbol", "unknown-domain"])
+@pytest.mark.parametrize("argv", [
+    ("ingest", "{graph}", "--graph", "{out}"),
+    ("query", "what is the value of cap", "--graph", "{graph}"),
+    ("generate", "what is the value of cap", "--graph", "{graph}"),
+    ("validate", "{code}", "--graph", "{graph}"),
+], ids=["ingest", "query", "generate", "validate"])
+def test_graph_with_malformed_declaration_field_is_a_usage_error_without_traceback(
+    tmp_path, capsys, entity_id, key, raw, argv
+):
+    source = tmp_path / "model.mm"
+    source.write_text(MODEL, encoding="utf-8")
+    graph = tmp_path / "g.kg.json"
+    assert main(["ingest", str(source), "--graph", str(graph)]) == EXIT_OK
+    document = json.loads(graph.read_text(encoding="utf-8"))
+    fields = next(e["fields"] for e in document["entities"] if e["id"] == entity_id)
+    fields[key] = "@malformed@"
+    graph.write_text(json.dumps(document).replace('"@malformed@"', raw), encoding="utf-8")
+    capsys.readouterr()
+    paths = {"graph": graph, "out": tmp_path / "out.kg.json", "code": source}
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: entity {entity_id!r}: field {key!r}")
+    assert "Traceback" not in captured.err + captured.out
+
+
 NOT_UTF8 = b'{"x": "\xff\xfe"}'
 
 
@@ -444,14 +483,19 @@ def good_inputs(tmp_path_factory):
     fjs.write_text("2 1\n1 1 1 3\n1 1 1 4\n", encoding="utf-8")
     toy = directory / "toy.json"
     toy.write_text(json.dumps(battery.data_to_json(battery.toy_case_data())), encoding="utf-8")
+    buffered = directory / "buffered.json"
+    buffered.write_text(json.dumps({"y": {"m11": [1, 0]}, "buffers": {"B04": [1, 2]}}), encoding="utf-8")
     code = directory / "q.mm"
     code.write_text("param q = 1;\n", encoding="utf-8")
     graph = directory / "two.kg.json"
     assert main(["ingest", str(fjs), "--graph", str(graph)]) == EXIT_OK
     corpus.write_dispersed_corpus(directory / "corpus")
-    return {"fjs": fjs, "toy": toy, "code": code, "graph": graph, "corpus": directory / "corpus"}
+    return {"fjs": fjs, "toy": toy, "buffered": buffered, "code": code, "graph": graph,
+            "corpus": directory / "corpus"}
 
 
+SLOT_99 = {**battery.data_to_json(battery.toy_case_data()),
+           "products": [{"price": 5.0, "quantity_buffer": ["B04", 99]}]}
 FJSP_SOLUTION = ("eval", "fjsp", "{fjs}", "--solution", "{bad}")
 FJSP_WINDOWS = ("eval", "fjsp", "{fjs}", "--windows", "{bad}", "--brute-force")
 ABLATE_CONFIG = ("ablate", "{corpus}", "--config", "{bad}")
@@ -465,6 +509,9 @@ ABLATE_SCRIPT = ("ablate", "{corpus}", "--config", "{script_config}")
     (FJSP_WINDOWS, "w.json", [{"machine": "a", "w_start": 1, "w_end": 2}]),
     (FJSP_WINDOWS, "w.json", [5]),
     (FJSP_WINDOWS, "w.json", NOT_UTF8),
+    (FJSP_WINDOWS, "w.json", b'[{"machine": 1, "w_start": 1, "w_end": 1e400}]'),
+    (FJSP_SOLUTION, "s.json", b'{"x": [[[1]], [[1]]], "s": [[0], [1e400]]}'),
+    (("eval", "battery", "{bad}", "--solution", "{buffered}"), "bad.json", SLOT_99),
     (("eval", "fjsp", "{bad}", "--brute-force"), "bad.fjs", NOT_UTF8),
     (("eval", "battery", "{bad}", "--brute-force"), "bad.json", NOT_UTF8),
     (("eval", "battery", "{toy}", "--solution", "{bad}"), "s.json", NOT_UTF8),
@@ -488,6 +535,7 @@ ABLATE_SCRIPT = ("ablate", "{corpus}", "--config", "{script_config}")
 ], ids=[
     "solution-list", "solution-int-x", "solution-not-utf8",
     "windows-string-machine", "windows-int-record", "windows-not-utf8",
+    "windows-1e400-end", "solution-1e400-start", "battery-slot-outside-horizon",
     "fjs-not-utf8", "battery-not-utf8", "battery-solution-not-utf8",
     "config-string-runs", "config-string-window_k", "config-list", "config-not-utf8",
     "script-int", "script-list-of-int", "script-not-utf8",

@@ -72,6 +72,32 @@ def test_ingested_executability_edges_are_the_symbol_facts():
         assert depends_on == set(facts.iterations)
 
 
+@pytest.mark.parametrize("value, kind", [
+    (float("inf"), float), (float("nan"), float), (10 ** 400, float), ([1.0, float("-inf")], [float]),
+    (True, int), ([1, True], [float]), ((1.0,), [float]),
+])
+def test_json_field_rejects_non_finite_numbers_booleans_and_tuples(value, kind):
+    with pytest.raises(SchemaViolation):
+        kg.json_field({"v": value}, "v", kind)
+    assert kg.json_field({"v": [10 ** 300, 0.5]}, "v", [float]) == [10 ** 300, 0.5]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0))
+def test_declaration_reads_back_each_ingested_declaration(seed):
+    ast = random_model(random.Random(seed))
+    ast = md.ModelAst(ast.sets + (md.SetDecl("M", members=("a", "b")),), ast.params, ast.vars,
+                      ast.constraints, ast.objective)
+    graph = kg.KnowledgeGraph()
+    kg.ingest_model(ast, graph)
+    loaded = kg.load(json.loads(json.dumps(kg.save(graph))))
+    assert loaded == graph
+    declared = {decl.name: decl for decl in ast.sets + ast.params + ast.vars}
+    for entity_id, entity in loaded.entities.items():
+        assert kg.declaration(graph.entity(entity_id)) == declared.get(entity_id)
+        assert kg.declaration(entity) == declared.get(entity_id)
+
+
 def test_ingest_set_only_model_has_no_edges():
     graph = ingest_source("set T = 1..2;")
     assert len(graph) == 1
@@ -505,4 +531,13 @@ def graphs(draw):
 @settings(max_examples=100, deadline=None)
 @given(graphs())
 def test_load_of_saved_json_equals_the_graph(graph):
-    assert kg.load(json.loads(json.dumps(kg.save(graph)))) == graph
+    document = json.loads(json.dumps(kg.save(graph)))
+    try:
+        for entity in graph.entities.values():
+            kg.declaration(entity)
+    except SchemaViolation:
+        # A code entity whose declaration fields are malformed does not load.
+        with pytest.raises(SchemaViolation):
+            kg.load(document)
+        return
+    assert kg.load(document) == graph
