@@ -25,16 +25,6 @@ class ClosureResult:
     edge_count: int
 
 
-def exec_edges_within(graph: KnowledgeGraph, members) -> list:
-    """Executability edges between members, sorted by (src, dst, kind)."""
-    return [
-        e
-        for src in sorted(members)
-        for e in graph.edges_from(src)
-        if e.kind in EXEC_KINDS and e.dst in members
-    ]
-
-
 def closure(graph: KnowledgeGraph, target: str) -> ClosureResult:
     """BFS forward reachability over executability edges from `target`.
 
@@ -91,13 +81,14 @@ def induced_subgraph(graph: KnowledgeGraph, members) -> KnowledgeGraph:
     aligns_to edges are excluded; entity records are shared (read-only use).
     """
     member_set = set(members)
+    ordered = sorted(member_set)
     sub = KnowledgeGraph()
-    for entity_id in sorted(member_set):
-        if entity_id not in graph:
-            raise UnknownEntity(f"no entity with id {entity_id!r}")
+    for entity_id in ordered:
         sub.add_entity(graph.entity(entity_id))
-    for edge in exec_edges_within(graph, member_set):
-        sub.add_edge(edge.src, edge.dst, edge.kind)
+    for src in ordered:
+        for edge in graph.edges_from(src):
+            if edge.kind in EXEC_KINDS and edge.dst in member_set:
+                sub.add_edge(src, edge.dst, edge.kind)
     return sub
 
 

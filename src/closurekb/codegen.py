@@ -2,7 +2,10 @@
 
 The context package lists typed entities dependencies-first, describes the
 induced dependency subgraph, and appends background snippets plus the
-instruction. The default generator is a deterministic template that declares
+instruction. One walk over the members' executability out-edges gives the
+closedness check, the dependency order and the subgraph lines. Each entity's
+text (its definition line, and its template statement) is made once and kept
+on the entity. The default generator is a deterministic template that declares
 every set/param/var in the package and renders stored constraint/objective
 statements; an external generator is a wire contract (package text in, code
 text out) exercised through mocks or the CLOSUREKB_GENERATOR_ENDPOINT setting.
@@ -27,13 +30,13 @@ from dataclasses import dataclass
 
 from . import knowledge_graph as kg
 from . import model_dsl
-from .closure import exec_edges_within, is_well_defined
 from .errors import (
     DuplicateDeclaration,
     GeneratorUnavailable,
     MissingExpression,
     NotClosed,
     ParseError,
+    UnknownEntity,
 )
 from .knowledge_graph import EXEC_KINDS, Entity, KnowledgeGraph
 from .retrieval import (
@@ -82,22 +85,18 @@ class ContextPackage:
         return "\n".join(lines) + "\n"
 
 
-def dependency_order(graph: KnowledgeGraph, members) -> list[str]:
-    """Members ordered dependencies-first (reverse topological over
-    executability edges); cycles are broken by smallest id.
-
-    Kahn's algorithm: the smallest ready member (every dependency emitted)
-    comes next; when none is ready, the smallest member not yet emitted.
+def _dependencies_first(ordered: list[str], deps: dict[str, list[str]]) -> list[str]:
+    """Kahn's algorithm over the sorted members `ordered`, where deps[m] lists
+    m's dependencies among them (a repeat is counted and released alike):
+    the smallest ready member (every dependency emitted) comes next; when
+    none is ready, the smallest member not yet emitted, which breaks a cycle.
     """
-    member_set = set(members)
     waiting: dict[str, int] = {}  # member -> its dependencies not yet emitted
-    dependents: dict[str, list[str]] = {member: [] for member in member_set}
-    for member in member_set:
-        deps = [d for d in graph.neighbors(member, EXEC_KINDS, "out") if d in member_set]
-        waiting[member] = len(deps)
-        for dep in deps:
+    dependents: dict[str, list[str]] = {member: [] for member in ordered}
+    for member in ordered:
+        waiting[member] = len(deps[member])
+        for dep in deps[member]:
             dependents[dep].append(member)
-    ordered = sorted(member_set)
     ready = [member for member in ordered if not waiting[member]]  # sorted, so a heap
     emitted: set[str] = set()
     order: list[str] = []
@@ -119,6 +118,22 @@ def dependency_order(graph: KnowledgeGraph, members) -> list[str]:
     return order
 
 
+def dependency_order(graph: KnowledgeGraph, members) -> list[str]:
+    """Members ordered dependencies-first (reverse topological over
+    executability edges); cycles are broken by smallest id. UnknownEntity
+    for a member not in the graph."""
+    member_set = set(members)
+    ordered = sorted(member_set)
+    deps: dict[str, list[str]] = {}
+    for member in ordered:
+        if member not in graph:
+            raise UnknownEntity(f"no entity with id {member!r}")
+        deps[member] = [
+            e.dst for e in graph.edges_from(member) if e.kind in EXEC_KINDS and e.dst in member_set
+        ]
+    return _dependencies_first(ordered, deps)
+
+
 # The domain label by kind, for a parameter and for an entity with no declaration.
 _KIND_DOMAIN = {kg.DECISION_VARIABLE: model_dsl.CONTINUOUS, kg.PARAMETER: "numeric"}
 
@@ -138,10 +153,16 @@ def _domain_label(kind: str, decl) -> str:
 
 
 def formal_definition(entity: Entity) -> str:
-    decl = kg.declaration(entity)
-    sets = ", ".join(getattr(decl, "index_sets", ()))
-    symbol = entity.fields.get("solver_symbol") or entity.fields.get("solver_symbol_hint") or "-"
-    return f"{entity.name} : {entity.kind} : {_domain_label(entity.kind, decl)} : {{{sets}}} : {symbol}"
+    """The entity's line in the package, made once and kept on the entity."""
+    line = entity._definition
+    if line is None:
+        decl = kg.declaration(entity)
+        sets = ", ".join(getattr(decl, "index_sets", ()))
+        symbol = entity.fields.get("solver_symbol") or entity.fields.get("solver_symbol_hint") or "-"
+        line = entity._definition = (
+            f"{entity.name} : {entity.kind} : {_domain_label(entity.kind, decl)} : {{{sets}}} : {symbol}"
+        )
+    return line
 
 
 def build_context_from_members(
@@ -151,19 +172,39 @@ def build_context_from_members(
     instruction: str,
     check_closed: bool = True,
 ) -> ContextPackage:
-    if check_closed:
-        ok, violations = is_well_defined(graph, members)
-        if not ok:
-            raise NotClosed(violations)
+    """The context package of `members`, from one walk over their
+    executability out-edges in sorted order. The walk collects the escaping
+    (src, dst) pairs (NotClosed, before any ordering, when `check_closed`),
+    each member's dependencies among the members (ordered by Kahn's
+    algorithm, as in `dependency_order`) and the subgraph's edge lines.
+    Each entity's definition line is made once and kept on the entity.
+    UnknownEntity for a member not in the graph.
+    """
     member_set = set(members)
-    order = dependency_order(graph, member_set)
-    typed = tuple(
-        (graph.entity(i), formal_definition(graph.entity(i))) for i in order
-    )
-    edge_lines = [f"{e.src} -{e.kind}-> {e.dst}" for e in exec_edges_within(graph, member_set)]
+    ordered = sorted(member_set)
+    escaping: list[tuple[str, str]] = []
+    deps: dict[str, list[str]] = {}
+    edge_lines: list[str] = []
+    for src in ordered:
+        inside = deps[src] = []
+        for edge in graph.edges_from(src):
+            if edge.kind not in EXEC_KINDS:
+                continue
+            if edge.dst in member_set:
+                inside.append(edge.dst)
+                edge_lines.append(f"{src} -{edge.kind}-> {edge.dst}")
+            else:
+                escaping.append((src, edge.dst))
+    # Sources in sorted order, each one's edges sorted by (dst, kind): sorted.
+    if check_closed and escaping:
+        raise NotClosed(escaping)
+    typed = []
+    for entity_id in _dependencies_first(ordered, deps):
+        entity = graph.entity(entity_id)
+        typed.append((entity, formal_definition(entity)))
     return ContextPackage(
         instruction=instruction,
-        typed_entities=typed,
+        typed_entities=tuple(typed),
         subgraph_description="\n".join(edge_lines),
         snippets=tuple(snippets),
     )
@@ -177,6 +218,25 @@ def build_context(graph: KnowledgeGraph, retrieval: RetrievalResult, instruction
 
 
 # --- Generators ------------------------------------------------------------------
+
+def _template_statement(entity: Entity) -> str:
+    """The set, param or var statement an entity declares, "" for none,
+    made once and kept on the entity. Paper entities declare nothing: they
+    realize through their aligned code entities."""
+    statement = entity._statement
+    if statement is None:
+        decl = kg.declaration(entity)
+        if isinstance(decl, model_dsl.SetDecl):
+            statement = model_dsl.emit_set(decl)
+        elif isinstance(decl, model_dsl.ParamDecl):
+            statement = model_dsl.emit_param(decl)
+        elif decl is not None:
+            statement = model_dsl.emit_var(decl)
+        else:
+            statement = ""
+        entity._statement = statement
+    return statement
+
 
 class TemplateGenerator:
     """Deterministic generator: declarations in dependency order, then stored
@@ -202,15 +262,9 @@ class TemplateGenerator:
                 else:
                     objectives.append((entity.id, expression))
                 continue
-            # Paper entities declare nothing: they realize through their
-            # aligned code entities.
-            decl = kg.declaration(entity)
-            if isinstance(decl, model_dsl.SetDecl):
-                declarations.append(model_dsl.emit_set(decl))
-            elif isinstance(decl, model_dsl.ParamDecl):
-                declarations.append(model_dsl.emit_param(decl))
-            elif decl is not None:
-                declarations.append(model_dsl.emit_var(decl))
+            statement = _template_statement(entity)
+            if statement:
+                declarations.append(statement)
         lines = declarations + constraints
         if objectives:
             objectives.sort()
@@ -351,19 +405,21 @@ def validate(code: str, graph: KnowledgeGraph | None = None) -> ValidationReport
             return decl.kind, decl.arity
         return _graph_resolution(graph, name)
 
-    for ref in facts.references:
-        resolution = resolve(ref.name)
+    # Each distinct reference and iterated set is checked once: the findings
+    # are sets, sorted into the report.
+    for name, arity in {(ref.name, ref.arity) for ref in facts.references}:
+        resolution = resolve(name)
         if resolution is None:
-            missing.add(ref.name)
+            missing.add(name)
             continue
         kind_label, declared_arity = resolution
         if kind_label not in (kg.DECISION_VARIABLE, kg.PARAMETER):
-            kind_mismatches.add((ref.name, VALUE_EXPECTATION, kind_label))
+            kind_mismatches.add((name, VALUE_EXPECTATION, kind_label))
             continue
-        if declared_arity != ref.arity:
-            arity_mismatches.add((ref.name, declared_arity, ref.arity))
+        if declared_arity != arity:
+            arity_mismatches.add((name, declared_arity, arity))
 
-    for _site, name in facts.iterations:
+    for name in {name for _site, name in facts.iterations}:
         resolution = resolve(name)
         if resolution is None:
             missing.add(name)

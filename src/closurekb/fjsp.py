@@ -413,7 +413,6 @@ def fjsp_terminology_cards() -> list[ConceptCard]:
 class FjspSolution:
     x: tuple[tuple[tuple[int, ...], ...], ...]  # x[i][j][k-1]
     s: tuple[tuple[float, ...], ...]
-    z: tuple | None = None
     makespan: float | None = None
 
     def assigned_machine(self, i: int, j: int) -> int | None:
@@ -619,7 +618,6 @@ def solution_to_json(sol: FjspSolution) -> dict:
     return {
         "x": [[list(row) for row in job] for job in sol.x],
         "s": [list(job) for job in sol.s],
-        "z": sol.z,
         "makespan": sol.makespan,
     }
 
@@ -638,13 +636,15 @@ def _number_table(doc: dict, key: str, depth: int) -> tuple:
 def solution_from_json(doc: dict) -> FjspSolution:
     """Solution from solution_to_json's document: `x` is flags by job,
     operation and machine, `s` start times by job and operation;
-    SchemaViolation otherwise."""
+    SchemaViolation otherwise. The window-side binaries `z` follow from `x`
+    and `s`, so a solution holds none: a document may give `"z": null`."""
     if not isinstance(doc, dict):
         raise SchemaViolation("FJSP solution must be an object")
+    if doc.get("z") is not None:
+        raise SchemaViolation("FJSP solution field 'z' must be null or absent")
     return FjspSolution(
         x=_number_table(doc, "x", 3),
         s=_number_table(doc, "s", 2),
-        z=json_field(doc, "z", list, None),
         makespan=json_field(doc, "makespan", float, None),
     )
 

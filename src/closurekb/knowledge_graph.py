@@ -66,8 +66,13 @@ class Entity:
     description: str = ""
     fields: dict = field(default_factory=dict)
     source: str = SOURCE_CODE
-    # What declaration() read from fields, kept: an entity is not mutated once made.
+    # Text derived from fields, made once and kept, since an entity is not
+    # mutated once made: what declaration() read, the package's definition
+    # line (codegen.formal_definition) and the template's set/param/var
+    # statement (codegen._template_statement; "" when it declares nothing).
     _declaration: object = field(default=_UNREAD, init=False, repr=False, compare=False)
+    _definition: str | None = field(default=None, init=False, repr=False, compare=False)
+    _statement: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ENTITY_KINDS:

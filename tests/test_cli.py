@@ -511,6 +511,7 @@ ABLATE_SCRIPT = ("ablate", "{corpus}", "--config", "{script_config}")
     (FJSP_WINDOWS, "w.json", NOT_UTF8),
     (FJSP_WINDOWS, "w.json", b'[{"machine": 1, "w_start": 1, "w_end": 1e400}]'),
     (FJSP_SOLUTION, "s.json", b'{"x": [[[1]], [[1]]], "s": [[0], [1e400]]}'),
+    (FJSP_SOLUTION, "s.json", b'{"x": [[[1]], [[1]]], "s": [[0], [3]], "z": [["a", 1e400]]}'),
     (("eval", "battery", "{bad}", "--solution", "{buffered}"), "bad.json", SLOT_99),
     (("eval", "fjsp", "{bad}", "--brute-force"), "bad.fjs", NOT_UTF8),
     (("eval", "battery", "{bad}", "--brute-force"), "bad.json", NOT_UTF8),
@@ -535,7 +536,7 @@ ABLATE_SCRIPT = ("ablate", "{corpus}", "--config", "{script_config}")
 ], ids=[
     "solution-list", "solution-int-x", "solution-not-utf8",
     "windows-string-machine", "windows-int-record", "windows-not-utf8",
-    "windows-1e400-end", "solution-1e400-start", "battery-slot-outside-horizon",
+    "windows-1e400-end", "solution-1e400-start", "solution-with-z", "battery-slot-outside-horizon",
     "fjs-not-utf8", "battery-not-utf8", "battery-solution-not-utf8",
     "config-string-runs", "config-string-window_k", "config-list", "config-not-utf8",
     "script-int", "script-list-of-int", "script-not-utf8",

@@ -9,11 +9,12 @@ from closurekb import battery, codegen, corpus
 from closurekb import knowledge_graph as kg
 from closurekb import model_dsl as md
 from closurekb import retrieval as rt
-from closurekb.closure import closure
+from closurekb.closure import closure, closure_union, is_well_defined
 from closurekb.errors import (
     GeneratorUnavailable,
     MissingExpression,
     NotClosed,
+    UnknownEntity,
 )
 
 from test_closure import make_graph
@@ -108,16 +109,20 @@ def quadratic_dependency_order(graph, members):
     return order
 
 
+def random_cyclic_graph(rng):
+    n = rng.randint(1, 14)
+    edges = set()
+    for _ in range(rng.randint(0, 3 * n) if n > 1 else 0):
+        src, dst = rng.sample(range(n), 2)
+        edges.add((src, dst, rng.choice(kg.EDGE_KINDS)))
+    return make_graph(n, sorted(edges)), n
+
+
 def test_dependency_order_matches_quadratic_reference_on_random_digraphs_with_cycles():
     rng = random.Random(1962)
     cyclic = 0
     for _ in range(1500):
-        n = rng.randint(1, 14)
-        edges = set()
-        for _ in range(rng.randint(0, 3 * n) if n > 1 else 0):
-            src, dst = rng.sample(range(n), 2)
-            edges.add((src, dst, rng.choice(kg.EDGE_KINDS)))
-        graph = make_graph(n, sorted(edges))
+        graph, n = random_cyclic_graph(rng)
         members = {f"n{i:02d}" for i in range(n) if rng.random() < 0.8} or {"n00"}
         order = codegen.dependency_order(graph, members)
         assert order == quadratic_dependency_order(graph, members)
@@ -128,6 +133,57 @@ def test_dependency_order_matches_quadratic_reference_on_random_digraphs_with_cy
             if e.kind in kg.EXEC_KINDS and e.src in members and e.dst in members
         )
     assert cyclic > 100  # the cycle-breaking branch is exercised
+
+
+def reference_package(graph, members, check_closed):
+    """(typed entities, subgraph text) of build_context_from_members from its
+    three former parts: the closedness check, the quadratic order and a scan
+    of every executability edge. Definition lines come from a fresh copy of
+    each entity, which keeps no text."""
+    ok, violations = is_well_defined(graph, members)
+    if check_closed and not ok:
+        raise NotClosed(violations)
+    typed = []
+    for entity_id in quadratic_dependency_order(graph, members):
+        ent = graph.entity(entity_id)
+        fresh = kg.Entity(ent.id, ent.kind, ent.name, ent.description, ent.fields, ent.source)
+        typed.append((ent, codegen.formal_definition(fresh)))
+    inside = sorted(
+        (e.src, e.dst, e.kind)
+        for e in graph.edges
+        if e.kind in kg.EXEC_KINDS and e.src in members and e.dst in members
+    )
+    return tuple(typed), "\n".join(f"{src} -{kind}-> {dst}" for src, dst, kind in inside)
+
+
+def package_outcome(build):
+    try:
+        return "package", build()
+    except NotClosed as exc:
+        return "NotClosed", exc.violations
+    except UnknownEntity:
+        return "UnknownEntity", None
+
+
+def test_one_walk_package_matches_its_three_part_reference_on_random_digraphs_with_cycles():
+    rng = random.Random(1962)
+    seen = set()
+    for _ in range(1500):
+        graph, n = random_cyclic_graph(rng)
+        members = {f"n{i:02d}" for i in range(n) if rng.random() < 0.8} or {"n00"}
+        if rng.random() < 0.5:
+            members = set(closure_union(graph, members))
+        if rng.random() < 0.1:
+            members.add("ghost")
+        for check_closed in (True, False):
+            def build():
+                package = codegen.build_context_from_members(graph, members, [], "x", check_closed)
+                return package.typed_entities, package.subgraph_description
+
+            got = package_outcome(build)
+            assert got == package_outcome(lambda: reference_package(graph, members, check_closed))
+            seen.add(got[0])
+    assert seen == {"NotClosed", "UnknownEntity", "package"}
 
 
 def test_formal_definition_line_shape():
@@ -145,6 +201,16 @@ def test_template_generator_declares_and_renders():
     assert "var y{T} binary;" in code
     assert "param B13{T};" in code
     assert code.strip().endswith("con c{t in T : t >= 2}: y[t] <= B13[t-1];")
+
+
+def test_kept_text_belongs_to_the_entity_not_to_its_id():
+    scalar, indexed = ingest("param q = 3;"), ingest("set T = 1..2; param q{T};")
+    texts = []
+    for graph in (scalar, indexed, scalar, indexed):
+        package = package_for(graph, "q")
+        texts.append((package.typed_entities[-1][1], codegen.TemplateGenerator()(package)))
+    assert texts[0] == texts[2] == ("q : parameter : numeric : {} : q", "param q = 3;\n")
+    assert texts[1] == texts[3] == ("q : parameter : numeric : {T} : q", "set T = 1..2;\nparam q{T};\n")
 
 
 def test_template_generator_missing_expression():

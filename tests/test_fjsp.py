@@ -347,6 +347,8 @@ def test_solution_json_round_trip():
     _optimum, solution = fjsp.brute_force_solution(inst)
     doc = fjsp.solution_to_json(solution)
     assert fjsp.solution_from_json(doc) == solution
+    assert "z" not in doc
+    assert fjsp.solution_from_json({**doc, "z": None}) == solution  # written before z was dropped
 
 
 @pytest.mark.parametrize("doc", [

@@ -1,5 +1,7 @@
-"""`codegen.validate` reads symbol facts line by line through a memo; these
-tests hold it to the whole-source parse it stands in for, report for report."""
+"""`codegen.validate` reads symbol facts line by line through a memo and
+checks each distinct reference once; these tests hold it, report for report,
+to the whole-source parse it stands in for and to a loop over every
+reference and iteration in turn."""
 
 import random
 from unittest import mock
@@ -12,6 +14,7 @@ from closurekb import battery, codegen
 from closurekb import knowledge_graph as kg
 from closurekb import model_dsl as md
 from closurekb.closure import closure
+from closurekb.errors import DuplicateDeclaration, ParseError
 
 from test_model_dsl import random_model
 from test_retrieval import fjsp_graph
@@ -23,9 +26,51 @@ def whole_source_report(code, graph=None):
         return codegen.validate(code, graph)
 
 
+def every_reference_report(code, graph=None):
+    """Reference: one whole-source parse, then every reference and every
+    iteration checked in turn, repeats included."""
+    try:
+        facts = md.extract_symbols(md.parse_model(code))
+    except (ParseError, DuplicateDeclaration) as exc:
+        return codegen.ValidationReport(status="failed", parse_error=str(exc))
+    if not facts.declarations:
+        return codegen.ValidationReport(status="failed", parse_error="model has no statement")
+    declared = {decl.name: (decl.kind, decl.arity) for decl in facts.declarations}
+
+    def resolve(name):
+        if name in declared:
+            return declared[name]
+        found = graph.find_by_name(name) if graph is not None else []
+        return (found[0].kind, len(getattr(kg.declaration(found[0]), "index_sets", ()))) if found else None
+
+    missing, kinds, arities = set(), set(), set()
+    for ref in facts.references:
+        resolution = resolve(ref.name)
+        if resolution is None:
+            missing.add(ref.name)
+        elif resolution[0] not in (kg.DECISION_VARIABLE, kg.PARAMETER):
+            kinds.add((ref.name, codegen.VALUE_EXPECTATION, resolution[0]))
+        elif resolution[1] != ref.arity:
+            arities.add((ref.name, resolution[1], ref.arity))
+    for _site, name in facts.iterations:
+        resolution = resolve(name)
+        if resolution is None:
+            missing.add(name)
+        elif resolution[0] != kg.INDEX_SET:
+            kinds.add((name, kg.INDEX_SET, resolution[0]))
+    return codegen.ValidationReport(
+        status="failed" if missing or kinds or arities else "ok",
+        missing_declarations=tuple(sorted(missing)),
+        kind_mismatches=tuple(sorted(kinds)),
+        arity_mismatches=tuple(sorted(arities)),
+    )
+
+
 def assert_same_reports(code, graph):
     for with_graph in (None, graph):
-        assert codegen.validate(code, with_graph) == whole_source_report(code, with_graph), repr(code)
+        report = codegen.validate(code, with_graph)
+        assert report == whole_source_report(code, with_graph), repr(code)
+        assert report == every_reference_report(code, with_graph), repr(code)
 
 
 def model_and_graph(seed):
@@ -109,8 +154,10 @@ def test_unmutated_models_take_the_line_path():
     ("set T = 1..2;\r\n! T is the horizon\r\nvar y{T} binary; ! on/off\r\n", True),
     ("set T = 1..2; ! off\x85con c: T <= 1;\n! off\rcon d: T <= 1;\n", True),
     ("", True),
+    ("set T = 1..2;\nvar y{T} binary;\ncon c: y + y[1, 1] + y <= T[2];\n", True),
 ], ids=["error-on-line-3", "statement-over-lines", "second-objective", "redeclared",
-        "unicode-separators", "crlf-and-comments", "separator-in-comment", "empty"])
+        "unicode-separators", "crlf-and-comments", "separator-in-comment", "empty",
+        "one-name-at-two-arities"])
 def test_line_path_or_fallback_matches_the_whole_source(code, fast):
     assert (md.symbol_facts_by_line(code) is not None) == fast
     assert_same_reports(code, None)
