@@ -4,8 +4,10 @@ The closure of a target entity is the forward-reachable set over used_in and
 depends_on edges, including the target. Traversal is breadth-first with
 neighbors expanded in sorted-id order, so visit order is deterministic and
 cycles terminate via the visited set. The closure of several targets is
-walked in one traversal with one visited set. Every check on a member set
-walks the members' own out-edges, so its cost follows the set, not the graph.
+walked in one traversal with one visited set. The walks and the closedness
+check read each member's executability targets, which the graph keeps
+(KnowledgeGraph.exec_out) from their first read after an edge is added, so a
+walk costs the members it visits, not the graph.
 """
 
 from __future__ import annotations
@@ -38,16 +40,14 @@ def closure(graph: KnowledgeGraph, target: str) -> ClosureResult:
     queue = deque([target])
     edge_count = 0
     while queue:
-        current = queue.popleft()
-        # edges_from is sorted by (dst, kind): neighbors come in sorted-id order.
-        for edge in graph.edges_from(current):
-            if edge.kind not in EXEC_KINDS:
-                continue
-            edge_count += 1
-            if edge.dst not in visited:
-                visited.add(edge.dst)
-                order.append(edge.dst)
-                queue.append(edge.dst)
+        # Targets in edges_from order, sorted by (dst, kind): sorted-id order.
+        targets, _lines = graph.exec_out(queue.popleft())
+        edge_count += len(targets)
+        for dst in targets:
+            if dst not in visited:
+                visited.add(dst)
+                order.append(dst)
+                queue.append(dst)
     return ClosureResult(
         target=target,
         members=frozenset(visited),
@@ -67,11 +67,12 @@ def closure_union(graph: KnowledgeGraph, targets) -> frozenset[str]:
         if target not in graph:
             raise UnknownEntity(f"no entity with id {target!r}")
     stack = list(visited)
+    exec_out = graph.exec_out
     while stack:
-        for edge in graph.edges_from(stack.pop()):
-            if edge.kind in EXEC_KINDS and edge.dst not in visited:
-                visited.add(edge.dst)
-                stack.append(edge.dst)
+        for dst in exec_out(stack.pop())[0]:
+            if dst not in visited:
+                visited.add(dst)
+                stack.append(dst)
     return frozenset(visited)
 
 
@@ -99,9 +100,9 @@ def is_well_defined(graph: KnowledgeGraph, members) -> tuple[bool, list[tuple[st
     """
     member_set = set(members)
     violations = sorted(
-        (e.src, e.dst)
+        (src, dst)
         for src in member_set
-        for e in graph.edges_from(src)
-        if e.kind in EXEC_KINDS and e.dst not in member_set
+        for dst in graph.exec_out(src)[0]
+        if dst not in member_set
     )
     return (not violations, violations)

@@ -2,10 +2,13 @@
 
 The context package lists typed entities dependencies-first, describes the
 induced dependency subgraph, and appends background snippets plus the
-instruction. One walk over the members' executability out-edges gives the
-closedness check, the dependency order and the subgraph lines. Each entity's
-text (its definition line, and its template statement) is made once and kept
-on the entity. The default generator is a deterministic template that declares
+instruction. It reads what the graph keeps: each member's executability
+targets and edge lines, and the graph-wide dependency rank, which orders a
+closed set as Kahn's algorithm over the set alone would. The first package
+after a change to the graph pays for rebuilding them (the rank visits every
+entity); later packages cost only their members. Each entity's text (its
+definition line, and its template statement) is made once and kept on the
+entity. The default generator is a deterministic template that declares
 every set/param/var in the package and renders stored constraint/objective
 statements; an external generator is a wire contract (package text in, code
 text out) exercised through mocks or the CLOSUREKB_GENERATOR_ENDPOINT setting.
@@ -21,7 +24,6 @@ and `query`, closure-mode ablation and `repair_loop` (its tuple form) use it.
 
 from __future__ import annotations
 
-import heapq
 import http.client
 import subprocess
 import urllib.error
@@ -85,39 +87,6 @@ class ContextPackage:
         return "\n".join(lines) + "\n"
 
 
-def _dependencies_first(ordered: list[str], deps: dict[str, list[str]]) -> list[str]:
-    """Kahn's algorithm over the sorted members `ordered`, where deps[m] lists
-    m's dependencies among them (a repeat is counted and released alike):
-    the smallest ready member (every dependency emitted) comes next; when
-    none is ready, the smallest member not yet emitted, which breaks a cycle.
-    """
-    waiting: dict[str, int] = {}  # member -> its dependencies not yet emitted
-    dependents: dict[str, list[str]] = {member: [] for member in ordered}
-    for member in ordered:
-        waiting[member] = len(deps[member])
-        for dep in deps[member]:
-            dependents[dep].append(member)
-    ready = [member for member in ordered if not waiting[member]]  # sorted, so a heap
-    emitted: set[str] = set()
-    order: list[str] = []
-    cursor = 0
-    while len(order) < len(ordered):
-        if ready:
-            pick = heapq.heappop(ready)
-        else:
-            while ordered[cursor] in emitted:
-                cursor += 1
-            pick = ordered[cursor]
-        order.append(pick)
-        emitted.add(pick)
-        for dependent in dependents[pick]:
-            waiting[dependent] -= 1
-            # A member emitted early to break a cycle stays out of the heap.
-            if not waiting[dependent] and dependent not in emitted:
-                heapq.heappush(ready, dependent)
-    return order
-
-
 def dependency_order(graph: KnowledgeGraph, members) -> list[str]:
     """Members ordered dependencies-first (reverse topological over
     executability edges); cycles are broken by smallest id. UnknownEntity
@@ -128,10 +97,8 @@ def dependency_order(graph: KnowledgeGraph, members) -> list[str]:
     for member in ordered:
         if member not in graph:
             raise UnknownEntity(f"no entity with id {member!r}")
-        deps[member] = [
-            e.dst for e in graph.edges_from(member) if e.kind in EXEC_KINDS and e.dst in member_set
-        ]
-    return _dependencies_first(ordered, deps)
+        deps[member] = [dst for dst in graph.exec_out(member)[0] if dst in member_set]
+    return kg.dependencies_first(ordered, deps)
 
 
 # The domain label by kind, for a parameter and for an entity with no declaration.
@@ -172,40 +139,68 @@ def build_context_from_members(
     instruction: str,
     check_closed: bool = True,
 ) -> ContextPackage:
-    """The context package of `members`, from one walk over their
-    executability out-edges in sorted order. The walk collects the escaping
-    (src, dst) pairs (NotClosed, before any ordering, when `check_closed`),
-    each member's dependencies among the members (ordered by Kahn's
-    algorithm, as in `dependency_order`) and the subgraph's edge lines.
-    Each entity's definition line is made once and kept on the entity.
-    UnknownEntity for a member not in the graph.
+    """The context package of `members`. Each entity's definition line is
+    made once and kept on the entity. UnknownEntity for a member not in the
+    graph.
+
+    One walk over the sorted members reads each one's executability targets
+    (KnowledgeGraph.exec_out) and collects the escaping (src, dst) pairs,
+    sorted, duplicates included. They raise NotClosed, before any ordering
+    and before UnknownEntity, when `check_closed` is set.
+
+    A closed set is ordered by the graph's dependency rank, and its subgraph
+    text joins the members' kept edge lines in sorted-id order. The rank
+    order equals `dependency_order` of the set, Kahn's algorithm run over the
+    members alone: every dependency of a member of a closed set is a member,
+    so the non-members emitted in the graph-wide run never change a member's
+    count of dependencies waiting. A member is therefore ready at the same
+    point of both runs; the graph-wide heap pops the smallest ready id, a
+    member whenever one is ready, and the graph-wide cycle break (the
+    smallest id left, taken only when nothing at all is ready) reaches a
+    member only as the smallest member left. Both runs pick the members in
+    the same order.
+
+    An open set, possible only without `check_closed` (window mode of the
+    ablation), is ordered by `dependency_order` over the dependencies among
+    its members, and its subgraph lists the edges between members.
     """
     member_set = set(members)
     ordered = sorted(member_set)
+    exec_out = graph.exec_out
     escaping: list[tuple[str, str]] = []
-    deps: dict[str, list[str]] = {}
-    edge_lines: list[str] = []
+    blocks: list[str] = []
     for src in ordered:
-        inside = deps[src] = []
-        for edge in graph.edges_from(src):
-            if edge.kind not in EXEC_KINDS:
-                continue
-            if edge.dst in member_set:
-                inside.append(edge.dst)
-                edge_lines.append(f"{src} -{edge.kind}-> {edge.dst}")
-            else:
-                escaping.append((src, edge.dst))
-    # Sources in sorted order, each one's edges sorted by (dst, kind): sorted.
-    if check_closed and escaping:
-        raise NotClosed(escaping)
+        targets, block = exec_out(src)
+        if not member_set.issuperset(targets):
+            # Sources in sorted order, each one's targets sorted: sorted.
+            escaping.extend((src, dst) for dst in targets if dst not in member_set)
+        if block:
+            blocks.append(block)
+    if escaping:
+        if check_closed:
+            raise NotClosed(escaping)
+        order = dependency_order(graph, member_set)
+        subgraph = "\n".join(
+            kg.edge_line(edge)
+            for src in ordered
+            for edge in graph.edges_from(src)
+            if edge.kind in EXEC_KINDS and edge.dst in member_set
+        )
+    else:
+        rank = graph.rank()
+        if not rank.keys() >= member_set:
+            raise UnknownEntity(f"no entity with id {min(member_set - rank.keys())!r}")
+        order = sorted(member_set, key=rank.__getitem__)
+        subgraph = "\n".join(blocks)
+    entities = graph.entities
     typed = []
-    for entity_id in _dependencies_first(ordered, deps):
-        entity = graph.entity(entity_id)
+    for entity_id in order:
+        entity = entities[entity_id]
         typed.append((entity, formal_definition(entity)))
     return ContextPackage(
         instruction=instruction,
         typed_entities=tuple(typed),
-        subgraph_description="\n".join(edge_lines),
+        subgraph_description=subgraph,
         snippets=tuple(snippets),
     )
 

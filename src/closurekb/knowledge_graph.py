@@ -6,12 +6,18 @@ src requires dst to be well-defined (constraint -> variable, variable ->
 index set). Ingestion of parsed models and concept cards normalizes into that
 direction so that dependency closure is a plain forward traversal.
 
+The graph keeps what requests read again and again, each built on first use
+after the last change that affects it: the name lookup, each entity's sorted
+out-edges, executability targets and edge lines, and the dependency rank (the
+position of every entity in one dependencies-first order of the whole graph).
+
 Persistence is a versioned JSON knowledge-unit document; unknown top-level
 keys and unknown kind strings are rejected.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from dataclasses import dataclass, field
@@ -128,7 +134,9 @@ class KnowledgeGraph:
         self._out: dict[str, set[Edge]] = {}
         self._in: dict[str, set[Edge]] = {}
         self._sorted_out: dict[str, tuple[Edge, ...]] = {}
+        self._exec_out: dict[str, tuple[tuple[str, ...], str]] = {}
         self._names: NameLookup | None = None
+        self._rank: dict[str, int] | None = None
         self.frozen = False
 
     # -- mutation ------------------------------------------------------------
@@ -148,7 +156,7 @@ class KnowledgeGraph:
         self.entities[entity.id] = entity
         self._out[entity.id] = set()
         self._in[entity.id] = set()
-        self._names = None
+        self._names = self._rank = None
         return entity
 
     def add_edge(self, src: str, dst: str, kind: str) -> Edge:
@@ -165,6 +173,8 @@ class KnowledgeGraph:
             self._out[src].add(edge)
             self._in[dst].add(edge)
             self._sorted_out.pop(src, None)
+            self._exec_out.pop(src, None)
+            self._rank = None
         return edge
 
     def freeze(self) -> "KnowledgeGraph":
@@ -213,6 +223,35 @@ class KnowledgeGraph:
             )
         return edges
 
+    def exec_out(self, entity_id: str) -> tuple[tuple[str, ...], str]:
+        """The targets of the entity's executability out-edges in edges_from
+        order (a target reached by both kinds comes twice), and the edges'
+        `src -kind-> dst` lines joined by newlines; kept until add_edge adds
+        an edge from it. ((), "") for an unknown id."""
+        kept = self._exec_out.get(entity_id)
+        if kept is None:
+            if entity_id not in self._out:
+                return (), ""
+            edges = [e for e in self.edges_from(entity_id) if e.kind in EXEC_KINDS]
+            kept = self._exec_out[entity_id] = (
+                tuple(e.dst for e in edges),
+                "\n".join(map(edge_line, edges)),
+            )
+        return kept
+
+    def rank(self) -> dict[str, int]:
+        """Each entity's position in the dependencies-first order of the whole
+        graph (`dependencies_first` over every entity), built on first use
+        after the last add_entity or add_edge."""
+        if self._rank is None:
+            ordered = sorted(self.entities)
+            deps = {
+                entity_id: [e.dst for e in self._out[entity_id] if e.kind in EXEC_KINDS]
+                for entity_id in ordered
+            }
+            self._rank = {entity_id: i for i, entity_id in enumerate(dependencies_first(ordered, deps))}
+        return self._rank
+
     def names(self) -> "NameLookup":
         """The name lookup, built on first use after the last added entity.
 
@@ -242,6 +281,45 @@ class KnowledgeGraph:
             ):
                 return False
         return True
+
+
+def edge_line(edge: Edge) -> str:
+    """An edge as the context package's subgraph lists it."""
+    return f"{edge.src} -{edge.kind}-> {edge.dst}"
+
+
+def dependencies_first(ordered: list[str], deps: dict[str, list[str]]) -> list[str]:
+    """Kahn's algorithm over the sorted ids `ordered`, where deps[m] lists
+    m's dependencies among them in any order (a repeat is counted and
+    released alike): the smallest ready id (every dependency emitted) comes
+    next; when none is ready, the smallest id not yet emitted, which breaks
+    a cycle.
+    """
+    waiting: dict[str, int] = {}  # id -> its dependencies not yet emitted
+    dependents: dict[str, list[str]] = {member: [] for member in ordered}
+    for member in ordered:
+        waiting[member] = len(deps[member])
+        for dep in deps[member]:
+            dependents[dep].append(member)
+    ready = [member for member in ordered if not waiting[member]]  # sorted, so a heap
+    emitted: set[str] = set()
+    order: list[str] = []
+    cursor = 0
+    while len(order) < len(ordered):
+        if ready:
+            pick = heapq.heappop(ready)
+        else:
+            while ordered[cursor] in emitted:
+                cursor += 1
+            pick = ordered[cursor]
+        order.append(pick)
+        emitted.add(pick)
+        for dependent in dependents[pick]:
+            waiting[dependent] -= 1
+            # An id emitted early to break a cycle stays out of the heap.
+            if not waiting[dependent] and dependent not in emitted:
+                heapq.heappush(ready, dependent)
+    return order
 
 
 class NameLookup:

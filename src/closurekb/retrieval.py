@@ -126,6 +126,19 @@ def _slots_per_hour(graph: KnowledgeGraph) -> int | None:
     return None
 
 
+def _hour_slots(first: str, last: str, sph: int | None) -> tuple[int, int] | None:
+    """The slots of hours first..last, given as digit strings (hour 1 holds
+    slots 1..sph); None without slots per hour, and for a window that starts
+    before hour 1, runs backwards or has an hour too long for int()."""
+    try:
+        first_hour, last_hour = int(first), int(last)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return None
+    if not sph or first_hour < 1 or last_hour < first_hour:
+        return None
+    return (first_hour - 1) * sph + 1, last_hour * sph
+
+
 def _extract_name_matches(text: str, graph: KnowledgeGraph) -> list[ExtractedEntity]:
     """Longest contiguous token match against entity names; overlapping matches
     are resolved by preferring code entities, then longer, earlier, smaller id."""
@@ -179,15 +192,9 @@ def understand_query(text: str, graph: KnowledgeGraph) -> ParsedQuery:
         )
 
     sph = _slots_per_hour(graph)
-    for m in _NTH_HOUR_RE.finditer(text):
-        hour = int(m.group(1))
-        slots = ((hour - 1) * sph + 1, hour * sph) if sph else None
-        entities.append(
-            ExtractedEntity(surface=m.group(), entity_id=None, kind=TIME_WINDOW, slots=slots)
-        )
-    for m in _HOUR_RANGE_RE.finditer(text):
-        first, last = int(m.group(1)), int(m.group(2))
-        slots = ((first - 1) * sph + 1, last * sph) if sph else None
+    for m in (*_NTH_HOUR_RE.finditer(text), *_HOUR_RANGE_RE.finditer(text)):
+        # An nth-hour window has one group, a range two: its first and last hour.
+        slots = _hour_slots(m.group(1), m.group(m.lastindex), sph)
         entities.append(
             ExtractedEntity(surface=m.group(), entity_id=None, kind=TIME_WINDOW, slots=slots)
         )

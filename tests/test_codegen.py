@@ -4,6 +4,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from closurekb import battery, codegen, corpus
 from closurekb import knowledge_graph as kg
@@ -184,6 +185,68 @@ def test_one_walk_package_matches_its_three_part_reference_on_random_digraphs_wi
             assert got == package_outcome(lambda: reference_package(graph, members, check_closed))
             seen.add(got[0])
     assert seen == {"NotClosed", "UnknownEntity", "package"}
+
+
+def exec_edge_scan(graph, members):
+    """The subgraph text of a closed set: every executability edge leaving a
+    member, by (src, dst, kind)."""
+    inside = sorted((e.src, e.dst, e.kind) for e in graph.edges if e.kind in kg.EXEC_KINDS and e.src in members)
+    return "\n".join(f"{src} -{kind}-> {dst}" for src, dst, kind in inside)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_closed_package_in_rank_order_is_the_subset_kahn_order(data):
+    n = data.draw(st.integers(1, 14), label="n")
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from(kg.EDGE_KINDS))
+    edges = data.draw(st.sets(pairs.filter(lambda e: e[0] != e[1]), max_size=3 * n), label="edges")
+    graph = make_graph(n, sorted(edges))
+    ids = graph.sorted_ids()
+    seed_sets = [{i} for i in ids] + data.draw(st.lists(st.sets(st.sampled_from(ids), min_size=1), max_size=4))
+    for seeds in seed_sets:
+        members = closure_union(graph, seeds)
+        package = codegen.build_context_from_members(graph, members, [], "x")
+        assert [ent.id for ent, _line in package.typed_entities] == codegen.dependency_order(graph, members)
+        assert package.subgraph_description == exec_edge_scan(graph, members)
+
+
+def copy_graph(graph):
+    fresh = kg.KnowledgeGraph()
+    for entity_id in graph.sorted_ids():
+        fresh.add_entity(graph.entity(entity_id))
+    for edge in sorted(graph.edges, key=lambda e: (e.src, e.dst, e.kind)):
+        fresh.add_edge(edge.src, edge.dst, edge.kind)
+    return fresh
+
+
+def test_package_and_closures_see_an_edge_and_an_entity_added_after_a_read():
+    def outputs(graph, targets):
+        members = closure_union(graph, targets)
+        package = codegen.build_context_from_members(graph, members, [], "x")
+        walks = [(result.visit_order, result.edge_count) for result in (closure(graph, t) for t in targets)]
+        return members, package, walks
+
+    def assert_fresh(graph, targets):
+        got = outputs(graph, targets)
+        assert got == outputs(copy_graph(graph), targets)
+        return got
+
+    rng = random.Random(14)
+    graph = make_graph(10, [(i, i + 1, kg.USED_IN) for i in range(9)])
+    changed = 0
+    for step in range(80):
+        ids = graph.sorted_ids()
+        targets = rng.sample(ids, rng.randint(1, 3))
+        before = outputs(graph, targets)
+        graph.add_edge(*rng.sample(ids, 2), rng.choice(kg.EDGE_KINDS))
+        changed += assert_fresh(graph, targets) != before
+        # A new id sorts before every "nXX", so it can move a cycle break.
+        entity_id = f"m{step:02d}"
+        graph.add_entity(kg.Entity(id=entity_id, kind=kg.CONCEPT, name=entity_id))
+        assert_fresh(graph, [*targets, entity_id])
+        graph.add_edge(entity_id, rng.choice(ids), rng.choice(kg.EDGE_KINDS))
+        assert_fresh(graph, [*targets, entity_id])
+    assert changed > 20  # an added edge changed what a read returns
 
 
 def test_formal_definition_line_shape():

@@ -1,0 +1,146 @@
+"""The pipeline's output bytes, pinned by SHA-256.
+
+Each digest covers every request of one fixture: the rendered context
+package of every round, the code, the report, the number of rounds and the
+snippet ids, for a template generator and for one that drops the first
+variable declaration of its first answer (so the repair loop runs a second
+round). The battery and FJSP digests also cover the closure walk (visit
+order and edge count) from every entity, and the battery digest the
+window-mode package of each query, an open member set. The ablation digests
+cover `ablate`'s JSON report on the dispersed corpus in closure and window
+mode, and the package of one run. A speed-up must leave every digest as it
+is; a change that means to alter the output records the new digests and says
+why.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from closurekb import ablation, codegen, corpus, fjsp, retrieval
+from closurekb import knowledge_graph as kg
+from closurekb.closure import closure
+
+BATTERY_QUERIES = (
+    "Add a load-reduction constraint for the demand-response event",
+    corpus.BATTERY_QUERY,
+    "Add the loadReduction constraint for the demand-response event",
+)
+FJSP_QUERIES = (
+    "explain the constraints of x and generate code",
+    "add the prec constraint",
+    "modify the objective using cmax",
+)
+
+DIGESTS = {
+    "battery": "b2e4feba9a19ccfcecc72a0b4b8de42372ddf55105140b616d63746d2a6be4d1",
+    "fjsp": "287ff9e79711c6fabc533807ec272757b44b0b97328352a9d7a41ce6d6d753a3",
+    "ablate-closure": "0dc93c545ae74a7d631e062d3f46e752ad3c249c4e9e325434c3a800622c9a46",
+    "ablate-window": "a226ab7ce991faa47acc4ea93b479b52939f90b06db482db5d232a875e3898a9",
+}
+
+
+class RecordingGenerator:
+    """The template generator, keeping each package it is given, rendered.
+    With `drop_first_var`, its first answer lacks its first var line."""
+
+    def __init__(self, drop_first_var: bool):
+        self.drop_first_var = drop_first_var
+        self.packages: list[str] = []
+
+    def __call__(self, package) -> str:
+        self.packages.append(package.render())
+        code = codegen.TemplateGenerator()(package)
+        if self.drop_first_var and len(self.packages) == 1:
+            lines = code.splitlines(keepends=True)
+            first_var = next((i for i, line in enumerate(lines) if line.startswith("var ")), None)
+            if first_var is not None:
+                del lines[first_var]
+            code = "".join(lines)
+        return code
+
+
+def digest(records) -> str:
+    text = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def pipeline_records(graph, queries) -> list:
+    index = retrieval.index_snippets(graph)
+    records = []
+    for query in queries:
+        for drop_first_var in (False, True):
+            generator = RecordingGenerator(drop_first_var)
+            run = codegen.run_pipeline(query, graph, index, generator)
+            records.append({
+                "query": query,
+                "drop_first_var": drop_first_var,
+                "packages": generator.packages,
+                "code": run.code,
+                "report": run.report.to_dict(),
+                "rounds": run.rounds,
+                "snippet_ids": [doc_id for doc_id, _score, _text in run.retrieval.snippets],
+            })
+    return records
+
+
+def closure_records(graph) -> list:
+    return [
+        [target, list(result.visit_order), result.edge_count]
+        for target in graph.sorted_ids()
+        for result in (closure(graph, target),)
+    ]
+
+
+@pytest.fixture(scope="module")
+def battery_graph(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("battery")
+    paths = corpus.write_battery_corpus(directory)
+    graph, _alignment = corpus.ingest_corpus([p for p in paths if p.name != "query.txt"])
+    return graph
+
+
+@pytest.fixture(scope="module")
+def fjsp_graph(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fjsp")
+    instance = directory / "instance.fjs"
+    instance.write_text(fjsp.generate_fjs(4, 3, 3, 2, seed=14), encoding="utf-8")
+    cards = directory / "fjsp.cards.json"
+    cards.write_text(json.dumps(kg.cards_to_json(fjsp.fjsp_terminology_cards())), encoding="utf-8")
+    graph, _alignment = corpus.ingest_corpus([instance, cards])
+    return graph
+
+
+def window_packages(graph, queries, k=5) -> list:
+    """The rendered window-mode package of each query: an open member set."""
+    index = retrieval.index_snippets(graph)
+    generator = RecordingGenerator(drop_first_var=False)
+    for query in queries:
+        ablation.run_single(query, graph, index, generator, ablation.WINDOW_MODE, k)
+    return generator.packages
+
+
+def test_battery_pipeline_output_is_unchanged(battery_graph):
+    records = pipeline_records(battery_graph, BATTERY_QUERIES)
+    windows = window_packages(battery_graph, BATTERY_QUERIES)
+    assert digest([records, closure_records(battery_graph), windows]) == DIGESTS["battery"]
+
+
+def test_fjsp_whole_model_pipeline_output_is_unchanged(fjsp_graph):
+    records = pipeline_records(fjsp_graph, FJSP_QUERIES)
+    assert records[0]["report"]["status"] == "ok" and len(fjsp_graph) > 100
+    assert digest([records, closure_records(fjsp_graph)]) == DIGESTS["fjsp"]
+
+
+@pytest.mark.parametrize("mode", [ablation.CLOSURE_MODE, ablation.WINDOW_MODE])
+def test_dispersed_ablation_output_is_unchanged(tmp_path, mode):
+    corpus.write_dispersed_corpus(tmp_path)
+    config = ablation.AblationConfig(retrieval_mode=mode, window_k=3, runs=2)
+    report = ablation.run_ablation(config, tmp_path).to_json()
+    # The rendered package of one run.
+    graph, _alignment = corpus.ingest_corpus([tmp_path / "dispersed.kg.json"])
+    generator = RecordingGenerator(drop_first_var=False)
+    index = retrieval.index_snippets(graph)
+    ablation.run_single(corpus.DISPERSED_QUERY, graph, index, generator, mode, config.window_k)
+    assert digest([report, generator.packages]) == DIGESTS[f"ablate-{mode}"]

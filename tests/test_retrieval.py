@@ -142,6 +142,19 @@ def test_time_window_mapping_uses_slots_per_hour():
     assert [w.slots for w in windows] == [(91, 96), (91, 102)]
 
 
+@pytest.mark.parametrize("query", [
+    "add a constraint in the 0th hour",
+    "add a constraint for hours 20 to 18",
+    "add a constraint for hours 0-2",
+    "add a constraint in the " + "1" * 5000 + "th hour",
+], ids=["hour 0", "backwards", "from hour 0", "5000-digit hour"])
+def test_time_window_that_no_slot_range_can_hold_is_unmapped(query):
+    graph = empty_graph()
+    entity(graph, "slotsPerHour", fields={"data": 6, "index_sets": []})
+    windows = [e for e in rt.understand_query(query, graph).entities if e.kind == rt.TIME_WINDOW]
+    assert len(windows) == 1 and windows[0].slots is None
+
+
 def test_time_window_unmapped_without_slots_per_hour():
     parsed = rt.understand_query("curtail during the 2nd hour", empty_graph())
     windows = [e for e in parsed.entities if e.kind == rt.TIME_WINDOW]
