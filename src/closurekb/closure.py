@@ -60,12 +60,14 @@ def closure_union(graph: KnowledgeGraph, targets) -> frozenset[str]:
     """Members of the union of the closures of `targets`.
 
     One traversal from all targets at once, sharing a single visited set, so
-    an entity reached from several targets is expanded once.
+    an entity reached from several targets is expanded once. Raises
+    UnknownEntity for the first unknown target in the order given.
     """
-    visited = set(targets)
-    for target in visited:
+    targets = list(targets)
+    for target in targets:
         if target not in graph:
             raise UnknownEntity(f"no entity with id {target!r}")
+    visited = set(targets)
     stack = list(visited)
     exec_out = graph.exec_out
     while stack:

@@ -5,7 +5,8 @@ makespan minimization, machine unavailability windows via big-M indicator
 pairs, alternate industrial terminology), feasibility checking with makespan
 evaluation, and a small exhaustive oracle. Models are built in the standard
 vocabulary; the alternate terminology is the baseline model renamed by
-`name_bijection`.
+`name_bijection`, which reads one table, ALTERNATE_NAME (standard name ->
+alternate name). The terminology cards read the same table.
 
 Operations are numbered globally 1..O in job-major order so that job
 precedence is `o -> o+1` guarded by a final-operation flag. Pairwise machine
@@ -50,46 +51,27 @@ UNAVAILABILITY = "unavailability"
 ALT_TERMS = "alt_terms"
 VARIANTS = (BASELINE, UNAVAILABILITY, ALT_TERMS)
 
-STANDARD_VOCAB = {
-    "ops_set": "OPS",
-    "machine_set": "M",
-    "assign_var": "x",
-    "start_var": "s",
-    "makespan_var": "cmax",
-    "ptime_param": "p",
-    "elig_param": "elig",
-    "last_param": "last",
-    "bigm_param": "bigM",
-    "assign_con": "assign",
-    "inelig_con": "noInelig",
-    "prec_con": "prec",
-    "finish_con": "finish",
-    "objective": "obj",
-    "seq_var": "seq",
-    "cap_con": "cap",
-    "window_var": "z",
-    "window_con": "win",
-}
-
-ALTERNATE_VOCAB = {
-    "ops_set": "TASKS",
-    "machine_set": "WORKCENTERS",
-    "assign_var": "taskAssign",
-    "start_var": "taskBegin",
-    "makespan_var": "completionSpan",
-    "ptime_param": "taskDuration",
-    "elig_param": "eligibleWorkcenter",
-    "last_param": "finalTask",
-    "bigm_param": "bigNumber",
-    "assign_con": "taskAssignment",
-    "inelig_con": "noForeignWorkcenter",
-    "prec_con": "taskOrder",
-    "finish_con": "spanBound",
-    "objective": "spanObjective",
-    "seq_var": "before",
-    "cap_con": "workcenterBusy",
-    "window_var": "beforeWindow",
-    "window_con": "maintenance",
+# Standard -> alternate name of every vocabulary symbol (a generated name is
+# renamed by its prefix, see _alternate_names).
+ALTERNATE_NAME = {
+    "OPS": "TASKS",
+    "M": "WORKCENTERS",
+    "x": "taskAssign",
+    "s": "taskBegin",
+    "cmax": "completionSpan",
+    "p": "taskDuration",
+    "elig": "eligibleWorkcenter",
+    "last": "finalTask",
+    "bigM": "bigNumber",
+    "assign": "taskAssignment",
+    "noInelig": "noForeignWorkcenter",
+    "prec": "taskOrder",
+    "finish": "spanBound",
+    "obj": "spanObjective",
+    "seq": "before",
+    "cap": "workcenterBusy",
+    "z": "beforeWindow",
+    "win": "maintenance",
 }
 
 
@@ -361,9 +343,6 @@ def build_fjsp_model(instance: FjspInstance, variant: str = BASELINE) -> ModelAs
     return model
 
 
-_ALTERNATE_NAME = {STANDARD_VOCAB[key]: ALTERNATE_VOCAB[key] for key in STANDARD_VOCAB}
-
-
 def _alternate_names(model: ModelAst) -> dict[str, str]:
     """Standard -> alternate name of every declaration of a standard model. A
     generated name (`seq_1_2_1`, `cap_…`, `z_…`, `win_…`) keeps what follows
@@ -371,7 +350,7 @@ def _alternate_names(model: ModelAst) -> dict[str, str]:
     mapping = {}
     for decl in model.sets + model.params + model.vars + model.constraints + (model.objective,):
         prefix, sep, suffix = decl.name.partition("_")
-        mapping[decl.name] = _ALTERNATE_NAME[prefix] + sep + suffix
+        mapping[decl.name] = ALTERNATE_NAME[prefix] + sep + suffix
     return mapping
 
 
@@ -384,26 +363,26 @@ def name_bijection(instance: FjspInstance, variant: str = BASELINE) -> dict[str,
 def fjsp_terminology_cards() -> list[ConceptCard]:
     """Alternate-vocabulary concepts hinted at their standard realizations, so
     alignment stores the terminology bijection as aligns_to edges."""
-    concepts = {
-        "ops_set": (kg.INDEX_SET, "Work-order tasks to be dispatched."),
-        "machine_set": (kg.INDEX_SET, "Workcenters available on the shop floor."),
-        "assign_var": (kg.DECISION_VARIABLE, "Chooses the workcenter that executes each task."),
-        "start_var": (kg.DECISION_VARIABLE, "Moment each task begins processing."),
-        "makespan_var": (kg.DECISION_VARIABLE, "Completion span of the whole work order set."),
-        "ptime_param": (kg.PARAMETER, "Duration of a task on a given workcenter."),
-        "elig_param": (kg.PARAMETER, "Which workcenters may execute which task."),
-        "last_param": (kg.PARAMETER, "Marks the final task of each work order."),
-        "bigm_param": (kg.PARAMETER, "Large constant used to switch disjunctions."),
-    }
+    concepts = (
+        ("x", kg.DECISION_VARIABLE, "Chooses the workcenter that executes each task."),
+        ("bigM", kg.PARAMETER, "Large constant used to switch disjunctions."),
+        ("elig", kg.PARAMETER, "Which workcenters may execute which task."),
+        ("last", kg.PARAMETER, "Marks the final task of each work order."),
+        ("M", kg.INDEX_SET, "Workcenters available on the shop floor."),
+        ("cmax", kg.DECISION_VARIABLE, "Completion span of the whole work order set."),
+        ("OPS", kg.INDEX_SET, "Work-order tasks to be dispatched."),
+        ("p", kg.PARAMETER, "Duration of a task on a given workcenter."),
+        ("s", kg.DECISION_VARIABLE, "Moment each task begins processing."),
+    )
     return [
         ConceptCard(
-            name=ALTERNATE_VOCAB[key],
+            name=ALTERNATE_NAME[symbol],
             kind=kind,
             description=blurb,
-            solver_symbol_hint=STANDARD_VOCAB[key],
+            solver_symbol_hint=symbol,
             snippet=blurb,
         )
-        for key, (kind, blurb) in sorted(concepts.items())
+        for symbol, kind, blurb in concepts
     ]
 
 

@@ -7,9 +7,10 @@ index set). Ingestion of parsed models and concept cards normalizes into that
 direction so that dependency closure is a plain forward traversal.
 
 The graph keeps what requests read again and again, each built on first use
-after the last change that affects it: the name lookup, each entity's sorted
-out-edges, executability targets and edge lines, and the dependency rank (the
-position of every entity in one dependencies-first order of the whole graph).
+after the last change that affects it: the name lookup, each entity's
+executability targets and edge lines, and the dependency rank (the position
+of every entity in one dependencies-first order of the whole graph). Sorted
+out-edges (edges_from) are not kept: they are sorted per call.
 
 Persistence is a versioned JSON knowledge-unit document; unknown top-level
 keys and unknown kind strings are rejected.
@@ -133,7 +134,6 @@ class KnowledgeGraph:
         self.edges: set[Edge] = set()
         self._out: dict[str, set[Edge]] = {}
         self._in: dict[str, set[Edge]] = {}
-        self._sorted_out: dict[str, tuple[Edge, ...]] = {}
         self._exec_out: dict[str, tuple[tuple[str, ...], str]] = {}
         self._names: NameLookup | None = None
         self._rank: dict[str, int] | None = None
@@ -172,7 +172,6 @@ class KnowledgeGraph:
             self.edges.add(edge)
             self._out[src].add(edge)
             self._in[dst].add(edge)
-            self._sorted_out.pop(src, None)
             self._exec_out.pop(src, None)
             self._rank = None
         return edge
@@ -212,16 +211,9 @@ class KnowledgeGraph:
         return sorted(found)
 
     def edges_from(self, entity_id: str) -> tuple[Edge, ...]:
-        """Out-edges sorted by (dst, kind), kept until add_edge adds another."""
-        edges = self._sorted_out.get(entity_id)
-        if edges is None:
-            out = self._out.get(entity_id)
-            if out is None:
-                return ()
-            edges = self._sorted_out[entity_id] = tuple(
-                sorted(out, key=lambda e: (e.dst, e.kind))
-            )
-        return edges
+        """Out-edges sorted by (dst, kind), sorted on each call (not kept);
+        () for an unknown id."""
+        return tuple(sorted(self._out.get(entity_id, ()), key=lambda e: (e.dst, e.kind)))
 
     def exec_out(self, entity_id: str) -> tuple[tuple[str, ...], str]:
         """The targets of the entity's executability out-edges in edges_from

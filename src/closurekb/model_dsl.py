@@ -175,7 +175,6 @@ OBJECTIVE = "objective"
 class Declaration:
     name: str
     kind: str  # SET | PARAM | VAR | CONSTRAINT | OBJECTIVE
-    domain: str | None
     arity: int
 
 
@@ -585,15 +584,15 @@ def _statement_uses(
 
 def extract_symbols(ast: ModelAst) -> SymbolFacts:
     """Read declarations, references and iterations out of a parsed model."""
-    declarations = [Declaration(decl.name, SET, None, 0) for decl in ast.sets]
-    declarations += (Declaration(decl.name, PARAM, None, len(decl.index_sets)) for decl in ast.params)
-    declarations += (Declaration(decl.name, VAR, decl.domain, len(decl.index_sets)) for decl in ast.vars)
-    declarations += (Declaration(con.name, CONSTRAINT, None, 0) for con in ast.constraints)
+    declarations = [Declaration(decl.name, SET, 0) for decl in ast.sets]
+    declarations += (Declaration(decl.name, PARAM, len(decl.index_sets)) for decl in ast.params)
+    declarations += (Declaration(decl.name, VAR, len(decl.index_sets)) for decl in ast.vars)
+    declarations += (Declaration(con.name, CONSTRAINT, 0) for con in ast.constraints)
     iterations = [(decl.name, set_name) for decl in ast.params + ast.vars for set_name in decl.index_sets]
     statements = [(con.name, con.quantifier, [con.left, con.right]) for con in ast.constraints]
     if ast.objective is not None:
         obj = ast.objective
-        declarations.append(Declaration(obj.name, OBJECTIVE, None, 0))
+        declarations.append(Declaration(obj.name, OBJECTIVE, 0))
         statements.append((obj.name, None, [obj.expr]))
 
     references: list[Reference] = []

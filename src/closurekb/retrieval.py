@@ -1,13 +1,14 @@
 """Query understanding plus the two retrieval streams (semantic and structural).
 
 The semantic stream is a deterministic TF-IDF index over entity snippets and
-descriptions, stored as per-term postings with per-document norms and
-per-term score bounds, so a top-k search stops reading postings once the
-query terms left cannot lift an unseen document into the top k. The
-structural stream is a union of dependency closures seeded from entities
-resolved in the query, with aligns_to followed one hop from paper seeds so
-concepts pull in their executable realizations. Entity names are matched
-through the graph's name lookup (KnowledgeGraph.names()).
+descriptions. Its weights are stored once, as per-term postings keyed by doc
+id, beside per-document norms and per-term score bounds, so a top-k search
+stops reading postings once the query terms left cannot lift an unseen
+document into the top k, then re-scores the documents it keeps from the same
+postings. The structural stream is a union of dependency closures seeded
+from entities resolved in the query, with aligns_to followed one hop from
+paper seeds so concepts pull in their executable realizations. Entity names
+are matched through the graph's name lookup (KnowledgeGraph.names()).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 from . import knowledge_graph as kg
 from .closure import closure_union
-from .errors import EmptyQuery, UnknownEntity
+from .errors import EmptyQuery
 from .knowledge_graph import EXEC_KINDS, KnowledgeGraph
 
 ADD_CONSTRAINT = "add_constraint"
@@ -213,8 +214,7 @@ class TfidfEmbedder:
     """Deterministic TF-IDF embedder over lowercased alphanumeric tokens.
 
     After fitting, weights() maps any UTF-8 text to its nonzero (slot, weight)
-    pairs, and embed() to the dense vector of them (dimension = vocabulary
-    size).
+    pairs; a slot is the term's position in the sorted vocabulary.
     """
 
     def __init__(self):
@@ -252,12 +252,6 @@ class TfidfEmbedder:
         pairs.sort()
         return pairs
 
-    def embed(self, text: str) -> list[float]:
-        vector = [0.0] * len(self.vocabulary)
-        for slot, weight in self.weights(text):
-            vector[slot] = weight
-        return vector
-
 
 def _norm(pairs) -> float:
     return math.sqrt(sum(w * w for _slot, w in pairs))
@@ -267,20 +261,20 @@ def _norm(pairs) -> float:
 class SemanticIndex:
     """Sparse TF-IDF index over the snippet documents.
 
-    postings maps a slot to (doc id, weight) of every document holding the
-    term, by doc id; doc_weights maps a document to its {slot: weight}, and
-    norms to its Euclidean norm. slot_bounds maps a slot to the largest
-    weight / norm over its postings, so a query term of weight q adds at most
-    q * slot_bound / query_norm to any document's cosine. semantic_search
-    prunes with that bound, less a relative margin of 1e-9 for rounding, and
-    re-scores the documents it keeps exactly from doc_weights.
+    postings, the one store of the weights, maps a slot to {doc id: weight}
+    of every document holding the term, inserted (and so iterated) in
+    ascending doc id; norms maps a document to its Euclidean norm. slot_bounds
+    maps a slot to the largest weight / norm over its postings, so a query
+    term of weight q adds at most q * slot_bound / query_norm to any
+    document's cosine. semantic_search prunes with that bound, less a
+    relative margin of 1e-9 for rounding, and re-scores the documents it
+    keeps exactly by looking each query slot's weight up in its postings.
     """
 
     doc_ids: list[str] = field(default_factory=list)
     texts: dict[str, str] = field(default_factory=dict)
-    postings: dict[int, list[tuple[str, float]]] = field(default_factory=dict)
+    postings: dict[int, dict[str, float]] = field(default_factory=dict)
     norms: dict[str, float] = field(default_factory=dict)
-    doc_weights: dict[str, dict[int, float]] = field(default_factory=dict)
     slot_bounds: dict[int, float] = field(default_factory=dict)
     embedder: TfidfEmbedder | None = None
 
@@ -299,23 +293,20 @@ def index_snippets(graph: KnowledgeGraph) -> SemanticIndex:
             docs[entity_id] = text
     doc_ids = sorted(docs)
     embedder = TfidfEmbedder().fit([docs[i] for i in doc_ids])
-    postings: dict[int, list[tuple[str, float]]] = {}
+    postings: dict[int, dict[str, float]] = {}
     norms: dict[str, float] = {}
-    doc_weights: dict[str, dict[int, float]] = {}
     slot_bounds: dict[int, float] = {}
     for doc_id in doc_ids:
         pairs = embedder.weights(docs[doc_id])
         norm = norms[doc_id] = _norm(pairs)
-        doc_weights[doc_id] = dict(pairs)
         for slot, weight in pairs:
-            postings.setdefault(slot, []).append((doc_id, weight))
+            postings.setdefault(slot, {})[doc_id] = weight
             slot_bounds[slot] = max(slot_bounds.get(slot, 0.0), weight / norm)
     return SemanticIndex(
         doc_ids=doc_ids,
         texts=docs,
         postings=postings,
         norms=norms,
-        doc_weights=doc_weights,
         slot_bounds=slot_bounds,
         embedder=embedder,
     )
@@ -340,8 +331,9 @@ def semantic_search(index: SemanticIndex, text: str, k: int) -> list[tuple[str, 
     cosine plus that sum is below it (after the last term the sum is 0).
 
     Every remaining candidate is then re-scored exactly: its dot product is
-    summed left to right in ascending slot order, the same additions a dense
-    dot product makes once its zero terms are left out, so scores are
+    summed left to right over the query's slots in ascending order, reading
+    each slot's weight from its postings, the same additions a dense dot
+    product makes once its zero terms are left out, so scores are
     bit-identical to scoring every document and do not depend on the pruning
     or index layout.
     """
@@ -361,21 +353,21 @@ def semantic_search(index: SemanticIndex, text: str, k: int) -> list[tuple[str, 
     partial: dict[str, float] = {}
     floor = 0.0  # a candidate whose partial cosine is below it cannot reach the top k
     for (slot, _query_weight), scale, bound in zip(terms, scales, rest):
-        for doc_id, weight in postings[slot]:
+        for doc_id, weight in postings[slot].items():
             partial[doc_id] = partial.get(doc_id, 0.0) + scale * (weight / norms[doc_id])
         if len(partial) >= k:
             kth = (1.0 - _PRUNE_MARGIN) * heapq.nlargest(k, partial.values())[-1]
             if bound < kth:
                 floor = kth - bound
                 break
+    query_postings = [(postings[slot], query_weight) for slot, query_weight in query]
     ranked = []
     for doc_id, partial_score in partial.items():
         if partial_score < floor:
             continue
-        weights = index.doc_weights[doc_id]
         dot = 0.0
-        for slot, query_weight in query:
-            weight = weights.get(slot)
+        for posting, query_weight in query_postings:
+            weight = posting.get(doc_id)
             if weight is not None:
                 dot += query_weight * weight
         ranked.append((-(dot / (query_norm * norms[doc_id])), doc_id))
@@ -387,28 +379,28 @@ def semantic_search(index: SemanticIndex, text: str, k: int) -> list[tuple[str, 
 
 # --- Structural stream -----------------------------------------------------------
 
+def _with_realizations(graph: KnowledgeGraph, seed: str) -> list[str]:
+    """The seed and, for a paper seed, its aligns_to targets (one hop), so a
+    concept pulls in its code realizations. Raises UnknownEntity for an
+    unknown seed."""
+    if graph.entity(seed).source == kg.SOURCE_PAPER:
+        return [seed, *graph.neighbors(seed, {kg.ALIGNS_TO}, "out")]
+    return [seed]
+
+
 def structural_retrieve(graph: KnowledgeGraph, seeds) -> frozenset[str]:
-    """Union of dependency closures over the seeds, walked in one traversal;
-    aligns_to edges are followed one hop from paper seeds first so concepts
-    pull in their code realizations."""
+    """Union of dependency closures over the seeds and their realizations
+    (_with_realizations), walked in one traversal."""
     expanded: set[str] = set()
     for seed in seeds:
-        if seed not in graph:
-            raise UnknownEntity(f"no entity with id {seed!r}")
-        expanded.add(seed)
-        if graph.entity(seed).source == kg.SOURCE_PAPER:
-            expanded.update(graph.neighbors(seed, {kg.ALIGNS_TO}, "out"))
+        expanded.update(_with_realizations(graph, seed))
     return closure_union(graph, expanded)
 
 
 def _dependents_of_kind(graph: KnowledgeGraph, seeds, edge_kinds, wanted_kind) -> set[str]:
     found: set[str] = set()
     for seed in seeds:
-        ent = graph.entity(seed)
-        anchors = {seed}
-        if ent.source == kg.SOURCE_PAPER:
-            anchors.update(graph.neighbors(seed, {kg.ALIGNS_TO}, "out"))
-        for anchor in sorted(anchors):
+        for anchor in sorted(_with_realizations(graph, seed)):
             if graph.entity(anchor).kind == wanted_kind:
                 continue
             for user in graph.neighbors(anchor, edge_kinds, "in"):

@@ -1,5 +1,7 @@
 """FJSP parsing, model emission, checking, and the exhaustive oracle."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -154,9 +156,27 @@ def test_terminology_cards_align_to_standard_symbols():
     kg.ingest_concept_cards(fjsp.fjsp_terminology_cards(), graph)
     result = kg.align(graph)
     pairs = {(e.src, e.dst) for e in result.edges}
-    assert (f"paper:{fjsp.ALTERNATE_VOCAB['ops_set']}", "OPS") in pairs
-    assert (f"paper:{fjsp.ALTERNATE_VOCAB['assign_var']}", "x") in pairs
+    assert (f"paper:{fjsp.ALTERNATE_NAME['OPS']}", "OPS") in pairs
+    assert (f"paper:{fjsp.ALTERNATE_NAME['x']}", "x") in pairs
     assert len(pairs) == 9
+
+
+def test_terminology_cards_and_name_bijections_keep_their_bytes():
+    # SHA-256 of the JSON of the cards and of every variant's bijection (in
+    # its dict order), recorded before the two role-keyed vocabulary tables
+    # became the one ALTERNATE_NAME map.
+    def digest(value):
+        return hashlib.sha256(json.dumps(value).encode("utf-8")).hexdigest()
+
+    inst = fjsp.with_windows(
+        fjsp.parse_fjs(fjsp.generate_fjs(4, 3, 3, 2, seed=14)),
+        {1: [(2.0, 5.0)], 3: [(4.0, 9.0), (12.0, 15.0)]},
+    )
+    bijections = [list(fjsp.name_bijection(inst, variant).items()) for variant in fjsp.VARIANTS]
+    assert digest(kg.cards_to_json(fjsp.fjsp_terminology_cards())) == (
+        "3e60c4676e4595a0184ab23506390ab2c8e4a72cd5aa7c3713436af75140650c"
+    )
+    assert digest(bijections) == "7e4df8c91ff6006f40c11481b5ace1168e034bbbeaacfed8514d2992814626f6"
 
 
 def test_model_counts_match_instance_dimensions():

@@ -85,9 +85,9 @@ def test_extract_symbols_declarations_and_references():
     ast = md.parse_model("set T = 1..2; var y{T} binary; max obj: y[1];")
     facts = md.extract_symbols(ast)
     assert facts.declarations == (
-        md.Declaration("T", md.SET, None, 0),
-        md.Declaration("y", md.VAR, md.BINARY, 1),
-        md.Declaration("obj", md.OBJECTIVE, None, 0),
+        md.Declaration("T", md.SET, 0),
+        md.Declaration("y", md.VAR, 1),
+        md.Declaration("obj", md.OBJECTIVE, 0),
     )
     assert facts.references == (md.Reference("y", 1, "obj"),)
 
