@@ -3,8 +3,8 @@
 The context package lists typed entities dependencies-first, describes the
 induced dependency subgraph, and appends background snippets plus the
 instruction. It reads what the graph keeps: each member's executability
-targets and edge lines, and the graph-wide dependency rank, which orders a
-closed set as Kahn's algorithm over the set alone would. The first package
+targets and edge lines, and the graph-wide dependency rank, which orders
+every package, closed or open (`dependency_order`). The first package
 after a change to the graph pays for rebuilding them (the rank visits every
 entity); later packages cost only their members. Each entity's text (its
 definition line, and its template statement) is made once and kept on the
@@ -24,10 +24,6 @@ and `query`, closure-mode ablation and `repair_loop` (its tuple form) use it.
 
 from __future__ import annotations
 
-import http.client
-import subprocess
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 
 from . import knowledge_graph as kg
@@ -40,7 +36,7 @@ from .errors import (
     ParseError,
     UnknownEntity,
 )
-from .knowledge_graph import EXEC_KINDS, Entity, KnowledgeGraph
+from .knowledge_graph import Entity, KnowledgeGraph
 from .retrieval import (
     DEFAULT_SNIPPET_K,
     ParsedQuery,
@@ -88,17 +84,14 @@ class ContextPackage:
 
 
 def dependency_order(graph: KnowledgeGraph, members) -> list[str]:
-    """Members ordered dependencies-first (reverse topological over
-    executability edges); cycles are broken by smallest id. UnknownEntity
-    for a member not in the graph."""
+    """Members dependencies-first: the graph's dependency rank
+    (KnowledgeGraph.rank) seen on the set. UnknownEntity for the smallest
+    member not in the graph. perfbench's tracer times it by this name."""
     member_set = set(members)
-    ordered = sorted(member_set)
-    deps: dict[str, list[str]] = {}
-    for member in ordered:
-        if member not in graph:
-            raise UnknownEntity(f"no entity with id {member!r}")
-        deps[member] = [dst for dst in graph.exec_out(member)[0] if dst in member_set]
-    return kg.dependencies_first(ordered, deps)
+    rank = graph.rank()
+    if not rank.keys() >= member_set:
+        raise UnknownEntity(f"no entity with id {min(member_set - rank.keys())!r}")
+    return sorted(member_set, key=rank.__getitem__)
 
 
 # The domain label by kind, for a parameter and for an entity with no declaration.
@@ -146,23 +139,11 @@ def build_context_from_members(
     One walk over the sorted members reads each one's executability targets
     (KnowledgeGraph.exec_out) and collects the escaping (src, dst) pairs,
     sorted, duplicates included. They raise NotClosed, before any ordering
-    and before UnknownEntity, when `check_closed` is set.
-
-    A closed set is ordered by the graph's dependency rank, and its subgraph
-    text joins the members' kept edge lines in sorted-id order. The rank
-    order equals `dependency_order` of the set, Kahn's algorithm run over the
-    members alone: every dependency of a member of a closed set is a member,
-    so the non-members emitted in the graph-wide run never change a member's
-    count of dependencies waiting. A member is therefore ready at the same
-    point of both runs; the graph-wide heap pops the smallest ready id, a
-    member whenever one is ready, and the graph-wide cycle break (the
-    smallest id left, taken only when nothing at all is ready) reaches a
-    member only as the smallest member left. Both runs pick the members in
-    the same order.
-
-    An open set, possible only without `check_closed` (window mode of the
-    ablation), is ordered by `dependency_order` over the dependencies among
-    its members, and its subgraph lists the edges between members.
+    and before UnknownEntity, when `check_closed` is set. The members are
+    ordered by `dependency_order`, and the subgraph text joins their kept
+    edge lines in sorted-id order, leaving out each line to a non-member.
+    Only an open set, which window mode of the ablation builds without
+    `check_closed`, has such lines.
     """
     member_set = set(members)
     ordered = sorted(member_set)
@@ -174,24 +155,16 @@ def build_context_from_members(
         if not member_set.issuperset(targets):
             # Sources in sorted order, each one's targets sorted: sorted.
             escaping.extend((src, dst) for dst in targets if dst not in member_set)
+            # The block has one line per target, in the same order.
+            block = "\n".join(
+                line for dst, line in zip(targets, block.split("\n")) if dst in member_set
+            )
         if block:
             blocks.append(block)
-    if escaping:
-        if check_closed:
-            raise NotClosed(escaping)
-        order = dependency_order(graph, member_set)
-        subgraph = "\n".join(
-            kg.edge_line(edge)
-            for src in ordered
-            for edge in graph.edges_from(src)
-            if edge.kind in EXEC_KINDS and edge.dst in member_set
-        )
-    else:
-        rank = graph.rank()
-        if not rank.keys() >= member_set:
-            raise UnknownEntity(f"no entity with id {min(member_set - rank.keys())!r}")
-        order = sorted(member_set, key=rank.__getitem__)
-        subgraph = "\n".join(blocks)
+    if escaping and check_closed:
+        raise NotClosed(escaping)
+    order = dependency_order(graph, member_set)
+    subgraph = "\n".join(blocks)
     entities = graph.entities
     typed = []
     for entity_id in order:
@@ -279,6 +252,13 @@ class ExternalEndpointGenerator:
         self.timeout = timeout
 
     def __call__(self, package: ContextPackage) -> str:
+        # Imported here: only this generator needs them (ssl alone costs
+        # several MB and milliseconds in every process that imports codegen).
+        import http.client
+        import subprocess
+        import urllib.error
+        import urllib.request
+
         body = package.render().encode("utf-8")
         if self.endpoint.startswith("http://") or self.endpoint.startswith("https://"):
             request = urllib.request.Request(

@@ -176,7 +176,12 @@ def parse_fjs(text: str) -> FjspInstance:
                     )
                 if ptime <= 0:
                     raise MalformedInstance("processing times must be positive", line_no)
-                eligible.append((machine, float(ptime)))
+                try:
+                    eligible.append((machine, float(ptime)))
+                except OverflowError:
+                    raise MalformedInstance(
+                        "processing time does not fit a finite float", line_no
+                    ) from None
             ops.append(Operation(eligible=tuple(eligible)))
         if cursor != len(values):
             raise MalformedInstance("trailing fields on job line", line_no)

@@ -227,7 +227,7 @@ class KnowledgeGraph:
             edges = [e for e in self.edges_from(entity_id) if e.kind in EXEC_KINDS]
             kept = self._exec_out[entity_id] = (
                 tuple(e.dst for e in edges),
-                "\n".join(map(edge_line, edges)),
+                "\n".join(f"{e.src} -{e.kind}-> {e.dst}" for e in edges),
             )
         return kept
 
@@ -273,11 +273,6 @@ class KnowledgeGraph:
             ):
                 return False
         return True
-
-
-def edge_line(edge: Edge) -> str:
-    """An edge as the context package's subgraph lists it."""
-    return f"{edge.src} -{edge.kind}-> {edge.dst}"
 
 
 def dependencies_first(ordered: list[str], deps: dict[str, list[str]]) -> list[str]:

@@ -127,15 +127,28 @@ def _slots_per_hour(graph: KnowledgeGraph) -> int | None:
     return None
 
 
-def _hour_slots(first: str, last: str, sph: int | None) -> tuple[int, int] | None:
+def _last_slot(graph: KnowledgeGraph) -> int | None:
+    """The last slot of the time set `timeSequence`, a range set; None when
+    the graph declares no such set."""
+    for entity_id in graph.names().by_norm.get("timesequence", ()):
+        hi = getattr(kg.declaration(graph.entities[entity_id]), "hi", None)
+        if hi is not None:
+            return hi
+    return None
+
+
+def _hour_slots(first: str, last: str, sph: int | None, last_slot: int | None) -> tuple[int, int] | None:
     """The slots of hours first..last, given as digit strings (hour 1 holds
     slots 1..sph); None without slots per hour, and for a window that starts
-    before hour 1, runs backwards or has an hour too long for int()."""
+    before hour 1, runs backwards, ends past `last_slot` (when known) or has
+    an hour too long for int()."""
     try:
         first_hour, last_hour = int(first), int(last)
     except ValueError:  # more digits than sys.get_int_max_str_digits()
         return None
     if not sph or first_hour < 1 or last_hour < first_hour:
+        return None
+    if last_slot is not None and last_hour * sph > last_slot:
         return None
     return (first_hour - 1) * sph + 1, last_hour * sph
 
@@ -193,9 +206,10 @@ def understand_query(text: str, graph: KnowledgeGraph) -> ParsedQuery:
         )
 
     sph = _slots_per_hour(graph)
+    last_slot = _last_slot(graph)
     for m in (*_NTH_HOUR_RE.finditer(text), *_HOUR_RANGE_RE.finditer(text)):
         # An nth-hour window has one group, a range two: its first and last hour.
-        slots = _hour_slots(m.group(1), m.group(m.lastindex), sph)
+        slots = _hour_slots(m.group(1), m.group(m.lastindex), sph, last_slot)
         entities.append(
             ExtractedEntity(surface=m.group(), entity_id=None, kind=TIME_WINDOW, slots=slots)
         )

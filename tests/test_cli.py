@@ -330,6 +330,24 @@ def run_cli(*args, entry=("-m", "closurekb.cli")):
     )
 
 
+@pytest.mark.parametrize("command", [["ingest"], ["eval", "fjsp"]], ids=["ingest", "eval fjsp"])
+def test_fjs_processing_time_past_the_largest_float_exits_2_without_traceback(tmp_path, command):
+    path = tmp_path / "big.fjs"
+    path.write_text("1 1\n1 1 1 " + "9" * 400 + "\n", encoding="utf-8")
+    extra = ["--graph", tmp_path / "big.kg.json"] if command == ["ingest"] else ["--brute-force"]
+    proc = run_cli(*command, path, *extra)
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert "processing time does not fit a finite float at line 2" in proc.stderr
+    assert "Traceback" not in proc.stderr + proc.stdout
+
+
+def test_importing_the_cli_loads_no_network_or_process_module():
+    probe = "import sys, closurekb.cli; print(sorted({'ssl', 'http.client', 'urllib.request', 'subprocess'} & set(sys.modules)))"
+    proc = run_cli(entry=("-c", probe))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_ingest_of_a_1500_term_sum_succeeds(tmp_path):
     path = tmp_path / "long.mm"
     path.write_text("var x continuous; con c: " + " + ".join(["x"] * 1500) + " <= 1;", encoding="utf-8")

@@ -126,7 +126,7 @@ def test_dependency_order_matches_quadratic_reference_on_random_digraphs_with_cy
         graph, n = random_cyclic_graph(rng)
         members = {f"n{i:02d}" for i in range(n) if rng.random() < 0.8} or {"n00"}
         order = codegen.dependency_order(graph, members)
-        assert order == quadratic_dependency_order(graph, members)
+        assert order == [m for m in quadratic_dependency_order(graph, graph.entities) if m in members]
         assert sorted(order) == sorted(members)
         cyclic += any(
             order.index(e.src) < order.index(e.dst)
@@ -138,14 +138,17 @@ def test_dependency_order_matches_quadratic_reference_on_random_digraphs_with_cy
 
 def reference_package(graph, members, check_closed):
     """(typed entities, subgraph text) of build_context_from_members from its
-    three former parts: the closedness check, the quadratic order and a scan
-    of every executability edge. Definition lines come from a fresh copy of
-    each entity, which keeps no text."""
+    three former parts: the closedness check, the quadratic order of the
+    whole graph seen on the members and a scan of every executability edge.
+    Definition lines come from a fresh copy of each entity, which keeps no
+    text."""
     ok, violations = is_well_defined(graph, members)
     if check_closed and not ok:
         raise NotClosed(violations)
+    for entity_id in members:
+        graph.entity(entity_id)  # UnknownEntity for a member not in the graph
     typed = []
-    for entity_id in quadratic_dependency_order(graph, members):
+    for entity_id in [m for m in quadratic_dependency_order(graph, graph.entities) if m in members]:
         ent = graph.entity(entity_id)
         fresh = kg.Entity(ent.id, ent.kind, ent.name, ent.description, ent.fields, ent.source)
         typed.append((ent, codegen.formal_definition(fresh)))
@@ -206,7 +209,7 @@ def test_closed_package_in_rank_order_is_the_subset_kahn_order(data):
     for seeds in seed_sets:
         members = closure_union(graph, seeds)
         package = codegen.build_context_from_members(graph, members, [], "x")
-        assert [ent.id for ent, _line in package.typed_entities] == codegen.dependency_order(graph, members)
+        assert [ent.id for ent, _line in package.typed_entities] == quadratic_dependency_order(graph, members)
         assert package.subgraph_description == exec_edge_scan(graph, members)
 
 

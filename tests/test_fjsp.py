@@ -2,14 +2,17 @@
 
 import hashlib
 import json
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from closurekb import codegen, fjsp
 from closurekb import knowledge_graph as kg
 from closurekb import model_dsl as md
-from closurekb.errors import MalformedInstance, MissingWindows, SchemaViolation, TooLarge
+from closurekb.errors import ClosureKbError, MalformedInstance, MissingWindows, SchemaViolation, TooLarge
 
 TWO_JOBS_ONE_MACHINE = "2 1\n1 1 1 3\n1 1 1 4\n"
 
@@ -38,6 +41,99 @@ def test_parse_rejects_bad_machine_index_and_nonpositive_time():
         fjsp.parse_fjs("1 1\n1 1 2 5\n")
     with pytest.raises(MalformedInstance):
         fjsp.parse_fjs("1 1\n1 1 1 0\n")
+
+
+def test_parse_rejects_a_processing_time_no_float_can_hold():
+    with pytest.raises(MalformedInstance) as excinfo:
+        fjsp.parse_fjs("1 1\n1 1 1 " + "9" * 400 + "\n")
+    assert excinfo.value.line == 2
+    assert "finite float" in str(excinfo.value)
+    (op,), = fjsp.parse_fjs("1 1\n1 1 1 " + "9" * 308 + "\n").jobs
+    assert op.eligible == ((1, 1e308),)
+
+
+# A .fjs processing time: small, or past the largest float (above 10**309).
+FJS_TIMES = st.one_of(st.integers(1, 20), st.integers(10**300, 10**400)).map(str)
+# Any .fjs field: small integers, such times, and fields that are no integer.
+FJS_FIELDS = st.one_of(
+    st.integers(-2, 30).map(str),
+    FJS_TIMES,
+    st.sampled_from(["x", "1.5", "nan", "1e400", "-", "\u0663"]),
+)
+
+
+@st.composite
+def fjs_like_texts(draw):
+    """A .fjs layout with drawn counts, machine indices and processing times
+    (in half the texts, small ones only), then up to two fields replaced,
+    inserted or deleted."""
+    n_jobs, n_machines = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    times = draw(st.sampled_from([st.integers(1, 20).map(str), FJS_TIMES]))
+    rows = [[str(n_jobs), str(n_machines)]]
+    for _ in range(n_jobs):
+        n_ops = draw(st.integers(1, 2))
+        row = [str(n_ops)]
+        for _ in range(n_ops):
+            n_eligible = draw(st.integers(1, 2))
+            row.append(str(n_eligible))
+            for _ in range(n_eligible):
+                row += [str(draw(st.integers(1, n_machines))), draw(times)]
+        rows.append(row)
+    edits = st.tuples(st.integers(0, 99), st.integers(0, 99), st.sampled_from("rid"), FJS_FIELDS)
+    for row_at, field_at, edit, field in draw(st.lists(edits, max_size=2)):
+        row = rows[row_at % len(rows)]
+        at = field_at % (len(row) + 1)
+        if edit == "i":
+            row.insert(at, field)
+        elif at < len(row):
+            row[at:at + 1] = [field] if edit == "r" else []
+    return "\n".join(" ".join(row) for row in rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(), fjs_like_texts()))
+def test_parse_fjs_returns_an_instance_or_raises_only_closurekb_errors(text):
+    try:
+        inst = fjsp.parse_fjs(text)
+    except ClosureKbError:
+        return
+    assert len(inst.jobs) == inst.n_jobs
+    for ops in inst.jobs:
+        for op in ops:
+            for machine, ptime in op.eligible:
+                assert 1 <= machine <= inst.n_machines
+                assert math.isfinite(ptime) and ptime > 0
+
+
+def fjs_job_line(ops) -> str:
+    """A parsed job as the .fjs line it came from (integer processing times)."""
+    fields = [len(ops)]
+    for op in ops:
+        fields.append(len(op.eligible))
+        for machine, ptime in op.eligible:
+            fields += [machine, int(ptime)]
+    return " ".join(map(str, fields))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_jobs=st.integers(1, 6),
+    n_machines=st.integers(1, 6),
+    ops_per_job=st.integers(1, 4),
+    flexibility=st.integers(1, 6),
+    seed=st.integers(0, 2**32),
+    times=st.lists(st.integers(1, 2**53), min_size=2, max_size=2).map(sorted),
+)
+def test_parse_fjs_reads_back_what_generate_fjs_writes(n_jobs, n_machines, ops_per_job, flexibility, seed, times):
+    text = fjsp.generate_fjs(n_jobs, n_machines, ops_per_job, flexibility, seed, *times)
+    inst = fjsp.parse_fjs(text)
+    assert (inst.n_jobs, inst.n_machines) == (n_jobs, n_machines)
+    assert [fjs_job_line(ops) for ops in inst.jobs] == text.splitlines()[1:]
+    for ops in inst.jobs:
+        assert len(ops) == ops_per_job
+        for op in ops:
+            assert len(op.eligible) == min(flexibility, n_machines)
+            assert all(times[0] <= ptime <= times[1] for _machine, ptime in op.eligible)
 
 
 def test_parse_benchmark_dimension_instance():

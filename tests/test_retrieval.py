@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from closurekb import fjsp
+from closurekb import corpus, fjsp
 from closurekb import knowledge_graph as kg
 from closurekb import retrieval as rt
 from closurekb.closure import closure
@@ -30,6 +30,13 @@ def entity(graph, entity_id, kind=kg.PARAMETER, name=None, description="", sourc
 
 def empty_graph():
     return kg.KnowledgeGraph()
+
+
+@pytest.fixture(scope="module")
+def battery_graph(tmp_path_factory):
+    """The battery corpus graph, cards included: 6 slots per hour, 144 slots."""
+    files = corpus.write_battery_corpus(tmp_path_factory.mktemp("battery"))
+    return corpus.ingest_corpus([str(path) for path in files[:2]])[0]
 
 
 # --- Intents -----------------------------------------------------------------
@@ -111,6 +118,14 @@ def fjsp_graph():
     return graph.freeze()
 
 
+def test_entity_named_twice_is_extracted_at_its_first_mention(battery_graph):
+    parsed = rt.understand_query("explain machine m01, then machine m01 again", battery_graph)
+    assert [(e.surface, e.entity_id) for e in parsed.entities] == [
+        ("m01", "m01"),
+        ("machine m01", "paper:machine m01"),
+    ]
+
+
 def test_all_caps_name_resolves_as_one_word():
     graph = fjsp_graph()
     parsed = rt.understand_query("explain the constraints of WORKCENTERS", graph)
@@ -142,17 +157,38 @@ def test_time_window_mapping_uses_slots_per_hour():
     assert [w.slots for w in windows] == [(91, 96), (91, 102)]
 
 
-@pytest.mark.parametrize("query", [
-    "add a constraint in the 0th hour",
-    "add a constraint for hours 20 to 18",
-    "add a constraint for hours 0-2",
-    "add a constraint in the " + "1" * 5000 + "th hour",
-], ids=["hour 0", "backwards", "from hour 0", "5000-digit hour"])
-def test_time_window_that_no_slot_range_can_hold_is_unmapped(query):
-    graph = empty_graph()
-    entity(graph, "slotsPerHour", fields={"data": 6, "index_sets": []})
+@pytest.mark.parametrize("on_battery, query", [
+    (False, "add a constraint in the 0th hour"),
+    (False, "add a constraint for hours 20 to 18"),
+    (False, "add a constraint for hours 0-2"),
+    (False, "add a constraint in the " + "1" * 5000 + "th hour"),
+    (True, "add the load reduction constraint for hours 23 to 30"),
+    (True, "add the load reduction constraint in the 30th hour"),
+    (True, "add the load reduction constraint in the 25th hour"),
+], ids=["hour 0", "backwards", "from hour 0", "5000-digit hour",
+        "battery hours 23 to 30", "battery 30th hour", "battery 25th hour"])
+def test_time_window_that_no_slot_range_can_hold_is_unmapped(battery_graph, on_battery, query):
+    if on_battery:
+        graph = battery_graph
+    else:
+        graph = empty_graph()
+        entity(graph, "slotsPerHour", fields={"data": 6, "index_sets": []})
     windows = [e for e in rt.understand_query(query, graph).entities if e.kind == rt.TIME_WINDOW]
     assert len(windows) == 1 and windows[0].slots is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(first=st.integers(0, 30), last=st.integers(0, 30), nth=st.booleans())
+def test_every_mapped_battery_slot_lies_on_the_horizon(battery_graph, first, last, nth):
+    window = f"the {first}th hour" if nth else f"hours {first} to {last}"
+    parsed = rt.understand_query(f"add the load reduction constraint in {window}", battery_graph)
+    (slots,) = [e.slots for e in parsed.entities if e.kind == rt.TIME_WINDOW]
+    if nth:
+        last = first
+    if 1 <= first <= last <= 24:
+        assert slots == ((first - 1) * 6 + 1, last * 6)
+    else:
+        assert slots is None
 
 
 def test_time_window_unmapped_without_slots_per_hour():
