@@ -11,7 +11,7 @@ non-type-aware baseline.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import codegen, corpus, retrieval
@@ -42,17 +42,15 @@ class AblationConfig:
 
 
 def config_from_json(doc: dict) -> AblationConfig:
-    """Config from a JSON object whose fields are all optional;
-    SchemaViolation on a field of the wrong type."""
+    """Config from a JSON object whose fields are all optional, each of its
+    default's type; SchemaViolation on a field of the wrong type."""
     if not isinstance(doc, dict):
         raise SchemaViolation("ablation config must be an object")
-    return AblationConfig(
-        knowledge_sources=json_field(doc, "knowledge_sources", str, corpus.HETEROGENEOUS),
-        retrieval_mode=json_field(doc, "retrieval_mode", str, CLOSURE_MODE),
-        window_k=json_field(doc, "window_k", int, 3),
-        runs=json_field(doc, "runs", int, 1),
-        generator=json_field(doc, "generator", str, "template"),
-    )
+    return AblationConfig(**{
+        f.name: json_field(doc, f.name, type(f.default))
+        for f in fields(AblationConfig)
+        if doc.get(f.name) is not None
+    })
 
 
 @dataclass(frozen=True)
@@ -74,46 +72,24 @@ class AblationReport:
         return sum(1 for row in self.rows if row.status == "ok")
 
     def to_text(self) -> str:
-        lines = [
-            f"knowledge_sources={self.config.knowledge_sources}",
-            f"retrieval_mode={self.config.retrieval_mode}",
-            f"window_k={self.config.window_k}",
-            f"runs={self.config.runs}",
-            f"generator={self.config.generator}",
-            f"ok_runs={self.ok_runs}/{len(self.rows)}",
-        ]
+        lines = [f"{key}={value}" for key, value in asdict(self.config).items()]
+        lines.append(f"ok_runs={self.ok_runs}/{len(self.rows)}")
         for row in self.rows:
-            parts = [
-                f"run={row.run}",
-                f"status={row.status}",
-                f"missing={','.join(row.missing) if row.missing else '-'}",
-                f"empty_snippets={'yes' if row.empty_snippets else 'no'}",
-            ]
-            if row.detail:
-                parts.append(f"detail={row.detail}")
-            lines.append(" ".join(parts))
+            shown = {
+                **asdict(row),
+                "missing": ",".join(row.missing) or "-",
+                "empty_snippets": "yes" if row.empty_snippets else "no",
+            }
+            if not row.detail:
+                del shown["detail"]
+            lines.append(" ".join(f"{key}={value}" for key, value in shown.items()))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> dict:
         return {
-            "config": {
-                "knowledge_sources": self.config.knowledge_sources,
-                "retrieval_mode": self.config.retrieval_mode,
-                "window_k": self.config.window_k,
-                "runs": self.config.runs,
-                "generator": self.config.generator,
-            },
+            "config": asdict(self.config),
             "ok_runs": self.ok_runs,
-            "rows": [
-                {
-                    "run": row.run,
-                    "status": row.status,
-                    "missing": list(row.missing),
-                    "empty_snippets": row.empty_snippets,
-                    "detail": row.detail,
-                }
-                for row in self.rows
-            ],
+            "rows": [{**asdict(row), "missing": list(row.missing)} for row in self.rows],
         }
 
 

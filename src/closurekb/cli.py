@@ -33,6 +33,17 @@ def _load_graph(path: str) -> kg.KnowledgeGraph:
     return graph
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer of at least 1")
+    return value
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -49,17 +60,18 @@ def cmd_ingest(args) -> int:
     document = kg.save(graph)
     out = Path(args.graph)
     out.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+    n_edges = len(graph.edges)
     payload = {
         "graph": str(out),
         "entities": len(graph),
-        "edges": len(graph.edges),
+        "edges": n_edges,
         "alignments": len(alignment.edges),
         "ambiguities": [[pid, list(cands)] for pid, cands in alignment.ambiguities],
     }
     _emit(args, payload, [
         f"graph={out}",
         f"entities={len(graph)}",
-        f"edges={len(graph.edges)}",
+        f"edges={n_edges}",
         f"alignments={len(alignment.edges)}",
         f"ambiguities={len(alignment.ambiguities)}",
     ])
@@ -256,6 +268,9 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_fjsp_gen(args) -> int:
+    if args.p_min > args.p_max:
+        print(f"fjsp-gen: --p-min {args.p_min} exceeds --p-max {args.p_max}", file=sys.stderr)
+        return EXIT_USAGE
     text = fjsp.generate_fjs(
         n_jobs=args.jobs,
         n_machines=args.machines,
@@ -305,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--dialect", choices=list(model_dsl.DIALECTS), default=model_dsl.CANONICAL)
     p.add_argument("--generator", choices=["auto", "template", "endpoint"], default="auto")
-    p.add_argument("--max-rounds", type=int, default=codegen.DEFAULT_MAX_ROUNDS)
+    p.add_argument("--max-rounds", type=_positive_int, default=codegen.DEFAULT_MAX_ROUNDS)
     add_common(p)
     p.set_defaults(func=cmd_generate)
 
@@ -332,13 +347,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("fjsp-gen", help="generate a random .fjs instance")
-    p.add_argument("--jobs", type=int, required=True)
-    p.add_argument("--machines", type=int, required=True)
-    p.add_argument("--ops", type=int, default=2)
-    p.add_argument("--flex", type=int, default=2)
+    p.add_argument("--jobs", type=_positive_int, required=True)
+    p.add_argument("--machines", type=_positive_int, required=True)
+    p.add_argument("--ops", type=_positive_int, default=2)
+    p.add_argument("--flex", type=_positive_int, default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--p-min", type=int, default=1)
-    p.add_argument("--p-max", type=int, default=20)
+    p.add_argument("--p-min", type=_positive_int, default=1)
+    p.add_argument("--p-max", type=_positive_int, default=20)
     p.add_argument("--out")
     add_common(p)
     p.set_defaults(func=cmd_fjsp_gen)

@@ -59,15 +59,12 @@ MAX_RESPONSE_BYTES = 16 * 1024 * 1024
 @dataclass(frozen=True)
 class ContextPackage:
     instruction: str
-    typed_entities: tuple[tuple[Entity, str], ...]  # (entity, formal definition line)
+    typed_entities: tuple[Entity, ...]  # dependencies first
     subgraph_description: str
     snippets: tuple[tuple[str, float, str], ...]
 
     def render(self) -> str:
-        lines = ["TYPED ENTITIES"]
-        for _ent, defline in self.typed_entities:
-            lines.append(defline)
-        lines.append("")
+        lines = ["TYPED ENTITIES", *map(formal_definition, self.typed_entities), ""]
         lines.append("DEPENDENCY SUBGRAPH")
         lines.append(self.subgraph_description if self.subgraph_description else "(none)")
         lines.append("")
@@ -132,9 +129,8 @@ def build_context_from_members(
     instruction: str,
     check_closed: bool = True,
 ) -> ContextPackage:
-    """The context package of `members`. Each entity's definition line is
-    made once and kept on the entity. UnknownEntity for a member not in the
-    graph.
+    """The context package of `members`. UnknownEntity for a member not in
+    the graph.
 
     One walk over the sorted members reads each one's executability targets
     (KnowledgeGraph.exec_out) and collects the escaping (src, dst) pairs,
@@ -164,16 +160,10 @@ def build_context_from_members(
     if escaping and check_closed:
         raise NotClosed(escaping)
     order = dependency_order(graph, member_set)
-    subgraph = "\n".join(blocks)
-    entities = graph.entities
-    typed = []
-    for entity_id in order:
-        entity = entities[entity_id]
-        typed.append((entity, formal_definition(entity)))
     return ContextPackage(
         instruction=instruction,
-        typed_entities=tuple(typed),
-        subgraph_description=subgraph,
+        typed_entities=tuple(map(graph.entities.__getitem__, order)),
+        subgraph_description="\n".join(blocks),
         snippets=tuple(snippets),
     )
 
@@ -220,7 +210,7 @@ class TemplateGenerator:
         declarations: list[str] = []
         constraints: list[str] = []
         objectives: list[tuple[str, str]] = []
-        for entity, _line in package.typed_entities:
+        for entity in package.typed_entities:
             if entity.kind in (kg.CONSTRAINT, kg.OBJECTIVE):
                 expression = entity.fields.get("expression")
                 if not expression:

@@ -33,7 +33,7 @@ INPUT_SUFFIXES = (".mm", ".cards.json", ".battery.json", ".fjs", ".kg.json")
 def merge_graphs(dst: KnowledgeGraph, src: KnowledgeGraph) -> None:
     for entity_id in src.sorted_ids():
         dst.add_entity(src.entities[entity_id])
-    for edge in sorted(src.edges, key=lambda e: (e.src, e.dst, e.kind)):
+    for edge in src.edges:
         dst.add_edge(edge.src, edge.dst, edge.kind)
 
 
@@ -47,7 +47,7 @@ def filter_sources(graph: KnowledgeGraph, mode: str) -> KnowledgeGraph:
         ent = graph.entities[entity_id]
         if ent.source == keep:
             out.add_entity(ent)
-    for edge in sorted(graph.edges, key=lambda e: (e.src, e.dst, e.kind)):
+    for edge in graph.edges:
         if edge.src in out and edge.dst in out:
             out.add_edge(edge.src, edge.dst, edge.kind)
     return out

@@ -120,7 +120,9 @@ def with_windows(instance: FjspInstance, windows: dict[int, list[tuple[float, fl
 
 
 def parse_fjs(text: str) -> FjspInstance:
-    """Parse the standard `.fjs` layout (1-based machine indices)."""
+    """Parse the standard `.fjs` layout (1-based machine indices).
+    MalformedInstance, with its line, for a layout error, a processing time
+    no float holds, or times whose horizon (big_m_value) no float holds."""
     lines = [(i + 1, line.split()) for i, line in enumerate(text.splitlines())]
     rows = [(no, toks) for no, toks in lines if toks]
     if not rows:
@@ -143,6 +145,7 @@ def parse_fjs(text: str) -> FjspInstance:
             f"header claims {n_jobs} jobs but found {len(job_rows)} job lines", last_no
         )
     jobs: list[tuple[Operation, ...]] = []
+    horizon = 0.0  # big_m_value's sum of each operation's largest time, kept finite
     for line_no, tokens in job_rows:
         try:
             values = [int(tok) for tok in tokens]
@@ -183,6 +186,9 @@ def parse_fjs(text: str) -> FjspInstance:
                         "processing time does not fit a finite float", line_no
                     ) from None
             ops.append(Operation(eligible=tuple(eligible)))
+            horizon += max(ptime for _machine, ptime in eligible)
+            if not math.isfinite(horizon):
+                raise MalformedInstance("processing times sum past the largest float", line_no)
         if cursor != len(values):
             raise MalformedInstance("trailing fields on job line", line_no)
         jobs.append(tuple(ops))

@@ -4,7 +4,9 @@ Entities carry one of seven kinds; edges carry one of three kinds. All
 executability edges (used_in, depends_on) are stored in REQUIREMENT direction:
 src requires dst to be well-defined (constraint -> variable, variable ->
 index set). Ingestion of parsed models and concept cards normalizes into that
-direction so that dependency closure is a plain forward traversal.
+direction so that dependency closure is a plain forward traversal. Each edge
+is stored once, in its source's out-set and its target's in-set; `edges`
+reads them in (src, dst, kind) order.
 
 The graph keeps what requests read again and again, each built on first use
 after the last change that affects it: the name lookup, each entity's
@@ -131,7 +133,6 @@ class KnowledgeGraph:
 
     def __init__(self):
         self.entities: dict[str, Entity] = {}
-        self.edges: set[Edge] = set()
         self._out: dict[str, set[Edge]] = {}
         self._in: dict[str, set[Edge]] = {}
         self._exec_out: dict[str, tuple[tuple[str, ...], str]] = {}
@@ -168,9 +169,9 @@ class KnowledgeGraph:
         if src == dst:
             raise SchemaViolation(f"self-loop on {src!r} rejected")
         edge = Edge(src=src, dst=dst, kind=kind)
-        if edge not in self.edges:
-            self.edges.add(edge)
-            self._out[src].add(edge)
+        out = self._out[src]
+        if edge not in out:
+            out.add(edge)
             self._in[dst].add(edge)
             self._exec_out.pop(src, None)
             self._rank = None
@@ -196,6 +197,12 @@ class KnowledgeGraph:
 
     def sorted_ids(self) -> list[str]:
         return sorted(self.entities)
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """Every edge in (src, dst, kind) order. Each edge is stored once, in
+        its source's out-set and its target's in-set; this reads the out-sets."""
+        return tuple(e for entity_id in self.sorted_ids() for e in self.edges_from(entity_id))
 
     def neighbors(self, entity_id: str, kinds, direction: str = "out") -> list[str]:
         """Endpoint ids of matching edges, sorted for determinism."""
@@ -313,8 +320,7 @@ class NameLookup:
     """Entity lookups by name, built in one pass over the graph.
 
     by_name and by_hint map a name, solver_symbol or solver_symbol_hint to
-    its entities, code entities first, then by id. by_norm maps a
-    normalize_name() form to ids in sorted order. by_first_token maps the
+    its entities, code entities first, then by id. by_first_token maps the
     first split_name_tokens() token of each name to (tokens, id, priority)
     in sorted-id order, where priority 0 marks code entities.
     """
@@ -322,7 +328,6 @@ class NameLookup:
     def __init__(self, graph: KnowledgeGraph):
         self.by_name: dict[str, list[Entity]] = {}
         self.by_hint: dict[str, list[Entity]] = {}
-        self.by_norm: dict[str, list[str]] = {}
         self.by_first_token: dict[str, list[tuple[tuple[str, ...], str, int]]] = {}
         for entity_id in graph.sorted_ids():
             ent = graph.entities[entity_id]
@@ -331,7 +336,6 @@ class NameLookup:
             hint = ent.fields.get("solver_symbol_hint")
             if hint is not None:
                 self.by_hint.setdefault(hint, []).append(ent)
-            self.by_norm.setdefault(normalize_name(ent.name), []).append(entity_id)
             tokens = split_name_tokens(ent.name)
             if tokens:
                 priority = 0 if ent.source == SOURCE_CODE else 1
@@ -662,10 +666,7 @@ def save(graph: KnowledgeGraph) -> dict:
             }
             for ent in (graph.entities[i] for i in graph.sorted_ids())
         ],
-        "edges": [
-            {"src": e.src, "dst": e.dst, "kind": e.kind}
-            for e in sorted(graph.edges, key=lambda e: (e.src, e.dst, e.kind))
-        ],
+        "edges": [{"src": e.src, "dst": e.dst, "kind": e.kind} for e in graph.edges],
     }
 
 

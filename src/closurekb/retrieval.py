@@ -19,6 +19,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
+from . import battery
 from . import knowledge_graph as kg
 from .closure import closure_union
 from .errors import EmptyQuery
@@ -119,22 +120,21 @@ def _match_intents(text: str) -> tuple[str, ...]:
     return tuple(intent for _pos, intent in matched)
 
 
-def _slots_per_hour(graph: KnowledgeGraph) -> int | None:
-    for entity_id in graph.names().by_norm.get("slotsperhour", ()):
-        data = getattr(kg.declaration(graph.entities[entity_id]), "data", None)
+def _time_axis(graph: KnowledgeGraph) -> tuple[int | None, int | None]:
+    """(slots per hour, last slot) of the battery time axis: the first
+    positive data of `slotsPerHour` and the first `hi` of `timeSequence`, a
+    range set, each found by its exact name; None where there is none."""
+    sph = last_slot = None
+    for ent in graph.find_by_name(battery.SLOTS_PER_HOUR_PARAM):
+        data = getattr(kg.declaration(ent), "data", None)
         if isinstance(data, float) and data > 0:
-            return int(data)
-    return None
-
-
-def _last_slot(graph: KnowledgeGraph) -> int | None:
-    """The last slot of the time set `timeSequence`, a range set; None when
-    the graph declares no such set."""
-    for entity_id in graph.names().by_norm.get("timesequence", ()):
-        hi = getattr(kg.declaration(graph.entities[entity_id]), "hi", None)
-        if hi is not None:
-            return hi
-    return None
+            sph = int(data)
+            break
+    for ent in graph.find_by_name(battery.TIME_SET):
+        last_slot = getattr(kg.declaration(ent), "hi", None)
+        if last_slot is not None:
+            break
+    return sph, last_slot
 
 
 def _hour_slots(first: str, last: str, sph: int | None, last_slot: int | None) -> tuple[int, int] | None:
@@ -205,8 +205,7 @@ def understand_query(text: str, graph: KnowledgeGraph) -> ParsedQuery:
             ExtractedEntity(surface=m.group(), entity_id=None, kind=NUMERIC_WITH_UNIT)
         )
 
-    sph = _slots_per_hour(graph)
-    last_slot = _last_slot(graph)
+    sph, last_slot = _time_axis(graph)
     for m in (*_NTH_HOUR_RE.finditer(text), *_HOUR_RANGE_RE.finditer(text)):
         # An nth-hour window has one group, a range two: its first and last hour.
         slots = _hour_slots(m.group(1), m.group(m.lastindex), sph, last_slot)

@@ -3,9 +3,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from closurekb import ablation, codegen, corpus, fjsp, retrieval
 from closurekb.errors import ClosureKbError, SchemaViolation
+from test_knowledge_graph import json_documents
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +125,51 @@ def test_config_from_json_reads_every_field():
         corpus.CODE_ONLY, ablation.WINDOW_MODE, 2, 3, "mock.json"
     )
     assert ablation.config_from_json({}) == ablation.AblationConfig()
+
+
+CONFIG_FIELDS = ("knowledge_sources", "retrieval_mode", "window_k", "runs", "generator")
+CONFIG_WORDS = (*corpus.SOURCE_MODES, ablation.CLOSURE_MODE, ablation.WINDOW_MODE, "template")
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_documents(CONFIG_FIELDS, CONFIG_WORDS))
+def test_config_from_json_returns_a_config_or_raises_only_closurekb_errors(doc):
+    try:
+        config = ablation.config_from_json(json.loads(json.dumps(doc)))
+    except ClosureKbError:
+        return
+    assert ablation.config_from_json(ablation.AblationReport(config, ()).to_json()["config"]) == config
+
+
+@st.composite
+def valid_configs(draw):
+    mode = draw(st.sampled_from((ablation.CLOSURE_MODE, ablation.WINDOW_MODE)))
+    return ablation.AblationConfig(
+        knowledge_sources=draw(st.sampled_from(corpus.SOURCE_MODES)),
+        retrieval_mode=mode,
+        window_k=draw(st.integers(1 if mode == ablation.WINDOW_MODE else -5, 10**20)),
+        runs=draw(st.integers(1, 10**20)),
+        generator=draw(st.text()),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_configs())
+def test_config_from_json_reads_back_the_report_config(config):
+    doc = json.loads(json.dumps(ablation.AblationReport(config, ()).to_json()["config"]))
+    assert ablation.config_from_json(doc) == config
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_documents(("responses",), ("param q = 1;", "con c: q <= 1;")))
+def test_scripted_generator_from_path_returns_a_generator_or_raises_only_closurekb_errors(tmp_path_factory, doc):
+    script = tmp_path_factory.getbasetemp() / "drawn-script.json"
+    script.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        generator = ablation.ScriptedGenerator.from_path(script)
+    except ClosureKbError:
+        return
+    assert generator.responses == doc["responses"]
 
 
 @pytest.mark.parametrize("doc", [

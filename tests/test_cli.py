@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import closurekb
 from closurekb import battery, corpus, fjsp
@@ -17,6 +19,7 @@ from closurekb.cli import (
     EXIT_USAGE,
     main,
 )
+from test_knowledge_graph import json_documents
 
 QUERY = "Add a load-reduction constraint for the demand-response event"
 
@@ -295,6 +298,34 @@ def test_fjsp_gen_command(tmp_path, capsys):
     assert inst.n_jobs == 3 and inst.n_machines == 4
 
 
+FJSP_GEN = ["fjsp-gen", "--jobs", "2", "--machines", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*FJSP_GEN, "--p-min", "5", "--p-max", "1"],
+    ["fjsp-gen", "--jobs", "2", "--machines", "-1"],
+    ["fjsp-gen", "--jobs", "0", "--machines", "2"],
+    [*FJSP_GEN, "--ops", "0"],
+    [*FJSP_GEN, "--flex", "0"],
+    [*FJSP_GEN, "--p-min", "0"],
+    [*FJSP_GEN, "--p-max", "0"],
+    [*FJSP_GEN, "--ops", "x"],
+], ids=["p-min-above-p-max", "negative-machines", "zero-jobs", "zero-ops", "zero-flex", "zero-p-min",
+        "zero-p-max", "non-integer-ops"])
+def test_fjsp_gen_bad_numeric_option_is_a_usage_error_without_traceback(tmp_path, capsys, argv):
+    out = tmp_path / "gen.fjs"
+    assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_with_zero_rounds_is_a_usage_error_without_traceback(battery_graph, capsys):
+    assert main(["generate", QUERY, "--graph", str(battery_graph), "--max-rounds", "0"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--max-rounds: '0' is not an integer of at least 1" in err
+    assert "Traceback" not in err
+
+
 def test_usage_error_on_unknown_command(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
     capsys.readouterr()
@@ -339,6 +370,19 @@ def test_fjs_processing_time_past_the_largest_float_exits_2_without_traceback(tm
     assert proc.returncode == EXIT_USAGE, proc.stderr
     assert "processing time does not fit a finite float at line 2" in proc.stderr
     assert "Traceback" not in proc.stderr + proc.stdout
+
+
+@pytest.mark.parametrize("command", [["ingest"], ["eval", "fjsp"]], ids=["ingest", "eval fjsp"])
+def test_fjs_processing_times_summing_past_the_largest_float_exit_2_without_traceback(tmp_path, command):
+    path = tmp_path / "sum.fjs"
+    path.write_text("2 1\n" + ("1 1 1 " + "9" * 308 + "\n") * 2, encoding="utf-8")
+    out = tmp_path / "sum.kg.json"
+    extra = ["--graph", out] if command == ["ingest"] else ["--brute-force"]
+    proc = run_cli(*command, path, *extra)
+    assert proc.returncode == EXIT_USAGE, proc.stdout
+    assert "processing times sum past the largest float at line 3" in proc.stderr
+    assert "Traceback" not in proc.stderr + proc.stdout
+    assert not out.exists()
 
 
 def test_importing_the_cli_loads_no_network_or_process_module():
@@ -575,3 +619,51 @@ def test_malformed_or_non_utf8_input_file_is_a_usage_error_without_traceback(
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err + captured.out
+
+
+
+WINDOW_KEYS = ("machine", "w_start", "w_end")
+SOLUTION_KEYS = ("x", "s", "makespan", "z")
+# A config field's value of the wrong type, or of no known name.
+JUNK = st.none() | st.booleans() | st.floats() | st.text(max_size=4) | st.lists(st.integers(0, 3), max_size=2)
+CONFIG_DOCS = st.fixed_dictionaries({}, optional={
+    "knowledge_sources": st.sampled_from(corpus.SOURCE_MODES) | JUNK,
+    "retrieval_mode": st.sampled_from(["closure", "window"]) | JUNK,
+    "window_k": st.integers(-2, 4) | JUNK,
+    "runs": st.integers(-1, 3) | JUNK,  # a large count is a long loop, not an escape
+    "generator": st.just("template") | JUNK,
+})
+SMALL_INTS = st.integers(-2, 4).map(str)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cli_on_drawn_bad_files_and_fjsp_gen_integers_returns_a_status(good_inputs, data):
+    directory = good_inputs["corpus"].parent
+    drawn = directory / "drawn.json"
+    command = data.draw(st.sampled_from(["windows", "solution", "ablate", "fjsp-gen"]), label="command")
+    if command == "fjsp-gen":
+        out = directory / "drawn.fjs"
+        out.unlink(missing_ok=True)
+        options = data.draw(st.fixed_dictionaries(
+            {"--jobs": SMALL_INTS, "--machines": SMALL_INTS},
+            optional={"--ops": SMALL_INTS, "--flex": SMALL_INTS, "--p-min": SMALL_INTS, "--p-max": SMALL_INTS},
+        ), label="options")
+        argv = ["fjsp-gen", *(part for item in options.items() for part in item), "--out", str(out)]
+    else:
+        doc = data.draw(
+            {"windows": json_documents(WINDOW_KEYS), "solution": json_documents(SOLUTION_KEYS),
+             "ablate": CONFIG_DOCS | json_documents()}[command],
+            label="document",
+        )
+        drawn.write_text(json.dumps(doc), encoding="utf-8")
+        argv = {
+            "windows": ["eval", "fjsp", str(good_inputs["fjs"]), "--windows", str(drawn), "--brute-force"],
+            "solution": ["eval", "fjsp", str(good_inputs["fjs"]), "--solution", str(drawn)],
+            "ablate": ["ablate", str(good_inputs["corpus"]), "--config", str(drawn)],
+        }[command]
+    status = main(argv)
+    event(f"{command} exits {status}")
+    assert status in (EXIT_OK, EXIT_FAILED, EXIT_USAGE)
+    if command == "fjsp-gen" and status == EXIT_OK:
+        fjsp.parse_fjs(out.read_text(encoding="utf-8"))  # what fjsp-gen writes, ingest reads

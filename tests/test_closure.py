@@ -146,7 +146,7 @@ def test_induced_subgraph_excludes_external_and_aligns_edges():
 def test_induced_subgraph_single_member():
     graph = make_graph(2, [(0, 1, kg.USED_IN)])
     sub = induced_subgraph(graph, {"n00"})
-    assert len(sub) == 1 and sub.edges == set()
+    assert len(sub) == 1 and sub.edges == ()
 
 
 def test_induced_subgraph_full_graph_keeps_all_exec_edges():

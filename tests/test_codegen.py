@@ -46,7 +46,7 @@ def package_for(graph, target, instruction="build it"):
 def test_build_context_orders_dependencies_first():
     graph = ingest(LISTING_STYLE)
     package = package_for(graph, "c")
-    order = [ent.id for ent, _line in package.typed_entities]
+    order = [ent.id for ent in package.typed_entities]
     assert order.index("T") < order.index("y")
     assert order.index("T") < order.index("B13")
     assert order.index("y") < order.index("c")
@@ -182,7 +182,8 @@ def test_one_walk_package_matches_its_three_part_reference_on_random_digraphs_wi
         for check_closed in (True, False):
             def build():
                 package = codegen.build_context_from_members(graph, members, [], "x", check_closed)
-                return package.typed_entities, package.subgraph_description
+                typed = tuple((ent, codegen.formal_definition(ent)) for ent in package.typed_entities)
+                return typed, package.subgraph_description
 
             got = package_outcome(build)
             assert got == package_outcome(lambda: reference_package(graph, members, check_closed))
@@ -209,7 +210,7 @@ def test_closed_package_in_rank_order_is_the_subset_kahn_order(data):
     for seeds in seed_sets:
         members = closure_union(graph, seeds)
         package = codegen.build_context_from_members(graph, members, [], "x")
-        assert [ent.id for ent, _line in package.typed_entities] == quadratic_dependency_order(graph, members)
+        assert [ent.id for ent in package.typed_entities] == quadratic_dependency_order(graph, members)
         assert package.subgraph_description == exec_edge_scan(graph, members)
 
 
@@ -274,7 +275,7 @@ def test_kept_text_belongs_to_the_entity_not_to_its_id():
     texts = []
     for graph in (scalar, indexed, scalar, indexed):
         package = package_for(graph, "q")
-        texts.append((package.typed_entities[-1][1], codegen.TemplateGenerator()(package)))
+        texts.append((codegen.formal_definition(package.typed_entities[-1]), codegen.TemplateGenerator()(package)))
     assert texts[0] == texts[2] == ("q : parameter : numeric : {} : q", "param q = 3;\n")
     assert texts[1] == texts[3] == ("q : parameter : numeric : {T} : q", "set T = 1..2;\nparam q{T};\n")
 

@@ -13,6 +13,7 @@ from closurekb import codegen, fjsp
 from closurekb import knowledge_graph as kg
 from closurekb import model_dsl as md
 from closurekb.errors import ClosureKbError, MalformedInstance, MissingWindows, SchemaViolation, TooLarge
+from test_knowledge_graph import json_documents
 
 TWO_JOBS_ONE_MACHINE = "2 1\n1 1 1 3\n1 1 1 4\n"
 
@@ -52,8 +53,22 @@ def test_parse_rejects_a_processing_time_no_float_can_hold():
     assert op.eligible == ((1, 1e308),)
 
 
-# A .fjs processing time: small, or past the largest float (above 10**309).
-FJS_TIMES = st.one_of(st.integers(1, 20), st.integers(10**300, 10**400)).map(str)
+def test_parse_rejects_processing_times_whose_horizon_no_float_can_hold():
+    big = "9" * 308
+    with pytest.raises(MalformedInstance) as excinfo:
+        fjsp.parse_fjs(f"2 1\n1 1 1 {big}\n1 1 1 {big}\n")
+    assert excinfo.value.line == 3
+    assert "sum past the largest float" in str(excinfo.value)
+    # Only the largest time of an operation counts toward the horizon.
+    inst = fjsp.parse_fjs(f"1 2\n1 2 1 {big} 2 {big}\n")
+    assert fjsp.big_m_value(inst) == 1e308
+
+
+# A .fjs processing time: small, near the largest float (two of them sum
+# past it), or past it (above 10**309).
+FJS_TIMES = st.one_of(
+    st.integers(1, 20), st.integers(9 * 10**307, 10**308), st.integers(10**300, 10**400)
+).map(str)
 # Any .fjs field: small integers, such times, and fields that are no integer.
 FJS_FIELDS = st.one_of(
     st.integers(-2, 30).map(str),
@@ -103,6 +118,7 @@ def test_parse_fjs_returns_an_instance_or_raises_only_closurekb_errors(text):
             for machine, ptime in op.eligible:
                 assert 1 <= machine <= inst.n_machines
                 assert math.isfinite(ptime) and ptime > 0
+    assert math.isfinite(fjsp.big_m_value(inst))
 
 
 def fjs_job_line(ops) -> str:
@@ -494,3 +510,36 @@ def test_windows_from_json_rejects_malformed_documents(doc):
 def test_windows_from_json_groups_windows_by_machine():
     doc = [{"machine": 2, "w_start": 1, "w_end": 3}, {"machine": 2, "w_start": 5, "w_end": 6.5}]
     assert fjsp.windows_from_json(doc) == {2: [(1.0, 3.0), (5.0, 6.5)]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_documents(("machine", "w_start", "w_end")))
+def test_windows_from_json_returns_windows_or_raises_only_closurekb_errors(doc):
+    try:
+        fjsp.windows_from_json(json.loads(json.dumps(doc)))
+    except ClosureKbError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_documents(("x", "s", "makespan", "z")))
+def test_solution_from_json_returns_a_solution_or_raises_only_closurekb_errors(doc):
+    try:
+        fjsp.solution_from_json(json.loads(json.dumps(doc)))
+    except ClosureKbError:
+        pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_jobs=st.integers(1, 3),
+    n_machines=st.integers(1, 3),
+    ops_per_job=st.integers(1, 2),
+    flexibility=st.integers(1, 2),
+    seed=st.integers(0, 2**32),
+)
+def test_solution_json_round_trips_every_brute_force_solution(n_jobs, n_machines, ops_per_job, flexibility, seed):
+    inst = fjsp.parse_fjs(fjsp.generate_fjs(n_jobs, n_machines, ops_per_job, flexibility, seed))
+    _optimum, solution = fjsp.brute_force_solution(inst)
+    doc = json.loads(json.dumps(fjsp.solution_to_json(solution)))
+    assert fjsp.solution_from_json(doc) == solution

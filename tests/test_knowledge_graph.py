@@ -101,7 +101,7 @@ def test_declaration_reads_back_each_ingested_declaration(seed):
 def test_ingest_set_only_model_has_no_edges():
     graph = ingest_source("set T = 1..2;")
     assert len(graph) == 1
-    assert graph.edges == set()
+    assert graph.edges == ()
 
 
 def test_ingest_conflicting_kind_raises():
@@ -440,6 +440,20 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=6), children, max_size=4),
     max_leaves=8,
 )
+
+
+def json_documents(keys=(), words=()):
+    """JSON documents a few levels deep: objects keyed mostly by `keys`,
+    strings drawn from `words` or short text, and numbers that include
+    integers past the float range and non-finite floats."""
+    names = st.sampled_from(keys) | st.text(max_size=3) if keys else st.text(max_size=3)
+    strings = st.sampled_from(words) | st.text(max_size=4) if words else st.text(max_size=4)
+    scalars = st.none() | st.booleans() | st.integers(-2, 5) | st.integers(-10**400, 10**400) | st.floats() | strings
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(names, inner, max_size=4),
+        max_leaves=12,
+    )
 
 
 def shaped(valid):
