@@ -8,7 +8,10 @@ round). The battery and FJSP digests also cover the closure walk (visit
 order and edge count) from every entity, and the battery digest the
 window-mode package of each query, an open member set. The ablation digests
 cover `ablate`'s JSON report on the dispersed corpus in closure and window
-mode, and the package of one run. A speed-up must leave every digest as it
+mode, and the package of one run. The FJSP models digest covers the
+canonical text of every variant's model on seeded instances, with and
+without windows whose bounds are fractional, below 1e-5, negative or past
+1e15, and on times up to 2**53. A speed-up must leave every digest as it
 is; a change that means to alter the output records the new digests and says
 why.
 """
@@ -18,7 +21,7 @@ import json
 
 import pytest
 
-from closurekb import ablation, codegen, corpus, fjsp, retrieval
+from closurekb import ablation, codegen, corpus, fjsp, model_dsl, retrieval
 from closurekb import knowledge_graph as kg
 from closurekb.closure import closure
 
@@ -38,7 +41,15 @@ DIGESTS = {
     "fjsp": "287ff9e79711c6fabc533807ec272757b44b0b97328352a9d7a41ce6d6d753a3",
     "ablate-closure": "0dc93c545ae74a7d631e062d3f46e752ad3c249c4e9e325434c3a800622c9a46",
     "ablate-window": "a226ab7ce991faa47acc4ea93b479b52939f90b06db482db5d232a875e3898a9",
+    "fjsp-models": "ea9a4721378dfec295ebab3b7f4bb84c3090b14e00af9ef360a2971044f62058",
 }
+
+FJSP_INSTANCES = (
+    {"n_jobs": 3, "n_machines": 2, "ops_per_job": 2, "flexibility": 2, "seed": 3},
+    {"n_jobs": 4, "n_machines": 3, "ops_per_job": 3, "flexibility": 2, "seed": 14},
+    {"n_jobs": 3, "n_machines": 2, "ops_per_job": 2, "flexibility": 2, "seed": 5, "p_min": 2**52, "p_max": 2**53},
+)
+FJSP_WINDOWS = {1: [(-2.0, 1.0), (2.5e-06, 7.5)], 2: [(-5.0, -0.25), (10.25, 3e16)]}
 
 
 class RecordingGenerator:
@@ -131,6 +142,18 @@ def test_fjsp_whole_model_pipeline_output_is_unchanged(fjsp_graph):
     records = pipeline_records(fjsp_graph, FJSP_QUERIES)
     assert records[0]["report"]["status"] == "ok" and len(fjsp_graph) > 100
     assert digest([records, closure_records(fjsp_graph)]) == DIGESTS["fjsp"]
+
+
+def test_fjsp_models_are_unchanged():
+    texts = []
+    for dims in FJSP_INSTANCES:
+        plain = fjsp.parse_fjs(fjsp.generate_fjs(**dims))
+        for instance in (plain, fjsp.with_windows(plain, FJSP_WINDOWS)):
+            for variant in fjsp.VARIANTS:
+                if variant != fjsp.UNAVAILABILITY or instance.windows:
+                    texts.append(model_dsl.emit_model(fjsp.build_fjsp_model(instance, variant)))
+    assert len(texts) == 15
+    assert digest(texts) == DIGESTS["fjsp-models"]
 
 
 @pytest.mark.parametrize("mode", [ablation.CLOSURE_MODE, ablation.WINDOW_MODE])
