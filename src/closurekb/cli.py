@@ -271,6 +271,10 @@ def cmd_fjsp_gen(args) -> int:
     if args.p_min > args.p_max:
         print(f"fjsp-gen: --p-min {args.p_min} exceeds --p-max {args.p_max}", file=sys.stderr)
         return EXIT_USAGE
+    # Below this bound every time and the horizon (their sum) fit a float.
+    if args.jobs * args.ops * args.p_max > sys.float_info.max:
+        print("fjsp-gen: --jobs x --ops x --p-max exceeds the largest float", file=sys.stderr)
+        return EXIT_USAGE
     text = fjsp.generate_fjs(
         n_jobs=args.jobs,
         n_machines=args.machines,
@@ -375,7 +379,7 @@ def main(argv=None) -> int:
     except TooLarge as exc:
         print(f"instance too large: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ClosureKbError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ClosureKbError, OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or integer
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -213,7 +213,7 @@ _TOKEN_RE = re.compile(
     r"""
     \s*(?:![^\n]*\s*)*
     (?:
-        (\d+(?:\.\d+)?)
+        (\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
       | ([A-Za-z][A-Za-z0-9_]*|\.\.|<=|>=|[;:,{}\[\]()=+\-*/<>])
       | (.)
       | \Z
@@ -296,9 +296,9 @@ class _Parser:
         return name
 
     def integer(self, message: str) -> int:
-        """An integer NUMBER token; `message` is the error for a decimal one."""
+        """An integer NUMBER token; `message` is the error for any other one."""
         text, offset = self.expect("NUMBER")[1:]
-        if "." in text:
+        if not text.isdigit():
             raise self.error(message, offset)
         try:
             return int(text)
@@ -489,9 +489,8 @@ class _Parser:
                 indices.append(self.parse_index())
             self.expect("]")
             return Ref(text, tuple(indices))
-        if kind == "NUMBER":
-            self.pos += 1
-            return Num(self.number(text, offset))
+        if kind == "NUMBER" or (kind == "-" and self.tokens[self.pos + 1][0] == "NUMBER"):
+            return Num(self.parse_signed_number())
         if kind == "(":
             self.pos += 1
             expr = self.parse_expr()

@@ -11,7 +11,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import closurekb
-from closurekb import battery, corpus, fjsp
+from closurekb import battery, corpus, fjsp, model_dsl
 from closurekb.cli import (
     EXIT_FAILED,
     EXIT_GENERATOR,
@@ -310,13 +310,38 @@ FJSP_GEN = ["fjsp-gen", "--jobs", "2", "--machines", "2"]
     [*FJSP_GEN, "--p-min", "0"],
     [*FJSP_GEN, "--p-max", "0"],
     [*FJSP_GEN, "--ops", "x"],
+    [*FJSP_GEN, "--p-min", str(10**309), "--p-max", str(10**309)],
+    ["fjsp-gen", "--jobs", "3", "--machines", "1", "--ops", "1", "--p-min", str(10**308), "--p-max", str(10**308)],
 ], ids=["p-min-above-p-max", "negative-machines", "zero-jobs", "zero-ops", "zero-flex", "zero-p-min",
-        "zero-p-max", "non-integer-ops"])
+        "zero-p-max", "non-integer-ops", "time-past-float", "horizon-past-float"])
 def test_fjsp_gen_bad_numeric_option_is_a_usage_error_without_traceback(tmp_path, capsys, argv):
     out = tmp_path / "gen.fjs"
     assert main([*argv, "--out", str(out)]) == EXIT_USAGE
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name, text, query", [
+    ("tiny.mm", "param q = 0.00001; var x continuous; con c: x <= q;\n", "add the c constraint"),
+    ("big.fjs", "2 1\n1 1 1 9007199254740993\n1 1 1 9007199254740993\n",
+     "explain the constraints of x and generate code"),
+], ids=["param-below-1e-5", "times-past-2-53"])
+def test_generate_reads_back_numbers_in_exponent_form(tmp_path, capsys, name, text, query):
+    source = tmp_path / name
+    source.write_text(text, encoding="utf-8")
+    graph = tmp_path / "g.kg.json"
+    assert main(["ingest", str(source), "--graph", str(graph)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["generate", query, "--graph", str(graph)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[:2] == ["status=ok", "rounds=1"]
+
+
+def test_validate_reads_a_negative_window_start(tmp_path, capsys):
+    instance = fjsp.with_windows(fjsp.parse_fjs("2 1\n1 1 1 3\n1 1 1 4\n"), {1: [(-2.0, 1.0)]})
+    code = tmp_path / "unavailability.mm"
+    code.write_text(model_dsl.emit_model(fjsp.build_fjsp_model(instance, fjsp.UNAVAILABILITY)), encoding="utf-8")
+    assert main(["validate", str(code)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == ["status=ok"]
 
 
 def test_generate_with_zero_rounds_is_a_usage_error_without_traceback(battery_graph, capsys):
@@ -535,6 +560,8 @@ def test_graph_with_malformed_declaration_field_is_a_usage_error_without_traceba
 
 
 NOT_UTF8 = b'{"x": "\xff\xfe"}'
+# More digits than json.loads converts to an int (a plain ValueError).
+HUGE_INT = b"9" * 5000
 
 
 @pytest.fixture(scope="module")
@@ -595,6 +622,9 @@ ABLATE_SCRIPT = ("ablate", "{corpus}", "--config", "{script_config}")
     (("ingest", "{bad}", "--graph", "{out}"), "bad.battery.json", NOT_UTF8),
     (("ingest", "{bad}", "--graph", "{out}"), "bad.fjs", NOT_UTF8),
     (("ingest", "{bad}", "--graph", "{out}"), "bad.mm", NOT_UTF8),
+    (FJSP_WINDOWS, "w.json", HUGE_INT),
+    (ABLATE_CONFIG, "config.json", HUGE_INT),
+    (("ingest", "{bad}", "--graph", "{out}"), "bad.cards.json", HUGE_INT),
 ], ids=[
     "solution-list", "solution-int-x", "solution-not-utf8",
     "windows-string-machine", "windows-int-record", "windows-not-utf8",
@@ -606,6 +636,7 @@ ABLATE_SCRIPT = ("ablate", "{corpus}", "--config", "{script_config}")
     "generate-graph-not-utf8", "closure-graph-not-utf8",
     "ingest-kg-not-utf8", "ingest-cards-not-utf8", "ingest-battery-not-utf8",
     "ingest-fjs-not-utf8", "ingest-mm-not-utf8",
+    "windows-5000-digit-int", "config-5000-digit-int", "ingest-cards-5000-digit-int",
 ])
 def test_malformed_or_non_utf8_input_file_is_a_usage_error_without_traceback(
     good_inputs, tmp_path, capsys, argv, name, content
@@ -647,7 +678,8 @@ def test_cli_on_drawn_bad_files_and_fjsp_gen_integers_returns_a_status(good_inpu
         out.unlink(missing_ok=True)
         options = data.draw(st.fixed_dictionaries(
             {"--jobs": SMALL_INTS, "--machines": SMALL_INTS},
-            optional={"--ops": SMALL_INTS, "--flex": SMALL_INTS, "--p-min": SMALL_INTS, "--p-max": SMALL_INTS},
+            optional={"--ops": SMALL_INTS, "--flex": SMALL_INTS, "--p-min": SMALL_INTS,
+                      "--p-max": SMALL_INTS | st.sampled_from([str(10**308), str(10**309)])},
         ), label="options")
         argv = ["fjsp-gen", *(part for item in options.items() for part in item), "--out", str(out)]
     else:

@@ -1,7 +1,9 @@
 """Parser, symbol facts, and emitter tests, including the random round-trip suite."""
 
+import math
 import random
 import re
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -445,6 +447,22 @@ def test_round_trip_on_1000_random_models():
         emitted = md.emit_model(ast)
         assert md.parse_model(emitted) == ast
         assert md.emit_model(md.parse_model(emitted)) == emitted
+
+
+FINITE_DOUBLES = st.integers(0, 2**64 - 1).map(
+    lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]
+).filter(math.isfinite)
+
+
+@settings(max_examples=500, deadline=None)
+@given(FINITE_DOUBLES)
+def test_every_finite_double_reads_back_as_written(value):
+    text = md.format_number(value)
+    assert md.parse_model(f"param q = {text};").params[0].data == value
+    con = md.Constraint(
+        "c", None, md.BinOp("-", md.Num(value), md.Num(value)), "<=", md.BinOp("*", md.Num(value), md.Num(value))
+    )
+    assert md.parse_model(md.emit_constraint(con)).constraints == (con,)
 
 
 def test_reference_completeness_on_random_models():
