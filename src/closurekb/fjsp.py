@@ -3,10 +3,11 @@
 `.fjs` instance ingestion, MILP model emission in three variants (baseline
 makespan minimization, machine unavailability windows via big-M indicator
 pairs, alternate industrial terminology), feasibility checking with makespan
-evaluation, and a small exhaustive oracle. Models are built in the standard
-vocabulary; the alternate terminology is the baseline model renamed by
-`name_bijection`, which reads one table, ALTERNATE_NAME (standard name ->
-alternate name). The terminology cards read the same table.
+evaluation, and a small exhaustive oracle. A model is written as MiniModel
+source lines in the standard vocabulary and read by `model_dsl.parse_model`,
+as every `.mm` source is; the alternate terminology is the baseline
+model renamed by `name_bijection`, which reads one table, ALTERNATE_NAME
+(standard name -> alternate name). The terminology cards read the same table.
 
 Operations are numbered globally 1..O in job-major order so that job
 precedence is `o -> o+1` guarded by a final-operation flag. Pairwise machine
@@ -27,22 +28,7 @@ from . import knowledge_graph as kg
 from . import model_dsl
 from .errors import DimensionMismatch, MalformedInstance, MissingWindows, SchemaViolation, TooLarge
 from .knowledge_graph import ConceptCard, json_field
-from .model_dsl import (
-    BinOp,
-    Compare,
-    Constraint,
-    Index,
-    ModelAst,
-    Num,
-    Objective,
-    ParamDecl,
-    Predicate,
-    Quantifier,
-    Ref,
-    SetDecl,
-    Sum,
-    VarDecl,
-)
+from .model_dsl import ModelAst
 
 EPS = 1e-9
 
@@ -234,121 +220,78 @@ def big_m_value(instance: FjspInstance) -> float:
     return float(horizon + max_window_end)
 
 
-def _one_minus(name: str, indices: tuple[Index, ...] = ()) -> BinOp:
-    return BinOp("-", Num(1.0), Ref(name, indices))
-
-
-def _big_m(expr: model_dsl.Expr) -> BinOp:
-    return BinOp("*", Ref("bigM"), expr)
-
-
-def _completion(o_idx: Index, machine: Index) -> BinOp:
-    return BinOp("+", Ref("s", (o_idx,)), Ref("p", (o_idx, machine)))
-
-
 def build_fjsp_model(instance: FjspInstance, variant: str = BASELINE) -> ModelAst:
-    """Emit the MILP for one variant. The model is built in the standard
-    vocabulary; alt_terms is the baseline model renamed by `name_bijection`."""
+    """The MILP of one variant, written as MiniModel source in the standard
+    vocabulary and read by `model_dsl.parse_model`; alt_terms is the baseline
+    model renamed by `name_bijection`."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if variant == UNAVAILABILITY and not instance.windows:
         raise MissingWindows("unavailability variant requires a windows side file")
+    num = model_dsl.format_number
     ops = instance.op_list()
     n_ops = len(ops)
     n_machines = instance.n_machines
-    big_m = big_m_value(instance)
+    big_m = num(big_m_value(instance))
 
     ptab = {}
     for o_idx, (_i, _j, op) in enumerate(ops, start=1):
         for machine, ptime in op.eligible:
             ptab[(o_idx, machine)] = ptime
     cells = [(o_idx, m) for o_idx in range(1, n_ops + 1) for m in range(1, n_machines + 1)]
-    sets = (SetDecl("OPS", lo=1, hi=n_ops), SetDecl("M", lo=1, hi=n_machines))
-    params = (
-        ParamDecl("p", index_sets=("OPS", "M"), data=tuple(float(ptab.get(c, 0.0)) for c in cells)),
-        ParamDecl("elig", index_sets=("OPS", "M"), data=tuple(float(c in ptab) for c in cells)),
-        ParamDecl(
-            "last",
-            index_sets=("OPS",),
-            data=tuple(1.0 if j == len(instance.jobs[i]) - 1 else 0.0 for i, j, _op in ops),
-        ),
-        ParamDecl("bigM", data=big_m),
-    )
-    variables = [
-        VarDecl("x", index_sets=("OPS", "M"), domain=model_dsl.BINARY),
-        VarDecl("s", index_sets=("OPS",), domain=model_dsl.CONTINUOUS, bounds=(0.0, big_m)),
-        VarDecl("cmax", domain=model_dsl.CONTINUOUS, bounds=(0.0, big_m)),
+
+    def data(values) -> str:
+        return "[" + ", ".join(num(float(v)) for v in values) + "]"
+
+    lines = [
+        f"set OPS = 1..{n_ops};",
+        f"set M = 1..{n_machines};",
+        f"param p{{OPS, M}} = {data(ptab.get(c, 0) for c in cells)};",
+        f"param elig{{OPS, M}} = {data(c in ptab for c in cells)};",
+        f"param last{{OPS}} = {data(j == len(instance.jobs[i]) - 1 for i, j, _op in ops)};",
+        f"param bigM = {big_m};",
+        "var x{OPS, M} binary;",
+        f"var s{{OPS}} continuous in [0, {big_m}];",
+        f"var cmax continuous in [0, {big_m}];",
+        # assign: one eligible machine per operation; noInelig: no ineligible one.
+        "con assign{o in OPS}: sum{k in M : elig[o,k] = 1}(x[o,k]) = 1;",
+        "con noInelig{o in OPS}: sum{k in M : elig[o,k] = 0}(x[o,k]) = 0;",
+        # prec and finish bound the completion of a non-final / final operation.
+        "con prec{o in OPS : last[o] = 0}: s[o+1] >= s[o] + sum{k in M}(p[o,k]*x[o,k]);",
     ]
-
-    o, k = Index("o", 0), Index("k", 0)
-
-    def where(name: str, indices: tuple[Index, ...], value: float) -> Predicate:
-        return Predicate((Compare("=", Ref(name, indices), Num(value)),))
-
-    def machines_with_elig(value: float) -> Quantifier:
-        return Quantifier("k", "M", where("elig", (o, k), value))
-
-    def ops_with_last(value: float) -> Quantifier:
-        return Quantifier("o", "OPS", where("last", (o,), value))
-
-    # assign: one eligible machine per operation; noInelig: no ineligible one.
-    constraints = [
-        Constraint(name, Quantifier("o", "OPS"), Sum(machines_with_elig(value), Ref("x", (o, k))), "=", Num(value))
-        for name, value in (("assign", 1.0), ("noInelig", 0.0))
-    ]
-    # prec and finish bound the completion of a non-final / final operation.
-    work = Sum(Quantifier("k", "M"), BinOp("*", Ref("p", (o, k)), Ref("x", (o, k))))
-    done = BinOp("+", Ref("s", (o,)), work)
-    constraints.append(Constraint("prec", ops_with_last(0.0), Ref("s", (Index("o", 1),)), ">=", done))
 
     # Pairwise machine capacity: one ordering binary and two big-M inequalities
     # per machine-shared operation pair, active only when both are assigned.
-    for machine in range(1, n_machines + 1):
-        m = Index(None, machine)
-        sharing = [o_idx for o_idx in range(1, n_ops + 1) if (o_idx, machine) in ptab]
+    for m in range(1, n_machines + 1):
+        sharing = [o_idx for o_idx in range(1, n_ops + 1) if (o_idx, m) in ptab]
         for a, b in itertools.combinations(sharing, 2):
-            seq = f"seq_{a}_{b}_{machine}"
-            variables.append(VarDecl(seq, domain=model_dsl.BINARY))
-            unassigned = [_big_m(_one_minus("x", (Index(None, member), m))) for member in (a, b)]
+            seq, unassigned = f"seq_{a}_{b}_{m}", f"bigM*(1 - x[{a},{m}]) + bigM*(1 - x[{b},{m}])"
             # seq = 1 puts a first, seq = 0 puts b first.
-            orderings = ((a, b, _one_minus(seq)), (b, a, Ref(seq)))
-            for side, (first, then, gate) in enumerate(orderings, start=1):
-                constraints.append(Constraint(
-                    f"cap_{a}_{b}_{machine}_{side}",
-                    None,
-                    _completion(Index(None, first), m),
-                    "<=",
-                    model_dsl.chain("+", [Ref("s", (Index(None, then),)), _big_m(gate), *unassigned]),
-                ))
+            lines += [
+                f"var {seq} binary;",
+                f"con cap_{a}_{b}_{m}_1: s[{a}] + p[{a},{m}] <= s[{b}] + bigM*(1 - {seq}) + {unassigned};",
+                f"con cap_{a}_{b}_{m}_2: s[{b}] + p[{b},{m}] <= s[{a}] + bigM*{seq} + {unassigned};",
+            ]
 
-    constraints.append(Constraint("finish", ops_with_last(1.0), Ref("cmax"), ">=", done))
+    lines.append("con finish{o in OPS : last[o] = 1}: cmax >= s[o] + sum{k in M}(p[o,k]*x[o,k]);")
 
     if variant == UNAVAILABILITY:
         # Listing-style indicator pair per (operation, eligible machine, window):
         # complete before the window starts (z=1) or begin after it ends (z=0),
         # both disabled when the operation is not assigned to the machine.
-        for o_idx, machine in sorted(ptab):
-            at, m = Index(None, o_idx), Index(None, machine)
-            unassigned = _big_m(_one_minus("x", (at, m)))
-            for w_idx, (w_start, w_end) in enumerate(instance.windows_on(machine), start=1):
-                z = f"z_{o_idx}_{machine}_{w_idx}"
-                variables.append(VarDecl(z, domain=model_dsl.BINARY))
-                constraints.append(Constraint(
-                    f"win_{o_idx}_{machine}_{w_idx}_before",
-                    None,
-                    _completion(at, m),
-                    "<=",
-                    model_dsl.chain("+", [Num(float(w_start)), _big_m(_one_minus(z)), unassigned]),
-                ))
-                constraints.append(Constraint(
-                    f"win_{o_idx}_{machine}_{w_idx}_after",
-                    None,
-                    Ref("s", (at,)),
-                    ">=",
-                    model_dsl.chain("-", [Num(float(w_end)), _big_m(Ref(z)), unassigned]),
-                ))
+        for o, m in sorted(ptab):
+            unassigned = f"bigM*(1 - x[{o},{m}])"
+            for w_idx, window in enumerate(instance.windows_on(m), start=1):
+                z, win = f"z_{o}_{m}_{w_idx}", f"win_{o}_{m}_{w_idx}"
+                start, end = (num(float(bound)) for bound in window)
+                lines += [
+                    f"var {z} binary;",
+                    f"con {win}_before: s[{o}] + p[{o},{m}] <= {start} + bigM*(1 - {z}) + {unassigned};",
+                    f"con {win}_after: s[{o}] >= {end} - bigM*{z} - {unassigned};",
+                ]
 
-    model = ModelAst(sets, params, tuple(variables), tuple(constraints), Objective("min", "obj", Ref("cmax")))
+    lines.append("min obj: cmax;")
+    model = model_dsl.parse_model("\n".join(lines))
     if variant == ALT_TERMS:
         return model_dsl.rename_symbols(model, _alternate_names(model))
     return model
