@@ -243,6 +243,7 @@ def build_fjsp_model(instance: FjspInstance, variant: str = BASELINE) -> ModelAs
     def data(values) -> str:
         return "[" + ", ".join(num(float(v)) for v in values) + "]"
 
+    done = "s[o] + sum{k in M}(p[o,k]*x[o,k])"  # completion of operation o
     lines = [
         f"set OPS = 1..{n_ops};",
         f"set M = 1..{n_machines};",
@@ -257,7 +258,7 @@ def build_fjsp_model(instance: FjspInstance, variant: str = BASELINE) -> ModelAs
         "con assign{o in OPS}: sum{k in M : elig[o,k] = 1}(x[o,k]) = 1;",
         "con noInelig{o in OPS}: sum{k in M : elig[o,k] = 0}(x[o,k]) = 0;",
         # prec and finish bound the completion of a non-final / final operation.
-        "con prec{o in OPS : last[o] = 0}: s[o+1] >= s[o] + sum{k in M}(p[o,k]*x[o,k]);",
+        f"con prec{{o in OPS : last[o] = 0}}: s[o+1] >= {done};",
     ]
 
     # Pairwise machine capacity: one ordering binary and two big-M inequalities
@@ -273,7 +274,7 @@ def build_fjsp_model(instance: FjspInstance, variant: str = BASELINE) -> ModelAs
                 f"con cap_{a}_{b}_{m}_2: s[{b}] + p[{b},{m}] <= s[{a}] + bigM*{seq} + {unassigned};",
             ]
 
-    lines.append("con finish{o in OPS : last[o] = 1}: cmax >= s[o] + sum{k in M}(p[o,k]*x[o,k]);")
+    lines.append(f"con finish{{o in OPS : last[o] = 1}}: cmax >= {done};")
 
     if variant == UNAVAILABILITY:
         # Listing-style indicator pair per (operation, eligible machine, window):

@@ -489,7 +489,10 @@ class _Parser:
                 indices.append(self.parse_index())
             self.expect("]")
             return Ref(text, tuple(indices))
-        if kind == "NUMBER" or (kind == "-" and self.tokens[self.pos + 1][0] == "NUMBER"):
+        if kind == "NUMBER":
+            self.pos += 1
+            return Num(self.number(text, offset))
+        if kind == "-" and self.tokens[self.pos + 1][0] == "NUMBER":
             return Num(self.parse_signed_number())
         if kind == "(":
             self.pos += 1

@@ -311,7 +311,8 @@ FJSP_GEN = ["fjsp-gen", "--jobs", "2", "--machines", "2"]
     [*FJSP_GEN, "--p-max", "0"],
     [*FJSP_GEN, "--ops", "x"],
     [*FJSP_GEN, "--p-min", str(10**309), "--p-max", str(10**309)],
-    ["fjsp-gen", "--jobs", "3", "--machines", "1", "--ops", "1", "--p-min", str(10**308), "--p-max", str(10**308)],
+    ["fjsp-gen", "--jobs", "3", "--machines", "1", "--ops", "1",
+     "--p-min", str(10**308), "--p-max", str(10**308)],
 ], ids=["p-min-above-p-max", "negative-machines", "zero-jobs", "zero-ops", "zero-flex", "zero-p-min",
         "zero-p-max", "non-integer-ops", "time-past-float", "horizon-past-float"])
 def test_fjsp_gen_bad_numeric_option_is_a_usage_error_without_traceback(tmp_path, capsys, argv):
@@ -339,7 +340,8 @@ def test_generate_reads_back_numbers_in_exponent_form(tmp_path, capsys, name, te
 def test_validate_reads_a_negative_window_start(tmp_path, capsys):
     instance = fjsp.with_windows(fjsp.parse_fjs("2 1\n1 1 1 3\n1 1 1 4\n"), {1: [(-2.0, 1.0)]})
     code = tmp_path / "unavailability.mm"
-    code.write_text(model_dsl.emit_model(fjsp.build_fjsp_model(instance, fjsp.UNAVAILABILITY)), encoding="utf-8")
+    model = fjsp.build_fjsp_model(instance, fjsp.UNAVAILABILITY)
+    code.write_text(model_dsl.emit_model(model), encoding="utf-8")
     assert main(["validate", str(code)]) == EXIT_OK
     assert capsys.readouterr().out.splitlines() == ["status=ok"]
 

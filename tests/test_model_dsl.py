@@ -459,9 +459,8 @@ FINITE_DOUBLES = st.integers(0, 2**64 - 1).map(
 def test_every_finite_double_reads_back_as_written(value):
     text = md.format_number(value)
     assert md.parse_model(f"param q = {text};").params[0].data == value
-    con = md.Constraint(
-        "c", None, md.BinOp("-", md.Num(value), md.Num(value)), "<=", md.BinOp("*", md.Num(value), md.Num(value))
-    )
+    num = md.Num(value)
+    con = md.Constraint("c", None, md.BinOp("-", num, num), "<=", md.BinOp("*", num, num))
     assert md.parse_model(md.emit_constraint(con)).constraints == (con,)
 
 

@@ -47,7 +47,8 @@ DIGESTS = {
 FJSP_INSTANCES = (
     {"n_jobs": 3, "n_machines": 2, "ops_per_job": 2, "flexibility": 2, "seed": 3},
     {"n_jobs": 4, "n_machines": 3, "ops_per_job": 3, "flexibility": 2, "seed": 14},
-    {"n_jobs": 3, "n_machines": 2, "ops_per_job": 2, "flexibility": 2, "seed": 5, "p_min": 2**52, "p_max": 2**53},
+    {"n_jobs": 3, "n_machines": 2, "ops_per_job": 2, "flexibility": 2, "seed": 5,
+     "p_min": 2**52, "p_max": 2**53},
 )
 FJSP_WINDOWS = {1: [(-2.0, 1.0), (2.5e-06, 7.5)], 2: [(-5.0, -0.25), (10.25, 3e16)]}
 
