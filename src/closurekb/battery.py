@@ -452,11 +452,20 @@ def starvation_constraint_asts(data: BatteryCaseData) -> list[Constraint]:
 # --- Knowledge graph builder ---------------------------------------------------------
 
 def _check_family_inputs(data: BatteryCaseData, event: DrEvent) -> None:
-    """What the battery family needs of its inputs: at least one machine
-    (SchemaViolation), and event slots inside the horizon that form a
-    non-empty contiguous range (DimensionMismatch)."""
+    """What the battery family needs of its inputs: at least one machine, and
+    machine and buffer names that MiniModel reads as names, neither a keyword
+    nor the slot binder `t` (SchemaViolation); event slots inside the horizon
+    that form a non-empty contiguous range (DimensionMismatch). A name that
+    is another family symbol is rejected when the family is ingested."""
     if not data.machines:
         raise SchemaViolation("battery instance has no machines")
+    for name in data.machine_names + data.buffer_names:
+        # Inside the family's sums and quantifiers, `t` names the slot.
+        if not model_dsl.NAME_RE.fullmatch(name) or name in model_dsl.KEYWORDS or name == "t":
+            raise SchemaViolation(
+                f"machine or buffer name {name!r} is not a MiniModel name"
+                " (a letter, then letters, digits or '_'; no keyword, not 't')"
+            )
     if not event.slots:
         raise DimensionMismatch("event window has no slots")
     _check_event(data, event)

@@ -4,10 +4,10 @@
 makespan minimization, machine unavailability windows via big-M indicator
 pairs, alternate industrial terminology), feasibility checking with makespan
 evaluation, and a small exhaustive oracle. A model is written as MiniModel
-source lines in the standard vocabulary and read by `model_dsl.parse_model`,
-as every `.mm` source is; the alternate terminology is the baseline
-model renamed by `name_bijection`, which reads one table, ALTERNATE_NAME
-(standard name -> alternate name). The terminology cards read the same table.
+source lines and read by `model_dsl.parse_model`, as every `.mm` source is;
+the alternate terminology is the baseline source with every name passed
+through one table, ALTERNATE_NAME (standard name -> alternate name), which
+`name_bijection` and the terminology cards read too.
 
 Operations are numbered globally 1..O in job-major order so that job
 precedence is `o -> o+1` guarded by a final-operation flag. Pairwise machine
@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from dataclasses import dataclass, replace
 
 from . import knowledge_graph as kg
@@ -38,7 +39,8 @@ ALT_TERMS = "alt_terms"
 VARIANTS = (BASELINE, UNAVAILABILITY, ALT_TERMS)
 
 # Standard -> alternate name of every vocabulary symbol (a generated name is
-# renamed by its prefix, see _alternate_names).
+# renamed by its prefix, see _alternate). The alt_terms model renames its
+# source text, so no MiniModel keyword and no binder (`o`, `k`) is a key here.
 ALTERNATE_NAME = {
     "OPS": "TASKS",
     "M": "WORKCENTERS",
@@ -220,10 +222,24 @@ def big_m_value(instance: FjspInstance) -> float:
     return float(horizon + max_window_end)
 
 
+# A name in MiniModel source; the `e` of a number such as 1e-05 has no word
+# boundary before it, so it is never matched.
+_NAME_RE = re.compile(r"\b" + model_dsl.NAME_RE.pattern)
+
+
+def _alternate(name: str) -> str:
+    """The alternate name of a standard one. A generated name (`seq_1_2_1`,
+    `cap_…`, `z_…`, `win_…`) keeps what follows its vocabulary prefix; a name
+    outside ALTERNATE_NAME is returned unchanged."""
+    prefix, sep, suffix = name.partition("_")
+    alternate = ALTERNATE_NAME.get(prefix)
+    return name if alternate is None else alternate + sep + suffix
+
+
 def build_fjsp_model(instance: FjspInstance, variant: str = BASELINE) -> ModelAst:
-    """The MILP of one variant, written as MiniModel source in the standard
-    vocabulary and read by `model_dsl.parse_model`; alt_terms is the baseline
-    model renamed by `name_bijection`."""
+    """The MILP of one variant, written as MiniModel source and read by
+    `model_dsl.parse_model`; alt_terms is the baseline source with every name
+    passed through `_alternate`."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if variant == UNAVAILABILITY and not instance.windows:
@@ -292,27 +308,18 @@ def build_fjsp_model(instance: FjspInstance, variant: str = BASELINE) -> ModelAs
                 ]
 
     lines.append("min obj: cmax;")
-    model = model_dsl.parse_model("\n".join(lines))
+    source = "\n".join(lines)
     if variant == ALT_TERMS:
-        return model_dsl.rename_symbols(model, _alternate_names(model))
-    return model
-
-
-def _alternate_names(model: ModelAst) -> dict[str, str]:
-    """Standard -> alternate name of every declaration of a standard model. A
-    generated name (`seq_1_2_1`, `cap_…`, `z_…`, `win_…`) keeps what follows
-    its vocabulary prefix."""
-    mapping = {}
-    for decl in model.sets + model.params + model.vars + model.constraints + (model.objective,):
-        prefix, sep, suffix = decl.name.partition("_")
-        mapping[decl.name] = ALTERNATE_NAME[prefix] + sep + suffix
-    return mapping
+        source = _NAME_RE.sub(lambda m: _alternate(m[0]), source)
+    return model_dsl.parse_model(source)
 
 
 def name_bijection(instance: FjspInstance, variant: str = BASELINE) -> dict[str, str]:
     """Standard -> alternate name of every declaration of the variant's model
     (for alt_terms, of the baseline model it renames)."""
-    return _alternate_names(build_fjsp_model(instance, BASELINE if variant == ALT_TERMS else variant))
+    model = build_fjsp_model(instance, BASELINE if variant == ALT_TERMS else variant)
+    decls = model.sets + model.params + model.vars + model.constraints + (model.objective,)
+    return {decl.name: _alternate(decl.name) for decl in decls}
 
 
 def fjsp_terminology_cards() -> list[ConceptCard]:

@@ -29,6 +29,7 @@ from . import model_dsl
 from .errors import (
     ConflictingEntity,
     DanglingRelation,
+    DuplicateDeclaration,
     FrozenGraphError,
     SchemaViolation,
     UnknownEntity,
@@ -357,20 +358,24 @@ def ingest_model(ast: ModelAst, graph: KnowledgeGraph) -> list[str]:
     is representable. Returns the ids of the entities added, in that order.
 
     Atomic: a declaration whose kind conflicts with the graph (or with another
-    declaration) and a name iterated by its own declaration are rejected
-    before the graph is touched.
+    declaration), a name the model declares twice with one kind
+    (DuplicateDeclaration, the parser's rule) and a name iterated by its own
+    declaration are rejected before the graph is touched.
     """
     objective = (ast.objective,) if ast.objective is not None else ()
     statements = (*ast.sets, *ast.params, *ast.vars, *ast.constraints, *objective)
     declared = [_code_entity(stmt) for stmt in statements]
     facts = model_dsl.extract_symbols(ast)
 
-    kinds: dict[str, str] = {}
+    kinds: dict[str, str] = {}  # kind of each name this model declared so far
     for entity in declared:
         existing = graph.entities.get(entity.id)
-        known = kinds.setdefault(entity.id, existing.kind if existing is not None else entity.kind)
+        known = kinds.get(entity.id, existing.kind if existing is not None else entity.kind)
         if known != entity.kind:
             raise ConflictingEntity(entity.id, known, entity.kind)
+        if entity.id in kinds:
+            raise DuplicateDeclaration(entity.id)
+        kinds[entity.id] = known
     for site, set_name in facts.iterations:
         if site == set_name:
             raise SchemaViolation(f"self-loop on {site!r} rejected")

@@ -205,6 +205,9 @@ KEYWORDS = {
     "binary", "integer", "continuous",
 }
 
+# A name, or a keyword, as the lexer reads it.
+NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+
 # One match per token: the whitespace and comments before a token belong to
 # its match, so they never reach the token list. Group 1 is a number, group 2
 # a name, keyword or symbol, group 3 any other character (an error), and the
@@ -214,7 +217,7 @@ _TOKEN_RE = re.compile(
     \s*(?:![^\n]*\s*)*
     (?:
         (\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-      | ([A-Za-z][A-Za-z0-9_]*|\.\.|<=|>=|[;:,{}\[\]()=+\-*/<>])
+      | (""" + NAME_RE.pattern + r"""|\.\.|<=|>=|[;:,{}\[\]()=+\-*/<>])
       | (.)
       | \Z
     )
@@ -652,69 +655,6 @@ def symbol_facts_by_line(source: str) -> SymbolFacts | None:
         references += facts.references
         iterations += facts.iterations
     return SymbolFacts(tuple(declarations), tuple(references), tuple(iterations))
-
-
-# --- Renaming -----------------------------------------------------------------
-
-def rename_symbols(ast: ModelAst, mapping: dict[str, str]) -> ModelAst:
-    """Rename declared symbols throughout a model (quantifier binders are local
-    and left untouched). Names absent from the mapping are kept."""
-
-    def name(n: str) -> str:
-        return mapping.get(n, n)
-
-    def quant(q: Quantifier | None) -> Quantifier | None:
-        if q is None:
-            return None
-        return Quantifier(index=q.index, over=name(q.over), where=pred(q.where))
-
-    def pred(p: Predicate | None) -> Predicate | None:
-        if p is None:
-            return None
-        return Predicate(tuple(Compare(c.op, expr(c.left), expr(c.right)) for c in p.parts))
-
-    def expr(e: Expr) -> Expr:
-        if isinstance(e, Num):
-            return e
-        if isinstance(e, Ref):
-            return Ref(name=name(e.name), indices=e.indices)
-        if isinstance(e, BinOp):
-            # A long sum or product is a left-deep chain: walk its left spine
-            # in a loop, so only right operands cost a stack frame.
-            spine = []
-            while isinstance(e, BinOp):
-                spine.append(e)
-                e = e.left
-            out = expr(e)
-            for node in reversed(spine):
-                out = BinOp(node.op, out, expr(node.right))
-            return out
-        if isinstance(e, Sum):
-            return Sum(quant(e.quantifier), expr(e.body))
-        raise TypeError(f"unknown expression node {type(e).__name__}")
-
-    return ModelAst(
-        sets=tuple(
-            SetDecl(name(d.name), lo=d.lo, hi=d.hi, members=d.members) for d in ast.sets
-        ),
-        params=tuple(
-            ParamDecl(name(d.name), tuple(name(s) for s in d.index_sets), d.data)
-            for d in ast.params
-        ),
-        vars=tuple(
-            VarDecl(name(d.name), tuple(name(s) for s in d.index_sets), d.domain, d.bounds)
-            for d in ast.vars
-        ),
-        constraints=tuple(
-            Constraint(name(c.name), quant(c.quantifier), expr(c.left), c.op, expr(c.right))
-            for c in ast.constraints
-        ),
-        objective=(
-            Objective(ast.objective.sense, name(ast.objective.name), expr(ast.objective.expr))
-            if ast.objective is not None
-            else None
-        ),
-    )
 
 
 # --- Emission -----------------------------------------------------------------

@@ -13,6 +13,7 @@ from closurekb import battery as bt
 from closurekb import codegen
 from closurekb import knowledge_graph as kg
 from closurekb import model_dsl as md
+from closurekb import retrieval as rt
 from closurekb.closure import closure
 from closurekb.errors import (
     ClosureKbError,
@@ -672,6 +673,53 @@ def test_build_battery_kg_of_any_read_instance_raises_only_closurekb_errors(doc)
             bt.build_battery_kg(data, event)
     except ClosureKbError:
         pass
+
+
+# Machine and buffer names: keywords, the family's own symbols (and its slot
+# binder), text MiniModel does not read as one name, and plain names.
+LAYOUT_NAMES = st.sampled_from(["m0", "m1", "B0", "B1"]) | st.sampled_from([
+    *sorted(md.KEYWORDS),
+    bt.TIME_SET, bt.EVENT_SET, bt.PRICE_PARAM, bt.BASELINE_PARAM, bt.MIN_REDUCTION_PARAM,
+    bt.RATE_PARAM, bt.SLOTS_PER_HOUR_PARAM, bt.LOAD_REDUCTION_CONSTRAINT,
+    bt.BASELINE_OBJECTIVE, bt.DR_OBJECTIVE, "t", "m0PowerOn", "m0InitOff", "m0NoStarveB0",
+    "m 1", "1m", "", "m01[1]", "x-y", "ŷ",
+])
+
+
+@st.composite
+def named_layouts(draw):
+    """A two-slot case whose machine and buffer names are LAYOUT_NAMES."""
+    machines = tuple(
+        bt.Machine(name, 0, 2.0, 0.5, upstream=tuple(draw(st.lists(LAYOUT_NAMES, max_size=1))))
+        for name in draw(st.lists(LAYOUT_NAMES, min_size=1, max_size=2, unique=True))
+    )
+    products = ()
+    if draw(st.booleans()):
+        products = (bt.Product(price=2.0, quantity_buffer=(draw(LAYOUT_NAMES), 2)),)
+    data = bt.BatteryCaseData(n_slots=2, slots_per_hour=1, machines=machines, prices=(0.1, 0.2),
+                              products=products)
+    return data, bt.DrEvent(slots=(1, 2), lambda_rate=0.5, b_ref=(1.0, 2.5), delta_l_min=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(named_layouts())
+def test_battery_names_either_are_rejected_or_generate_the_load_reduction_model(layout):
+    data, event = layout
+    try:
+        graph = bt.build_battery_kg(data, event)
+    except ClosureKbError:
+        return
+    kg.ingest_concept_cards(bt.battery_concept_cards(), graph)
+    kg.align(graph)
+    graph.freeze()
+    code, report, _rounds = codegen.repair_loop(
+        "Add a load-reduction constraint for the demand-response event",
+        graph, rt.index_snippets(graph), codegen.TemplateGenerator(),
+    )
+    assert report.status == "ok", report
+    lines = code.splitlines()
+    assert "param Bref{drWindow} = [1, 2.5];" in lines
+    assert all(f"var {name}{{timeSequence}} binary;" in lines for name in data.machine_names)
 
 
 @pytest.mark.parametrize("doc", [

@@ -494,7 +494,17 @@ def test_eval_battery_of_misshapen_solution_is_a_usage_error_without_traceback(t
     (("machines",), [], "battery instance has no machines"),
     (("event",), {"slots": [], "lambda_rate": 0.5, "b_ref": [], "delta_l_min": 0.0},
      "event window has no slots"),
-], ids=["no-machines", "empty-event-window"])
+    (("machines", 0, "upstream"), ["Bref"], "duplicate declaration of 'Bref'"),
+    (("machines", 0, "upstream"), ["slotPrice"], "duplicate declaration of 'slotPrice'"),
+    (("machines", 0, "upstream"), ["m11PowerOn"], "duplicate declaration of 'm11PowerOn'"),
+    (("machines", 0, "name"), "sum", "machine or buffer name 'sum' is not a MiniModel name"),
+    (("machines", 0, "name"), "m 1", "machine or buffer name 'm 1' is not a MiniModel name"),
+    (("machines", 0, "name"), "1m", "machine or buffer name '1m' is not a MiniModel name"),
+    (("machines", 0, "name"), "", "machine or buffer name '' is not a MiniModel name"),
+    (("machines", 0, "upstream"), ["m01[1]"], "machine or buffer name 'm01[1]' is not a MiniModel name"),
+], ids=["no-machines", "empty-event-window", "buffer-named-Bref", "buffer-named-slotPrice",
+        "buffer-named-m11PowerOn", "machine-named-sum", "machine-name-with-space",
+        "machine-name-with-leading-digit", "empty-machine-name", "buffer-name-with-brackets"])
 def test_ingest_of_battery_instance_the_family_cannot_hold_is_a_usage_error(tmp_path, path, value, message):
     path_in = tmp_path / "bad.battery.json"
     path_in.write_text(json.dumps(broken_battery_doc(path, value)), encoding="utf-8")

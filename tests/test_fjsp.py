@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -206,14 +207,47 @@ def test_unavailability_variant_requires_windows():
         fjsp.build_fjsp_model(inst, fjsp.UNAVAILABILITY)
 
 
-def test_alt_terms_is_a_name_bijection():
-    inst = fjsp.parse_fjs(TWO_JOBS_ONE_MACHINE)
-    baseline = fjsp.build_fjsp_model(inst)
+def renamed_facts(facts, mapping):
+    """Symbol facts with every declared name passed through mapping."""
+    return md.SymbolFacts(
+        tuple(md.Declaration(mapping[d.name], d.kind, d.arity) for d in facts.declarations),
+        tuple(md.Reference(mapping[r.name], r.arity, mapping[r.site]) for r in facts.references),
+        tuple((mapping[site], mapping[set_name]) for site, set_name in facts.iterations),
+    )
+
+
+def assert_alt_terms_renames_the_baseline(inst):
     alt = fjsp.build_fjsp_model(inst, fjsp.ALT_TERMS)
-    mapping = fjsp.name_bijection(inst)
-    assert md.rename_symbols(baseline, mapping) == alt
-    assert md.rename_symbols(alt, {v: k for k, v in mapping.items()}) == baseline
+    mapping = fjsp.name_bijection(inst, fjsp.ALT_TERMS)
+    assert len(set(mapping.values())) == len(mapping)
+    baseline_facts = md.extract_symbols(fjsp.build_fjsp_model(inst))
+    assert md.extract_symbols(alt) == renamed_facts(baseline_facts, mapping)
+    return alt
+
+
+def test_alt_terms_is_a_name_bijection():
+    alt = assert_alt_terms_renames_the_baseline(fjsp.parse_fjs(TWO_JOBS_ONE_MACHINE))
     assert codegen.validate(md.emit_model(alt)).status == "ok"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_jobs=st.integers(1, 3),
+    n_machines=st.integers(1, 3),
+    ops_per_job=st.integers(1, 3),
+    flexibility=st.integers(1, 3),
+    seed=st.integers(0, 10_000),
+    p_max=st.sampled_from([20, 10**17]),
+)
+def test_alt_terms_symbol_facts_are_the_baselines_renamed(n_jobs, n_machines, ops_per_job, flexibility, seed, p_max):
+    text = fjsp.generate_fjs(n_jobs, n_machines, ops_per_job, flexibility, seed, p_max=p_max)
+    assert_alt_terms_renames_the_baseline(fjsp.parse_fjs(text))
+
+
+def test_alternate_names_are_no_keyword_or_binder():
+    # The alt_terms source is renamed as text: a keyword or a quantifier
+    # binder among the keys would be renamed too.
+    assert not set(fjsp.ALTERNATE_NAME) & (md.KEYWORDS | {"o", "k"})
 
 
 # The alternate-vocabulary model of TWO_JOBS_ONE_MACHINE, as emitted when each
@@ -247,7 +281,11 @@ def test_alt_terms_emits_the_pinned_alternate_vocabulary():
 def test_name_bijection_renames_the_unavailability_model_to_pinned_statements():
     inst = fjsp.with_windows(fjsp.parse_fjs("1 1\n1 1 1 3\n"), {1: [(2.0, 5.0)]})
     mapping = fjsp.name_bijection(inst, fjsp.UNAVAILABILITY)
-    code = md.emit_model(md.rename_symbols(fjsp.build_fjsp_model(inst, fjsp.UNAVAILABILITY), mapping))
+    code = re.sub(
+        r"\b[A-Za-z]\w*",
+        lambda m: mapping.get(m[0], m[0]),
+        md.emit_model(fjsp.build_fjsp_model(inst, fjsp.UNAVAILABILITY)),
+    )
     assert (
         "con maintenance_1_1_1_before: taskBegin[1] + taskDuration[1,1] <= 2"
         " + bigNumber*(1 - beforeWindow_1_1_1) + bigNumber*(1 - taskAssign[1,1]);"

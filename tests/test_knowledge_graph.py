@@ -15,6 +15,7 @@ from closurekb.errors import (
     ClosureKbError,
     ConflictingEntity,
     DanglingRelation,
+    DuplicateDeclaration,
     FrozenGraphError,
     SchemaViolation,
     UnknownEntity,
@@ -115,7 +116,10 @@ def test_ingest_conflicting_kind_raises():
     ("", md.parse_model("set T = 1..2; param p{p}; var x{T} binary; con c: x[1] <= q;"), SchemaViolation),
     ("set T = 1..2;", md.parse_model("param a = 1; var T binary;"), ConflictingEntity),
     ("", md.ModelAst(sets=(md.SetDecl("T", 1, 2),), vars=(md.VarDecl("T"),)), ConflictingEntity),
-], ids=["self-indexed-param", "set-redeclared-as-var", "one-name-two-kinds"])
+    ("", md.ModelAst(sets=(md.SetDecl("T", 1, 2),),
+                     params=(md.ParamDecl("B", ("T",), (1.0, 2.0)), md.ParamDecl("B", ("T",)))),
+     DuplicateDeclaration),
+], ids=["self-indexed-param", "set-redeclared-as-var", "one-name-two-kinds", "one-name-declared-twice"])
 def test_ingest_model_leaves_the_graph_unchanged_on_error(first, second, error):
     graph = ingest_source(first)
     before = kg.save(graph)
