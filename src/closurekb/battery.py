@@ -16,6 +16,7 @@ at data-construction time).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import knowledge_graph as kg
@@ -116,6 +117,14 @@ class BatteryCaseData:
                 raise DimensionMismatch(
                     f"product buffer slot {product.quantity_buffer[1]} outside 1..{self.n_slots}"
                 )
+        try:
+            fixed = sum(p.price * p.quantity for p in self.products if p.quantity is not None)
+            materials = sum(m.cost * m.quantity for m in self.materials)
+            finite = math.isfinite(fixed) and math.isfinite(materials)
+        except OverflowError:  # an integer past the float range
+            finite = False
+        if not finite:
+            raise DimensionMismatch("fixed product revenue and material cost must sum to finite numbers")
 
     @property
     def machine_names(self) -> tuple[str, ...]:

@@ -53,33 +53,26 @@ def filter_sources(graph: KnowledgeGraph, mode: str) -> KnowledgeGraph:
     return out
 
 
-def ingest_path(path: Path, graph: KnowledgeGraph) -> list[str]:
-    """Ingest one input file into the graph; returns the new entity ids."""
+def ingest_path(path: Path, graph: KnowledgeGraph) -> None:
+    """Ingest one input file into the graph; an entity the graph holds as a
+    different one raises ConflictingEntity (`KnowledgeGraph.is_new`)."""
     name = path.name
     if not name.endswith(INPUT_SUFFIXES):
         raise ClosureKbError(f"unrecognized input file type: {name}")
     text = path.read_text(encoding="utf-8")
     if name.endswith(".kg.json"):
-        loaded = kg.load(json.loads(text))
-        before = set(graph.entities)
-        merge_graphs(graph, loaded)
-        return sorted(set(graph.entities) - before)
-    if name.endswith(".cards.json"):
-        cards = kg.cards_from_json(json.loads(text))
-        return kg.ingest_concept_cards(cards, graph)
-    if name.endswith(".battery.json"):
+        merge_graphs(graph, kg.load(json.loads(text)))
+    elif name.endswith(".cards.json"):
+        kg.ingest_concept_cards(kg.cards_from_json(json.loads(text)), graph)
+    elif name.endswith(".battery.json"):
         data, event = battery.data_from_json(json.loads(text))
         if event is None:
             raise ClosureKbError(f"{name}: battery instance lacks an event section")
-        built = battery.build_battery_kg(data, event)
-        before = set(graph.entities)
-        merge_graphs(graph, built)
-        return sorted(set(graph.entities) - before)
-    if name.endswith(".fjs"):
-        instance = fjsp.parse_fjs(text)
-        ast = fjsp.build_fjsp_model(instance, fjsp.BASELINE)
-        return kg.ingest_model(ast, graph)
-    return kg.ingest_model(model_dsl.parse_model(text), graph)  # *.mm
+        merge_graphs(graph, battery.build_battery_kg(data, event))
+    elif name.endswith(".fjs"):
+        kg.ingest_model(fjsp.build_fjsp_model(fjsp.parse_fjs(text), fjsp.BASELINE), graph)
+    else:  # *.mm
+        kg.ingest_model(model_dsl.parse_model(text), graph)
 
 
 def ingest_corpus(paths, sources: str = HETEROGENEOUS) -> tuple[KnowledgeGraph, kg.AlignResult]:
@@ -142,13 +135,15 @@ DISPERSED_DESCRIPTIONS = {
 def dispersed_fixture_graph() -> KnowledgeGraph:
     """Dependencies of the target constraint spread across entities whose
     descriptions share no token with the fixture query, plus two paper notes
-    whose descriptions monopolize the semantic top-k."""
+    whose descriptions monopolize the semantic top-k. The model's entities
+    are added as copies carrying their descriptions, then its edges."""
     code = KnowledgeGraph()
     kg.ingest_model(model_dsl.parse_model(DISPERSED_MODEL), code)
     graph = KnowledgeGraph()
     for entity_id, description in DISPERSED_DESCRIPTIONS.items():
         graph.add_entity(replace(code.entity(entity_id), description=description))
-    merge_graphs(graph, code)
+    for edge in code.edges:
+        graph.add_edge(edge.src, edge.dst, edge.kind)
     for note_id, blurb in (
         ("backgroundNoteA", "Adding a coupling limit constraint keeps the flow network stable."),
         ("backgroundNoteB", "The flow network coupling limit constraint is explained in this note."),

@@ -33,15 +33,11 @@ class UnsupportedConstruct(ClosureKbError):
 
 
 class ConflictingEntity(ClosureKbError):
-    """A name was re-ingested with a different entity kind."""
+    """An id already names a different entity; `reason` says how it differs."""
 
-    def __init__(self, name, existing_kind, new_kind):
+    def __init__(self, name, reason):
         self.name = name
-        self.existing_kind = existing_kind
-        self.new_kind = new_kind
-        super().__init__(
-            f"entity '{name}' already ingested as {existing_kind}, got {new_kind}"
-        )
+        super().__init__(f"entity '{name}' {reason}")
 
 
 class DanglingRelation(ClosureKbError):

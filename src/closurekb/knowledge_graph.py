@@ -147,19 +147,31 @@ class KnowledgeGraph:
         if self.frozen:
             raise FrozenGraphError("graph is frozen")
 
-    def add_entity(self, entity: Entity) -> Entity:
-        """Insert an entity; re-adding the same id with the same kind is a no-op."""
+    def is_new(self, entity: Entity) -> bool:
+        """True for an id the graph lacks, False for an entity equal to the one
+        it holds; ConflictingEntity for an id it holds as a different entity."""
+        held = self.entities.get(entity.id)
+        if held is None:
+            return True
+        if held == entity:
+            return False
+        if held.fields.get("inferred"):
+            reason = "is referenced before its declaration; ingest the input that declares it first"
+        elif held.kind != entity.kind:
+            reason = f"is already ingested as {held.kind}, got {entity.kind}"
+        else:
+            reason = f"is already ingested as {held.kind} with different fields"
+        raise ConflictingEntity(entity.id, reason)
+
+    def add_entity(self, entity: Entity) -> None:
+        """Insert an entity unless an equal one is held; see is_new."""
         self._check_writable()
-        existing = self.entities.get(entity.id)
-        if existing is not None:
-            if existing.kind != entity.kind:
-                raise ConflictingEntity(entity.id, existing.kind, entity.kind)
-            return existing
+        if not self.is_new(entity):
+            return
         self.entities[entity.id] = entity
         self._out[entity.id] = set()
         self._in[entity.id] = set()
         self._names = self._rank = None
-        return entity
 
     def add_edge(self, src: str, dst: str, kind: str) -> Edge:
         self._check_writable()
@@ -268,19 +280,7 @@ class KnowledgeGraph:
     def __eq__(self, other):
         if not isinstance(other, KnowledgeGraph):
             return NotImplemented
-        if set(self.entities) != set(other.entities) or self.edges != other.edges:
-            return False
-        for entity_id, ent in self.entities.items():
-            o = other.entities[entity_id]
-            if (ent.kind, ent.name, ent.description, ent.fields, ent.source) != (
-                o.kind,
-                o.name,
-                o.description,
-                o.fields,
-                o.source,
-            ):
-                return False
-        return True
+        return self.entities == other.entities and self.edges == other.edges
 
 
 def dependencies_first(ordered: list[str], deps: dict[str, list[str]]) -> list[str]:
@@ -347,7 +347,7 @@ class NameLookup:
 
 # --- Ingestion ------------------------------------------------------------------
 
-def ingest_model(ast: ModelAst, graph: KnowledgeGraph) -> list[str]:
+def ingest_model(ast: ModelAst, graph: KnowledgeGraph) -> None:
     """Ingest a parsed model: one entity per declaration, requirement-direction edges.
 
     The edges come from `model_dsl.extract_symbols(ast)`: each reference from a
@@ -355,10 +355,11 @@ def ingest_model(ast: ModelAst, graph: KnowledgeGraph) -> list[str]:
     iteration (a param/var index set, a quantifier or sum set) a site
     -(depends_on)-> set edge. A reference to a name with no declaration still
     becomes an entity (kind parameter, flagged inferred) so that every edge
-    is representable. Returns the ids of the entities added, in that order.
+    is representable. A declaration equal to the entity the graph holds is
+    shared (`is_new`), so a model ingested twice changes nothing.
 
-    Atomic: a declaration whose kind conflicts with the graph (or with another
-    declaration), a name the model declares twice with one kind
+    Atomic: a declaration the graph holds as a different entity, a name the
+    model declares with two kinds (ConflictingEntity) or twice with one kind
     (DuplicateDeclaration, the parser's rule) and a name iterated by its own
     declaration are rejected before the graph is touched.
     """
@@ -369,18 +370,19 @@ def ingest_model(ast: ModelAst, graph: KnowledgeGraph) -> list[str]:
 
     kinds: dict[str, str] = {}  # kind of each name this model declared so far
     for entity in declared:
-        existing = graph.entities.get(entity.id)
-        known = kinds.get(entity.id, existing.kind if existing is not None else entity.kind)
-        if known != entity.kind:
-            raise ConflictingEntity(entity.id, known, entity.kind)
-        if entity.id in kinds:
+        known = kinds.get(entity.id)
+        if known == entity.kind:
             raise DuplicateDeclaration(entity.id)
-        kinds[entity.id] = known
+        if known is not None:
+            raise ConflictingEntity(entity.id, f"is declared as {known}, then as {entity.kind}")
+        graph.is_new(entity)
+        kinds[entity.id] = entity.kind
     for site, set_name in facts.iterations:
         if site == set_name:
             raise SchemaViolation(f"self-loop on {site!r} rejected")
 
-    ids = [entity.id for entity in declared if graph.add_entity(entity) is entity]
+    for entity in declared:
+        graph.add_entity(entity)
 
     def ensure_target(name: str) -> str:
         if name not in graph:
@@ -394,7 +396,6 @@ def ingest_model(ast: ModelAst, graph: KnowledgeGraph) -> list[str]:
                     source=SOURCE_CODE,
                 )
             )
-            ids.append(name)
         return name
 
     for ref in facts.references:
@@ -402,8 +403,6 @@ def ingest_model(ast: ModelAst, graph: KnowledgeGraph) -> list[str]:
             graph.add_edge(ref.site, ensure_target(ref.name), USED_IN)
     for site, set_name in facts.iterations:
         graph.add_edge(site, ensure_target(set_name), DEPENDS_ON)
-
-    return ids
 
 
 # --- Code declarations ----------------------------------------------------------
@@ -471,9 +470,9 @@ def _read_declaration(entity: Entity) -> SetDecl | ParamDecl | VarDecl | None:
     return None
 
 
-def ingest_concept_cards(cards, graph: KnowledgeGraph) -> list[str]:
-    """Ingest concept cards as paper-source entities plus their relations."""
-    ids: list[str] = []
+def ingest_concept_cards(cards, graph: KnowledgeGraph) -> None:
+    """Ingest concept cards as paper-source entities plus their relations;
+    a card the graph holds as a different entity raises ConflictingEntity."""
     for card in cards:
         fields = {"snippet": card.snippet}
         if card.solver_symbol_hint:
@@ -486,9 +485,7 @@ def ingest_concept_cards(cards, graph: KnowledgeGraph) -> list[str]:
             fields=fields,
             source=SOURCE_PAPER,
         )
-        added = graph.add_entity(entity)
-        if added is entity:
-            ids.append(entity.id)
+        graph.add_entity(entity)
     for card in cards:
         src = concept_entity_id(card.name)
         for rel_kind, target_name in card.relations:
@@ -498,7 +495,6 @@ def ingest_concept_cards(cards, graph: KnowledgeGraph) -> list[str]:
                     f"card {card.name!r} relates to unknown concept {target_name!r}"
                 )
             graph.add_edge(src, dst, rel_kind)
-    return ids
 
 
 def cards_to_json(cards) -> list[dict]:

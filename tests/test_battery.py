@@ -675,6 +675,35 @@ def test_build_battery_kg_of_any_read_instance_raises_only_closurekb_errors(doc)
         pass
 
 
+# A price, cost or quantity whose product with another passes the largest
+# float, as a JSON float or integer.
+HUGE_NUMBERS = st.floats(min_value=1e155, max_value=1e308) | st.integers(min_value=10 ** 155, max_value=10 ** 308)
+
+
+@st.composite
+def overflowing_paper_docs(draw):
+    """The paper instance whose products have fixed quantities and whose
+    materials are drawn from HUGE_NUMBERS; at least one of either."""
+    doc = paper_doc()
+    doc["products"] = [
+        {"price": draw(HUGE_NUMBERS), "quantity": draw(HUGE_NUMBERS), "quantity_buffer": None}
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    doc["materials"] = [
+        {"cost": draw(HUGE_NUMBERS), "quantity": draw(HUGE_NUMBERS)}
+        for _ in range(draw(st.integers(0 if doc["products"] else 1, 2)))
+    ]
+    return doc
+
+
+@settings(max_examples=50, deadline=None)
+@given(overflowing_paper_docs())
+def test_battery_instance_whose_fixed_revenue_or_material_cost_overflows_raises_a_closurekb_error(doc):
+    with pytest.raises(ClosureKbError):
+        data, event = bt.data_from_json(doc)
+        bt.build_battery_kg(data, event)
+
+
 # Machine and buffer names: keywords, the family's own symbols (and its slot
 # binder), text MiniModel does not read as one name, and plain names.
 LAYOUT_NAMES = st.sampled_from(["m0", "m1", "B0", "B1"]) | st.sampled_from([

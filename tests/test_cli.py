@@ -502,9 +502,14 @@ def test_eval_battery_of_misshapen_solution_is_a_usage_error_without_traceback(t
     (("machines", 0, "name"), "1m", "machine or buffer name '1m' is not a MiniModel name"),
     (("machines", 0, "name"), "", "machine or buffer name '' is not a MiniModel name"),
     (("machines", 0, "upstream"), ["m01[1]"], "machine or buffer name 'm01[1]' is not a MiniModel name"),
+    (("products",), [{"price": 1e200, "quantity": 1e200, "quantity_buffer": None}],
+     "fixed product revenue and material cost must sum to finite numbers"),
+    (("materials",), [{"cost": 1e200, "quantity": 1e200}],
+     "fixed product revenue and material cost must sum to finite numbers"),
 ], ids=["no-machines", "empty-event-window", "buffer-named-Bref", "buffer-named-slotPrice",
         "buffer-named-m11PowerOn", "machine-named-sum", "machine-name-with-space",
-        "machine-name-with-leading-digit", "empty-machine-name", "buffer-name-with-brackets"])
+        "machine-name-with-leading-digit", "empty-machine-name", "buffer-name-with-brackets",
+        "product-revenue-past-the-largest-float", "material-cost-past-the-largest-float"])
 def test_ingest_of_battery_instance_the_family_cannot_hold_is_a_usage_error(tmp_path, path, value, message):
     path_in = tmp_path / "bad.battery.json"
     path_in.write_text(json.dumps(broken_battery_doc(path, value)), encoding="utf-8")
@@ -530,6 +535,44 @@ def test_graph_with_non_string_text_is_a_usage_error_without_traceback(tmp_path,
     assert proc.returncode == EXIT_USAGE
     assert "must be a string" in proc.stderr
     assert "Traceback" not in proc.stderr + proc.stdout
+
+
+# Two models that declare T and p differently, and a reference to q that
+# another model declares.
+REDECLARING_MODELS = {
+    "a.mm": "set T = 1..2; param p{T} = [1, 2]; var x{T} continuous; con a: sum{t in T} p[t]*x[t] <= 1;",
+    "b.mm": "set T = 1..3; param p{T} = [5, 6, 7]; var x{T} continuous; con b: sum{t in T} p[t]*x[t] <= 2;",
+    "use.mm": "var x continuous; con c: x <= q;",
+    "decl.mm": "param q = 3;",
+}
+
+
+@pytest.fixture
+def redeclaring_models(tmp_path):
+    for name, text in REDECLARING_MODELS.items():
+        (tmp_path / name).write_text(text + "\n", encoding="utf-8")
+    return tmp_path
+
+
+@pytest.mark.parametrize("first, second, message", [
+    ("a.mm", "b.mm", "entity 'T' is already ingested as index_set with different fields"),
+    ("use.mm", "decl.mm", "ingest the input that declares it first"),
+], ids=["set-redeclared", "declared-after-a-reference"])
+def test_ingest_of_a_name_held_as_another_entity_is_a_usage_error(redeclaring_models, first, second, message):
+    proc = run_cli("ingest", redeclaring_models / first, redeclaring_models / second,
+                   "--graph", redeclaring_models / "g.kg.json")
+    assert proc.returncode == EXIT_USAGE
+    assert "error:" in proc.stderr and message in proc.stderr
+    assert "Traceback" not in proc.stderr + proc.stdout
+
+
+def test_ingest_of_a_declaration_before_its_reference_generates_it(redeclaring_models, capsys):
+    directory = redeclaring_models
+    graph = directory / "g.kg.json"
+    assert main(["ingest", str(directory / "decl.mm"), str(directory / "use.mm"), "--graph", str(graph)]) == EXIT_OK
+    assert main(["generate", "add the c constraint", "--graph", str(graph)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert "status=ok" in lines and "param q = 3;" in lines
 
 
 MODEL = "set T = 1..2; param cap{T} = [1, 2]; var x{T} continuous in [0, 5]; con limit{t in T}: x[t] <= cap[t];"

@@ -119,13 +119,51 @@ def test_ingest_conflicting_kind_raises():
     ("", md.ModelAst(sets=(md.SetDecl("T", 1, 2),),
                      params=(md.ParamDecl("B", ("T",), (1.0, 2.0)), md.ParamDecl("B", ("T",)))),
      DuplicateDeclaration),
-], ids=["self-indexed-param", "set-redeclared-as-var", "one-name-two-kinds", "one-name-declared-twice"])
+    ("set T = 1..2; param p{T} = [1, 2];", md.parse_model("set T = 1..3; param p{T} = [5, 6, 7];"),
+     ConflictingEntity),
+], ids=["self-indexed-param", "set-redeclared-as-var", "one-name-two-kinds", "one-name-declared-twice",
+        "set-redeclared-with-another-range"])
 def test_ingest_model_leaves_the_graph_unchanged_on_error(first, second, error):
     graph = ingest_source(first)
     before = kg.save(graph)
     with pytest.raises(error):
         kg.ingest_model(second, graph)
     assert kg.save(graph) == before
+
+
+def test_ingest_of_the_same_model_twice_shares_its_entities():
+    graph = ingest_source(LISTING_STYLE)
+    before = kg.save(graph)
+    kg.ingest_model(md.parse_model(LISTING_STYLE), graph)
+    assert kg.save(graph) == before
+
+
+# Each name is declared by one of these statements; two models share a name
+# as one entity exactly when they declare it by the same text.
+DECLARATION_TEXTS = ("param {} = 1;", "param {} = 2;", "set {} = 1..2;", "var {} binary;")
+
+
+@st.composite
+def declaration_models(draw):
+    """A model declaring some of the names a, b and c, each by one of
+    DECLARATION_TEXTS, as a name -> statement text dict."""
+    names = draw(st.lists(st.sampled_from("abc"), unique=True, max_size=3))
+    return {name: draw(st.sampled_from(DECLARATION_TEXTS)).format(name) for name in names}
+
+
+@settings(max_examples=200, deadline=None)
+@given(declaration_models(), declaration_models())
+def test_two_models_share_equal_declarations_and_conflict_on_different_ones(first, second):
+    graph = ingest_source(" ".join(first.values()))
+    after_first = kg.save(graph)
+    differ = any(first[name] != text for name, text in second.items() if name in first)
+    if differ:
+        with pytest.raises(ConflictingEntity):
+            kg.ingest_model(md.parse_model(" ".join(second.values())), graph)
+        assert kg.save(graph) == after_first
+    else:
+        kg.ingest_model(md.parse_model(" ".join(second.values())), graph)
+        assert graph == ingest_source(" ".join({**first, **second}.values()))
 
 
 def test_ingest_undeclared_reference_becomes_inferred_parameter():
@@ -147,8 +185,8 @@ def test_ingest_concept_cards_and_relations():
             relations=(("depends_on", "incentive price"),),
         ),
     ]
-    ids = kg.ingest_concept_cards(cards, graph)
-    assert ids == ["paper:incentive price", "paper:event"]
+    kg.ingest_concept_cards(cards, graph)
+    assert list(graph.entities) == ["paper:incentive price", "paper:event"]
     assert graph.entity("paper:incentive price").source == kg.SOURCE_PAPER
     assert ("paper:event", "paper:incentive price", kg.DEPENDS_ON) in edge_set(graph)
 
@@ -167,8 +205,14 @@ def test_ingest_concept_cards_dangling_relation():
 def test_ingest_empty_card_list_is_identity():
     graph = ingest_source("set T = 1..2;")
     before = kg.save(graph)
-    assert kg.ingest_concept_cards([], graph) == []
+    kg.ingest_concept_cards([], graph)
     assert kg.save(graph) == before
+
+
+def test_one_card_named_twice_with_different_snippets_raises():
+    cards = [kg.ConceptCard(name="event", kind=kg.CONCEPT, snippet=snippet) for snippet in ("window", "rate")]
+    with pytest.raises(ConflictingEntity):
+        kg.ingest_concept_cards(cards, kg.KnowledgeGraph())
 
 
 def test_align_by_hint():
