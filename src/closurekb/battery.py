@@ -121,10 +121,15 @@ class BatteryCaseData:
             fixed = sum(p.price * p.quantity for p in self.products if p.quantity is not None)
             materials = sum(m.cost * m.quantity for m in self.materials)
             finite = math.isfinite(fixed) and math.isfinite(materials)
+            # A schedule is 0/1, so a slot draws at most each machine's larger power.
+            peak = sum(max(m.p_on, m.p_off) for m in self.machines)
+            energy_finite = math.isfinite(sum(price * peak for price in self.prices))
         except OverflowError:  # an integer past the float range
-            finite = False
+            finite = energy_finite = False
         if not finite:
             raise DimensionMismatch("fixed product revenue and material cost must sum to finite numbers")
+        if not energy_finite:
+            raise DimensionMismatch("slot prices times the largest slot energy must sum to a finite number")
 
     @property
     def machine_names(self) -> tuple[str, ...]:
@@ -526,9 +531,11 @@ def build_battery_kg(data: BatteryCaseData, event: DrEvent) -> KnowledgeGraph:
     # The constraint qualifies the incentive payment, so the full event
     # definition is a requirement even though the inequality inlines the
     # minimum as a literal; the event objective inlines the rate likewise.
-    graph.add_edge(LOAD_REDUCTION_CONSTRAINT, MIN_REDUCTION_PARAM, kg.DEPENDS_ON)
-    graph.add_edge(LOAD_REDUCTION_CONSTRAINT, RATE_PARAM, kg.DEPENDS_ON)
-    graph.add_edge(DR_OBJECTIVE, RATE_PARAM, kg.DEPENDS_ON)
+    graph.add_all(edges=(
+        kg.Edge(LOAD_REDUCTION_CONSTRAINT, MIN_REDUCTION_PARAM, kg.DEPENDS_ON),
+        kg.Edge(LOAD_REDUCTION_CONSTRAINT, RATE_PARAM, kg.DEPENDS_ON),
+        kg.Edge(DR_OBJECTIVE, RATE_PARAM, kg.DEPENDS_ON),
+    ))
     return graph
 
 

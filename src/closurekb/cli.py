@@ -46,7 +46,7 @@ def _positive_int(text: str) -> int:
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     else:
         for line in text_lines:
             print(line)
@@ -59,7 +59,7 @@ def cmd_ingest(args) -> int:
     graph, alignment = corpus.ingest_corpus(args.inputs, sources=args.sources)
     document = kg.save(graph)
     out = Path(args.graph)
-    out.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+    out.write_text(json.dumps(document, indent=2, allow_nan=False) + "\n", encoding="utf-8")
     n_edges = len(graph.edges)
     payload = {
         "graph": str(out),
@@ -146,7 +146,8 @@ def cmd_generate(args) -> int:
         code_path.write_text(output_code, encoding="utf-8")
         report_path = Path(str(code_path) + ".report.json")
         report_path.write_text(
-            json.dumps({"rounds": rounds, **report.to_dict()}, indent=2, sort_keys=True) + "\n",
+            json.dumps({"rounds": rounds, **report.to_dict()}, indent=2, sort_keys=True, allow_nan=False)
+            + "\n",
             encoding="utf-8",
         )
     payload = {"rounds": rounds, "code": output_code, **report.to_dict()}
@@ -261,7 +262,7 @@ def cmd_ablate(args) -> int:
     if args.out:
         Path(args.out).write_text(report.to_text(), encoding="utf-8")
         Path(str(args.out) + ".json").write_text(
-            json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            json.dumps(report.to_json(), indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8"
         )
     _emit(args, report.to_json(), report.to_text().splitlines())
     return EXIT_OK
@@ -379,7 +380,7 @@ def main(argv=None) -> int:
     except TooLarge as exc:
         print(f"instance too large: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ClosureKbError, OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or integer
+    except (ClosureKbError, OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8, integer or inf
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

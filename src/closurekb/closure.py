@@ -84,14 +84,9 @@ def induced_subgraph(graph: KnowledgeGraph, members) -> KnowledgeGraph:
     aligns_to edges are excluded; entity records are shared (read-only use).
     """
     member_set = set(members)
-    ordered = sorted(member_set)
     sub = KnowledgeGraph()
-    for entity_id in ordered:
-        sub.add_entity(graph.entity(entity_id))
-    for src in ordered:
-        for edge in graph.edges_from(src):
-            if edge.kind in EXEC_KINDS and edge.dst in member_set:
-                sub.add_edge(src, edge.dst, edge.kind)
+    edges = [e for src in member_set for e in graph.edges_from(src) if e.kind in EXEC_KINDS]
+    sub.add_all(map(graph.entity, sorted(member_set)), [e for e in edges if e.dst in member_set])
     return sub
 
 

@@ -31,10 +31,10 @@ INPUT_SUFFIXES = (".mm", ".cards.json", ".battery.json", ".fjs", ".kg.json")
 
 
 def merge_graphs(dst: KnowledgeGraph, src: KnowledgeGraph) -> None:
-    for entity_id in src.sorted_ids():
-        dst.add_entity(src.entities[entity_id])
-    for edge in src.edges:
-        dst.add_edge(edge.src, edge.dst, edge.kind)
+    """Add src's entities and edges to dst as one `KnowledgeGraph.add_all`
+    batch: an entity dst holds as a different one raises ConflictingEntity
+    and leaves dst untouched."""
+    dst.add_all([src.entities[entity_id] for entity_id in src.sorted_ids()], src.edges)
 
 
 def filter_sources(graph: KnowledgeGraph, mode: str) -> KnowledgeGraph:
@@ -42,20 +42,16 @@ def filter_sources(graph: KnowledgeGraph, mode: str) -> KnowledgeGraph:
     if mode == HETEROGENEOUS:
         return graph
     keep = kg.SOURCE_PAPER if mode == PAPERS_ONLY else kg.SOURCE_CODE
+    kept = {entity_id: ent for entity_id, ent in graph.entities.items() if ent.source == keep}
     out = KnowledgeGraph()
-    for entity_id in graph.sorted_ids():
-        ent = graph.entities[entity_id]
-        if ent.source == keep:
-            out.add_entity(ent)
-    for edge in graph.edges:
-        if edge.src in out and edge.dst in out:
-            out.add_edge(edge.src, edge.dst, edge.kind)
+    out.add_all(kept.values(), [edge for edge in graph.edges if edge.src in kept and edge.dst in kept])
     return out
 
 
 def ingest_path(path: Path, graph: KnowledgeGraph) -> None:
-    """Ingest one input file into the graph; an entity the graph holds as a
-    different one raises ConflictingEntity (`KnowledgeGraph.is_new`)."""
+    """Ingest one input file into the graph, whole or not at all; an entity
+    the graph holds as a different one raises ConflictingEntity
+    (`KnowledgeGraph.add_all`)."""
     name = path.name
     if not name.endswith(INPUT_SUFFIXES):
         raise ClosureKbError(f"unrecognized input file type: {name}")
@@ -136,19 +132,17 @@ def dispersed_fixture_graph() -> KnowledgeGraph:
     """Dependencies of the target constraint spread across entities whose
     descriptions share no token with the fixture query, plus two paper notes
     whose descriptions monopolize the semantic top-k. The model's entities
-    are added as copies carrying their descriptions, then its edges."""
+    are copies carrying their descriptions; the model's edges join them."""
     code = KnowledgeGraph()
     kg.ingest_model(model_dsl.parse_model(DISPERSED_MODEL), code)
-    graph = KnowledgeGraph()
-    for entity_id, description in DISPERSED_DESCRIPTIONS.items():
-        graph.add_entity(replace(code.entity(entity_id), description=description))
-    for edge in code.edges:
-        graph.add_edge(edge.src, edge.dst, edge.kind)
+    entities = [replace(code.entity(name), description=text) for name, text in DISPERSED_DESCRIPTIONS.items()]
     for note_id, blurb in (
         ("backgroundNoteA", "Adding a coupling limit constraint keeps the flow network stable."),
         ("backgroundNoteB", "The flow network coupling limit constraint is explained in this note."),
     ):
-        graph.add_entity(kg.Entity(note_id, kg.CONCEPT, note_id, blurb, source=kg.SOURCE_PAPER))
+        entities.append(kg.Entity(note_id, kg.CONCEPT, note_id, blurb, source=kg.SOURCE_PAPER))
+    graph = KnowledgeGraph()
+    graph.add_all(entities, code.edges)
     return graph
 
 

@@ -8,6 +8,10 @@ direction so that dependency closure is a plain forward traversal. Each edge
 is stored once, in its source's out-set and its target's in-set; `edges`
 reads them in (src, dst, kind) order.
 
+Every writer hands its entities and edges to one `KnowledgeGraph.add_all`
+call, which checks the whole batch first, so a write that raises leaves the
+graph as it was.
+
 The graph keeps what requests read again and again, each built on first use
 after the last change that affects it: the name lookup, each entity's
 executability targets and edge lines, and the dependency rank (the position
@@ -147,47 +151,52 @@ class KnowledgeGraph:
         if self.frozen:
             raise FrozenGraphError("graph is frozen")
 
-    def is_new(self, entity: Entity) -> bool:
-        """True for an id the graph lacks, False for an entity equal to the one
-        it holds; ConflictingEntity for an id it holds as a different entity."""
-        held = self.entities.get(entity.id)
-        if held is None:
-            return True
-        if held == entity:
-            return False
-        if held.fields.get("inferred"):
-            reason = "is referenced before its declaration; ingest the input that declares it first"
-        elif held.kind != entity.kind:
-            reason = f"is already ingested as {held.kind}, got {entity.kind}"
-        else:
-            reason = f"is already ingested as {held.kind} with different fields"
-        raise ConflictingEntity(entity.id, reason)
-
-    def add_entity(self, entity: Entity) -> None:
-        """Insert an entity unless an equal one is held; see is_new."""
+    def add_all(self, entities=(), edges=()) -> None:
+        """Insert a batch of entities and Edges; every check runs before the
+        graph is touched. An entity equal to one held or earlier in the batch
+        is shared, and a different one under its id raises ConflictingEntity.
+        Each edge's endpoints must be held or in the batch (UnknownEntity),
+        and an edge may not loop (SchemaViolation)."""
         self._check_writable()
-        if not self.is_new(entity):
-            return
-        self.entities[entity.id] = entity
-        self._out[entity.id] = set()
-        self._in[entity.id] = set()
+        edges = tuple(edges)
+        new: dict[str, Entity] = {}
+        for entity in entities:
+            held = self.entities.get(entity.id, new.get(entity.id))
+            if held is None:
+                new[entity.id] = entity
+            elif held != entity:
+                if held.fields.get("inferred"):
+                    reason = "is referenced before its declaration; ingest the input that declares it first"
+                elif held.kind != entity.kind:
+                    reason = f"is already ingested as {held.kind}, got {entity.kind}"
+                else:
+                    reason = f"is already ingested as {held.kind} with different fields"
+                raise ConflictingEntity(entity.id, reason)
+        for edge in edges:
+            if edge.src not in self.entities and edge.src not in new:
+                raise UnknownEntity(f"edge source {edge.src!r} not in graph")
+            if edge.dst not in self.entities and edge.dst not in new:
+                raise UnknownEntity(f"edge target {edge.dst!r} not in graph")
+            if edge.src == edge.dst:
+                raise SchemaViolation(f"self-loop on {edge.src!r} rejected")
+        for entity_id, entity in new.items():
+            self.entities[entity_id] = entity
+            self._out[entity_id] = set()
+            self._in[entity_id] = set()
+        for edge in edges:
+            self._out[edge.src].add(edge)
+            self._in[edge.dst].add(edge)
+        self._exec_out.clear()
         self._names = self._rank = None
 
+    def add_entity(self, entity: Entity) -> None:
+        """add_all of one entity."""
+        self.add_all((entity,))
+
     def add_edge(self, src: str, dst: str, kind: str) -> Edge:
-        self._check_writable()
-        if src not in self.entities:
-            raise UnknownEntity(f"edge source {src!r} not in graph")
-        if dst not in self.entities:
-            raise UnknownEntity(f"edge target {dst!r} not in graph")
-        if src == dst:
-            raise SchemaViolation(f"self-loop on {src!r} rejected")
+        """add_all of one edge; returns it."""
         edge = Edge(src=src, dst=dst, kind=kind)
-        out = self._out[src]
-        if edge not in out:
-            out.add(edge)
-            self._in[dst].add(edge)
-            self._exec_out.pop(src, None)
-            self._rank = None
+        self.add_all(edges=(edge,))
         return edge
 
     def freeze(self) -> "KnowledgeGraph":
@@ -238,8 +247,8 @@ class KnowledgeGraph:
     def exec_out(self, entity_id: str) -> tuple[tuple[str, ...], str]:
         """The targets of the entity's executability out-edges in edges_from
         order (a target reached by both kinds comes twice), and the edges'
-        `src -kind-> dst` lines joined by newlines; kept until add_edge adds
-        an edge from it. ((), "") for an unknown id."""
+        `src -kind-> dst` lines joined by newlines; kept until the next
+        add_all. ((), "") for an unknown id."""
         kept = self._exec_out.get(entity_id)
         if kept is None:
             if entity_id not in self._out:
@@ -254,7 +263,7 @@ class KnowledgeGraph:
     def rank(self) -> dict[str, int]:
         """Each entity's position in the dependencies-first order of the whole
         graph (`dependencies_first` over every entity), built on first use
-        after the last add_entity or add_edge."""
+        after the last add_all."""
         if self._rank is None:
             ordered = sorted(self.entities)
             deps = {
@@ -265,9 +274,9 @@ class KnowledgeGraph:
         return self._rank
 
     def names(self) -> "NameLookup":
-        """The name lookup, built on first use after the last added entity.
+        """The name lookup, built on first use after the last add_all.
 
-        Entities are never mutated once added, so only add_entity drops it.
+        Entities are never mutated once added, so only add_all drops it.
         """
         if self._names is None:
             self._names = NameLookup(self)
@@ -355,54 +364,35 @@ def ingest_model(ast: ModelAst, graph: KnowledgeGraph) -> None:
     iteration (a param/var index set, a quantifier or sum set) a site
     -(depends_on)-> set edge. A reference to a name with no declaration still
     becomes an entity (kind parameter, flagged inferred) so that every edge
-    is representable. A declaration equal to the entity the graph holds is
-    shared (`is_new`), so a model ingested twice changes nothing.
+    is representable.
 
-    Atomic: a declaration the graph holds as a different entity, a name the
-    model declares with two kinds (ConflictingEntity) or twice with one kind
-    (DuplicateDeclaration, the parser's rule) and a name iterated by its own
-    declaration are rejected before the graph is touched.
+    A name the model declares with two kinds raises ConflictingEntity, and
+    twice with one kind DuplicateDeclaration (the parser's rule). The rest
+    is one `KnowledgeGraph.add_all` batch: a model ingested twice changes
+    nothing, and any error leaves the graph untouched.
     """
     objective = (ast.objective,) if ast.objective is not None else ()
     statements = (*ast.sets, *ast.params, *ast.vars, *ast.constraints, *objective)
-    declared = [_code_entity(stmt) for stmt in statements]
+    entities = [_code_entity(stmt) for stmt in statements]
     facts = model_dsl.extract_symbols(ast)
 
     kinds: dict[str, str] = {}  # kind of each name this model declared so far
-    for entity in declared:
+    for entity in entities:
         known = kinds.get(entity.id)
         if known == entity.kind:
             raise DuplicateDeclaration(entity.id)
         if known is not None:
             raise ConflictingEntity(entity.id, f"is declared as {known}, then as {entity.kind}")
-        graph.is_new(entity)
         kinds[entity.id] = entity.kind
-    for site, set_name in facts.iterations:
-        if site == set_name:
-            raise SchemaViolation(f"self-loop on {site!r} rejected")
 
-    for entity in declared:
-        graph.add_entity(entity)
-
-    def ensure_target(name: str) -> str:
-        if name not in graph:
+    edges = [Edge(ref.site, ref.name, USED_IN) for ref in facts.references if ref.name != ref.site]
+    edges += [Edge(site, set_name, DEPENDS_ON) for site, set_name in facts.iterations]
+    for edge in edges:
+        if edge.dst not in kinds and edge.dst not in graph:
             # Referenced but never declared: keep the reference representable.
-            graph.add_entity(
-                Entity(
-                    id=name,
-                    kind=PARAMETER,
-                    name=name,
-                    fields={"solver_symbol": name, "inferred": True},
-                    source=SOURCE_CODE,
-                )
-            )
-        return name
-
-    for ref in facts.references:
-        if ref.name != ref.site:
-            graph.add_edge(ref.site, ensure_target(ref.name), USED_IN)
-    for site, set_name in facts.iterations:
-        graph.add_edge(site, ensure_target(set_name), DEPENDS_ON)
+            fields = {"solver_symbol": edge.dst, "inferred": True}
+            entities.append(Entity(id=edge.dst, kind=PARAMETER, name=edge.dst, fields=fields))
+    graph.add_all(entities, edges)
 
 
 # --- Code declarations ----------------------------------------------------------
@@ -471,30 +461,34 @@ def _read_declaration(entity: Entity) -> SetDecl | ParamDecl | VarDecl | None:
 
 
 def ingest_concept_cards(cards, graph: KnowledgeGraph) -> None:
-    """Ingest concept cards as paper-source entities plus their relations;
-    a card the graph holds as a different entity raises ConflictingEntity."""
+    """Ingest concept cards as paper-source entities plus their relations, as
+    one `KnowledgeGraph.add_all` batch. A relation to a concept neither the
+    graph nor the cards hold raises DanglingRelation; it and any add_all
+    error leave the graph untouched."""
+    entities = []
+    edges = []
     for card in cards:
         fields = {"snippet": card.snippet}
         if card.solver_symbol_hint:
             fields["solver_symbol_hint"] = card.solver_symbol_hint
-        entity = Entity(
+        entities.append(Entity(
             id=concept_entity_id(card.name),
             kind=card.kind,
             name=card.name,
             description=card.description,
             fields=fields,
             source=SOURCE_PAPER,
-        )
-        graph.add_entity(entity)
+        ))
+    names = {card.name for card in cards}
     for card in cards:
-        src = concept_entity_id(card.name)
         for rel_kind, target_name in card.relations:
             dst = concept_entity_id(target_name)
-            if dst not in graph:
+            if target_name not in names and dst not in graph:
                 raise DanglingRelation(
                     f"card {card.name!r} relates to unknown concept {target_name!r}"
                 )
-            graph.add_edge(src, dst, rel_kind)
+            edges.append(Edge(concept_entity_id(card.name), dst, rel_kind))
+    graph.add_all(entities, edges)
 
 
 def cards_to_json(cards) -> list[dict]:
@@ -638,9 +632,10 @@ def align(graph: KnowledgeGraph) -> AlignResult:
             candidates = code_by_norm.get(normalize_name(ent.name), [])
         candidates = sorted(set(candidates))
         if len(candidates) == 1:
-            edges.append(graph.add_edge(entity_id, candidates[0], ALIGNS_TO))
+            edges.append(Edge(entity_id, candidates[0], ALIGNS_TO))
         elif len(candidates) >= 2:
             ambiguities.append((entity_id, tuple(candidates)))
+    graph.add_all(edges=edges)
     return AlignResult(edges=tuple(edges), ambiguities=tuple(ambiguities))
 
 
@@ -673,7 +668,8 @@ def save(graph: KnowledgeGraph) -> dict:
 
 def load(document: dict) -> KnowledgeGraph:
     """Rebuild a graph from a knowledge-unit document; SchemaViolation on
-    malformed input, a code entity's declaration fields included."""
+    malformed input, a code entity's declaration fields included. Every
+    record is checked, then the graph is filled by one add_all."""
     if not isinstance(document, dict):
         raise SchemaViolation("knowledge-unit document must be an object")
     unknown = set(document) - _DOC_KEYS
@@ -688,7 +684,7 @@ def load(document: dict) -> KnowledgeGraph:
     if not isinstance(document["entities"], list) or not isinstance(document["edges"], list):
         raise SchemaViolation("entities and edges must be lists")
 
-    graph = KnowledgeGraph()
+    entities: dict[str, Entity] = {}
     for raw in document["entities"]:
         if not isinstance(raw, dict) or set(raw) != _ENTITY_KEYS:
             raise SchemaViolation(f"entity record keys must be {sorted(_ENTITY_KEYS)}")
@@ -699,7 +695,7 @@ def load(document: dict) -> KnowledgeGraph:
         for label, text in (("name", raw["name"]), ("description", raw["description"])):
             if not isinstance(text, str):
                 raise SchemaViolation(f"entity {label} must be a string, got {type(text).__name__}")
-        if raw["id"] in graph:
+        if raw["id"] in entities:
             raise SchemaViolation(f"duplicate entity id {raw['id']!r}")
         entity = Entity(**raw)
         try:
@@ -709,7 +705,8 @@ def load(document: dict) -> KnowledgeGraph:
             declaration(entity)
         except SchemaViolation as exc:
             raise SchemaViolation(f"entity {entity.id!r}: {exc}") from None
-        graph.add_entity(entity)
+        entities[entity.id] = entity
+    edges = []
     for raw in document["edges"]:
         if not isinstance(raw, dict) or set(raw) != _EDGE_KEYS:
             raise SchemaViolation(f"edge record keys must be {sorted(_EDGE_KEYS)}")
@@ -717,8 +714,10 @@ def load(document: dict) -> KnowledgeGraph:
             raise SchemaViolation(f"unknown edge kind {raw['kind']!r}")
         if not isinstance(raw["src"], str) or not isinstance(raw["dst"], str):
             raise SchemaViolation("edge endpoints must be entity id strings")
-        try:
-            graph.add_edge(raw["src"], raw["dst"], raw["kind"])
-        except UnknownEntity as exc:
-            raise SchemaViolation(str(exc)) from None
+        edges.append(Edge(**raw))
+    graph = KnowledgeGraph()
+    try:
+        graph.add_all(entities.values(), edges)
+    except UnknownEntity as exc:
+        raise SchemaViolation(str(exc)) from None
     return graph

@@ -519,6 +519,49 @@ def test_ingest_of_battery_instance_the_family_cannot_hold_is_a_usage_error(tmp_
     assert "Traceback" not in proc.stderr + proc.stdout
 
 
+def paper_battery_files(tmp_path, edit, y, buffers=None):
+    """The paper battery instance as changed in place by `edit`, and a
+    solution where every machine runs y (0 or 1) in every slot, with the
+    given buffer series."""
+    data = battery.paper_case_data()
+    doc = battery.data_to_json(data, battery.paper_event())
+    edit(doc)
+    instance = tmp_path / "paper.battery.json"
+    instance.write_text(json.dumps(doc), encoding="utf-8")
+    solution = tmp_path / "s.json"
+    schedule = {"y": {name: [y] * data.n_slots for name in data.machine_names}, "buffers": buffers}
+    solution.write_text(json.dumps(schedule), encoding="utf-8")
+    return instance, solution
+
+
+@pytest.mark.parametrize("command", ["ingest", "eval battery"])
+def test_battery_energy_cost_past_the_largest_float_is_a_usage_error(tmp_path, command):
+    def edit(doc):
+        doc.update(prices=[1e308] * len(doc["prices"]), products=[])
+    instance, solution = paper_battery_files(tmp_path, edit, 1)
+    if command == "ingest":
+        proc = run_cli("ingest", instance, "--graph", tmp_path / "g.json")
+    else:
+        proc = run_cli("eval", "battery", instance, "--solution", solution, "--format", "json")
+    assert proc.returncode == EXIT_USAGE, proc.stdout
+    assert "slot prices times the largest slot energy must sum to a finite number" in proc.stderr
+    assert "Infinity" not in proc.stdout
+    assert "Traceback" not in proc.stderr + proc.stdout
+
+
+def test_eval_battery_json_of_an_objective_past_the_largest_float_is_a_usage_error(tmp_path):
+    # Product revenue from a buffer's series: no data check can bound it.
+    data = battery.paper_case_data()
+    buffers = {name: [0.0] * data.n_slots for name in data.buffer_names}
+    buffers[data.products[0].quantity_buffer[0]] = [1e308] * data.n_slots
+    instance, solution = paper_battery_files(tmp_path, lambda doc: doc["products"][0].update(price=1e308), 0, buffers)
+    proc = run_cli("eval", "battery", instance, "--solution", solution, "--format", "json")
+    assert proc.returncode == EXIT_USAGE, proc.stdout
+    assert "error: Out of range float values are not JSON compliant" in proc.stderr
+    assert "Infinity" not in proc.stdout
+    assert "Traceback" not in proc.stderr + proc.stdout
+
+
 @pytest.mark.parametrize("fields, description", [
     ({}, 5),
     ({"snippet": 7}, "a note"),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from closurekb import fjsp
+from closurekb import corpus, fjsp
 from closurekb import knowledge_graph as kg
 from closurekb import model_dsl as md
 from closurekb import retrieval
@@ -200,6 +200,12 @@ def test_ingest_concept_cards_dangling_relation():
     ]
     with pytest.raises(DanglingRelation):
         kg.ingest_concept_cards(cards, graph)
+    # The card before the dangling one is not left behind.
+    graph = ingest_source("set T = 1..2;")
+    before = kg.save(graph)
+    with pytest.raises(DanglingRelation):
+        kg.ingest_concept_cards([kg.ConceptCard(name="a", kind=kg.CONCEPT), *cards], graph)
+    assert kg.save(graph) == before
 
 
 def test_ingest_empty_card_list_is_identity():
@@ -213,6 +219,20 @@ def test_one_card_named_twice_with_different_snippets_raises():
     cards = [kg.ConceptCard(name="event", kind=kg.CONCEPT, snippet=snippet) for snippet in ("window", "rate")]
     with pytest.raises(ConflictingEntity):
         kg.ingest_concept_cards(cards, kg.KnowledgeGraph())
+    # Neither the card before them nor the first of them is left behind.
+    graph = ingest_source("set T = 1..2;")
+    before = kg.save(graph)
+    with pytest.raises(ConflictingEntity):
+        kg.ingest_concept_cards([kg.ConceptCard(name="a", kind=kg.CONCEPT), *cards], graph)
+    assert kg.save(graph) == before
+
+
+def test_merge_graphs_conflict_leaves_the_destination_unchanged():
+    dst = ingest_source("param q = 1; param r = 2;")
+    before = kg.save(dst)
+    with pytest.raises(ConflictingEntity):
+        corpus.merge_graphs(dst, ingest_source("param a = 1; param q = 2;"))
+    assert kg.save(dst) == before
 
 
 def test_align_by_hint():
@@ -348,6 +368,68 @@ def test_self_loop_and_dangling_edges_rejected():
         graph.add_edge("T", "T", kg.DEPENDS_ON)
     with pytest.raises(UnknownEntity):
         graph.add_edge("T", "ghost", kg.USED_IN)
+
+
+# Batches over the ids a, b and c: a repeated id may carry other fields or
+# another kind, and an edge may name an absent id or loop.
+BATCH_IDS = st.sampled_from("abc")
+BATCH_ENTITIES = st.builds(
+    lambda entity_id, kind, value: kg.Entity(entity_id, kind, entity_id, fields={"v": value}),
+    BATCH_IDS, st.sampled_from((kg.PARAMETER, kg.CONCEPT)), st.integers(0, 1),
+)
+BATCH_EDGES = st.builds(kg.Edge, BATCH_IDS, BATCH_IDS, st.sampled_from(kg.EDGE_KINDS))
+
+
+def insert_one_at_a_time(entities, edges, held_entities=(), held_edges=()):
+    """The batch rules applied one item at a time to a plain dict and set:
+    the entities by id and the edges they give, or the class of the first
+    error, written out apart from KnowledgeGraph."""
+    by_id = {entity.id: entity for entity in held_entities}
+    edge_set = set(held_edges)
+    for entity in entities:
+        if by_id.setdefault(entity.id, entity) != entity:
+            return ConflictingEntity
+    for edge in edges:
+        if edge.src not in by_id or edge.dst not in by_id:
+            return UnknownEntity
+        if edge.src == edge.dst:
+            return SchemaViolation
+        edge_set.add(edge)
+    return by_id, edge_set
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(BATCH_ENTITIES, max_size=3, unique_by=lambda entity: entity.id),
+       st.lists(BATCH_EDGES, max_size=3),
+       st.lists(BATCH_ENTITIES, max_size=4),
+       st.lists(BATCH_EDGES, max_size=4))
+def test_add_all_changes_nothing_or_matches_one_at_a_time_inserts(held, held_edges, entities, edges):
+    held_ids = {entity.id for entity in held}
+    held_edges = [e for e in held_edges if e.src != e.dst and {e.src, e.dst} <= held_ids]
+    graph = kg.KnowledgeGraph()
+    graph.add_all(held, held_edges)
+    # Warm every cache, so a stale one would show below.
+    graph.rank(), graph.names(), [graph.exec_out(entity_id) for entity_id in held_ids]
+    before = kg.save(graph)
+    expected = insert_one_at_a_time(entities, edges, held, held_edges)
+    try:
+        graph.add_all(iter(entities), iter(edges))
+    except ClosureKbError as exc:
+        assert type(exc) is expected
+        assert kg.save(graph) == before
+        return
+    assert (graph.entities, set(graph.edges)) == expected
+    one_by_one = kg.KnowledgeGraph()
+    for entity in (*held, *entities):
+        one_by_one.add_entity(entity)
+    for edge in (*held_edges, *edges):
+        one_by_one.add_edge(edge.src, edge.dst, edge.kind)
+    assert graph == one_by_one
+    fresh = kg.load(kg.save(graph))
+    assert graph.rank() == fresh.rank()
+    for entity_id in fresh.entities:
+        assert graph.exec_out(entity_id) == fresh.exec_out(entity_id)
+        assert graph.find_by_name(entity_id) == fresh.find_by_name(entity_id)
 
 
 def test_frozen_graph_rejects_writes():
