@@ -109,13 +109,13 @@ def cmd_closure(args) -> int:
     graph = _load_graph(args.graph)
     result = closure.closure(graph, args.target)
     payload = {
-        "target": result.target,
+        "target": args.target,
         "members": sorted(result.members),
         "visit_order": list(result.visit_order),
         "edge_count": result.edge_count,
     }
     _emit(args, payload, [
-        f"target={result.target}",
+        f"target={args.target}",
         f"members={','.join(sorted(result.members))}",
         f"visit_order={','.join(result.visit_order)}",
         f"edge_count={result.edge_count}",
@@ -272,7 +272,8 @@ def cmd_fjsp_gen(args) -> int:
     if args.p_min > args.p_max:
         print(f"fjsp-gen: --p-min {args.p_min} exceeds --p-max {args.p_max}", file=sys.stderr)
         return EXIT_USAGE
-    # Below this bound every time and the horizon (their sum) fit a float.
+    # Below this bound every time fits a float; their sum, rounded as
+    # parse_fjs adds it, can still pass the largest float.
     if args.jobs * args.ops * args.p_max > sys.float_info.max:
         print("fjsp-gen: --jobs x --ops x --p-max exceeds the largest float", file=sys.stderr)
         return EXIT_USAGE
@@ -285,6 +286,7 @@ def cmd_fjsp_gen(args) -> int:
         p_min=args.p_min,
         p_max=args.p_max,
     )
+    fjsp.parse_fjs(text)  # fjsp-gen writes only what ingest reads
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         _emit(args, {"out": args.out}, [f"out={args.out}"])

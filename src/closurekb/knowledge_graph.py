@@ -710,8 +710,6 @@ def load(document: dict) -> KnowledgeGraph:
     for raw in document["edges"]:
         if not isinstance(raw, dict) or set(raw) != _EDGE_KEYS:
             raise SchemaViolation(f"edge record keys must be {sorted(_EDGE_KEYS)}")
-        if raw["kind"] not in EDGE_KINDS:
-            raise SchemaViolation(f"unknown edge kind {raw['kind']!r}")
         if not isinstance(raw["src"], str) or not isinstance(raw["dst"], str):
             raise SchemaViolation("edge endpoints must be entity id strings")
         edges.append(Edge(**raw))

@@ -5,10 +5,11 @@ descriptions. Its weights are stored once, as per-term postings keyed by doc
 id, beside per-document norms and per-term score bounds, so a top-k search
 stops reading postings once the query terms left cannot lift an unseen
 document into the top k, then re-scores the documents it keeps from the same
-postings. The structural stream is a union of dependency closures seeded
-from entities resolved in the query, with aligns_to followed one hop from
-paper seeds so concepts pull in their executable realizations. Entity names
-are matched through the graph's name lookup (KnowledgeGraph.names()).
+postings. The structural stream is the dependency closure of the entities
+resolved in the query, one closure.closure walk from all of them, with
+aligns_to followed one hop from paper seeds so concepts pull in their
+executable realizations. Entity names are matched through the graph's name
+lookup (KnowledgeGraph.names()).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 from . import battery
 from . import knowledge_graph as kg
-from .closure import closure_union
+from .closure import closure
 from .errors import EmptyQuery
 from .knowledge_graph import EXEC_KINDS, KnowledgeGraph
 
@@ -200,7 +201,8 @@ def understand_query(text: str, graph: KnowledgeGraph) -> ParsedQuery:
     payloads: list[tuple[float, str]] = []
     for m in _UNIT_RE.finditer(text):
         value = float(m.group(1))
-        payloads.append((value, m.group(2)))
+        if math.isfinite(value):  # a number past the float range reads as inf
+            payloads.append((value, m.group(2)))
         entities.append(
             ExtractedEntity(surface=m.group(), entity_id=None, kind=NUMERIC_WITH_UNIT)
         )
@@ -402,12 +404,10 @@ def _with_realizations(graph: KnowledgeGraph, seed: str) -> list[str]:
 
 
 def structural_retrieve(graph: KnowledgeGraph, seeds) -> frozenset[str]:
-    """Union of dependency closures over the seeds and their realizations
-    (_with_realizations), walked in one traversal."""
-    expanded: set[str] = set()
-    for seed in seeds:
-        expanded.update(_with_realizations(graph, seed))
-    return closure_union(graph, expanded)
+    """Members of the dependency closure of the seeds and their realizations
+    (_with_realizations), walked from them in seed order."""
+    expanded = [entity_id for seed in seeds for entity_id in _with_realizations(graph, seed)]
+    return closure(graph, *expanded).members
 
 
 def _dependents_of_kind(graph: KnowledgeGraph, seeds, edge_kinds, wanted_kind) -> set[str]:

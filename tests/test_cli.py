@@ -1,5 +1,7 @@
 """Command-line pipeline tests: exit-code discipline and byte determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 import closurekb
 from closurekb import battery, corpus, fjsp, model_dsl
+from closurekb import knowledge_graph as kg
 from closurekb.cli import (
     EXIT_FAILED,
     EXIT_GENERATOR,
@@ -22,6 +25,15 @@ from closurekb.cli import (
 from test_knowledge_graph import json_documents
 
 QUERY = "Add a load-reduction constraint for the demand-response event"
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +80,14 @@ def test_query_command(battery_graph, capsys):
     payload = json.loads(captured.out)
     assert payload["intents"] == ["add_constraint"]
     assert "loadReduction" in payload["seeds"]
+
+
+def test_query_with_a_number_past_the_float_range_prints_strict_json(battery_graph, capsys):
+    text = "add the load reduction constraint of " + "9" * 400 + " kW"
+    assert main(["query", text, "--graph", str(battery_graph), "--format", "json"]) == EXIT_OK
+    payload = strict_json(capsys.readouterr().out)
+    assert payload["numeric_payloads"] == []
+    assert [e["kind"] for e in payload["entities"]].count("numeric_with_unit") == 1
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -313,8 +333,11 @@ FJSP_GEN = ["fjsp-gen", "--jobs", "2", "--machines", "2"]
     [*FJSP_GEN, "--p-min", str(10**309), "--p-max", str(10**309)],
     ["fjsp-gen", "--jobs", "3", "--machines", "1", "--ops", "1",
      "--p-min", str(10**308), "--p-max", str(10**308)],
+    # Three times of a third of the largest float each: their float sum rounds past it.
+    ["fjsp-gen", "--jobs", "1", "--machines", "1", "--ops", "3",
+     "--p-min", str(int(sys.float_info.max) // 3), "--p-max", str(int(sys.float_info.max) // 3)],
 ], ids=["p-min-above-p-max", "negative-machines", "zero-jobs", "zero-ops", "zero-flex", "zero-p-min",
-        "zero-p-max", "non-integer-ops", "time-past-float", "horizon-past-float"])
+        "zero-p-max", "non-integer-ops", "time-past-float", "horizon-past-float", "rounded-horizon-past-float"])
 def test_fjsp_gen_bad_numeric_option_is_a_usage_error_without_traceback(tmp_path, capsys, argv):
     out = tmp_path / "gen.fjs"
     assert main([*argv, "--out", str(out)]) == EXIT_USAGE
@@ -763,6 +786,13 @@ CONFIG_DOCS = st.fixed_dictionaries({}, optional={
     "generator": st.just("template") | JUNK,
 })
 SMALL_INTS = st.integers(-2, 4).map(str)
+# Numbers as a query writes them, some past the float range, with a unit the
+# query parser reads (kW, kWh, $/kWh) or one it does not (MW).
+QUERY_NUMBERS = st.tuples(
+    st.integers(0, 10**6).map(str) | st.sampled_from([309, 400]).map(lambda n: "9" * n),
+    st.sampled_from(["", ".5"]),
+    st.sampled_from(["kW", "kWh", "$/kWh", "MW"]),
+).map(lambda parts: f"{parts[0]}{parts[1]} {parts[2]}")
 
 
 @settings(max_examples=150, deadline=None)
@@ -770,7 +800,9 @@ SMALL_INTS = st.integers(-2, 4).map(str)
 def test_cli_on_drawn_bad_files_and_fjsp_gen_integers_returns_a_status(good_inputs, data):
     directory = good_inputs["corpus"].parent
     drawn = directory / "drawn.json"
-    command = data.draw(st.sampled_from(["windows", "solution", "ablate", "fjsp-gen"]), label="command")
+    command = data.draw(
+        st.sampled_from(["windows", "solution", "ablate", "fjsp-gen", "closure", "query"]), label="command"
+    )
     if command == "fjsp-gen":
         out = directory / "drawn.fjs"
         out.unlink(missing_ok=True)
@@ -780,6 +812,17 @@ def test_cli_on_drawn_bad_files_and_fjsp_gen_integers_returns_a_status(good_inpu
                       "--p-max": SMALL_INTS | st.sampled_from([str(10**308), str(10**309)])},
         ), label="options")
         argv = ["fjsp-gen", *(part for item in options.items() for part in item), "--out", str(out)]
+    elif command in ("closure", "query"):
+        ids = kg.load(json.loads(good_inputs["graph"].read_text(encoding="utf-8"))).sorted_ids()
+        # A query resolves a one-word name; camelCase and digit-suffixed ones
+        # (bigM, seq_1_2_1) do not resolve yet.
+        named = ids if command == "closure" else [i for i in ids if i.isalpha() and (i.islower() or i.isupper())]
+        name = data.draw(st.sampled_from(named) | st.text(max_size=6), label="name")
+        if command == "closure":
+            argv = ["closure", "--graph", str(good_inputs["graph"]), "--target", name]
+        else:
+            text = f"add the {name} constraint of {data.draw(QUERY_NUMBERS, label='number')}"
+            argv = ["query", text, "--graph", str(good_inputs["graph"])]
     else:
         doc = data.draw(
             {"windows": json_documents(WINDOW_KEYS), "solution": json_documents(SOLUTION_KEYS),
@@ -792,8 +835,14 @@ def test_cli_on_drawn_bad_files_and_fjsp_gen_integers_returns_a_status(good_inpu
             "solution": ["eval", "fjsp", str(good_inputs["fjs"]), "--solution", str(drawn)],
             "ablate": ["ablate", str(good_inputs["corpus"]), "--config", str(drawn)],
         }[command]
-    status = main(argv)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        status = main([*argv, "--format", "json"])
     event(f"{command} exits {status}")
     assert status in (EXIT_OK, EXIT_FAILED, EXIT_USAGE)
+    if command == "query" and name in named:
+        assert status == EXIT_OK  # a query naming an entity resolves a seed
+    if status == EXIT_OK:
+        strict_json(stdout.getvalue())
     if command == "fjsp-gen" and status == EXIT_OK:
         fjsp.parse_fjs(out.read_text(encoding="utf-8"))  # what fjsp-gen writes, ingest reads

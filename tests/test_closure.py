@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from closurekb import knowledge_graph as kg
-from closurekb.closure import closure, closure_union, induced_subgraph, is_well_defined
+from closurekb.closure import closure, induced_subgraph, is_well_defined
 from closurekb.errors import UnknownEntity
 
 
@@ -87,19 +87,25 @@ def test_closure_equals_relaxation_oracle_on_1000_random_digraphs():
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 10**9), st.data())
-def test_closure_union_equals_the_union_of_single_closures(seed, data):
+def test_closure_of_several_targets_equals_the_union_of_single_closures(seed, data):
     graph, n = random_digraph(random.Random(seed))
     targets = data.draw(st.lists(st.sampled_from(graph.sorted_ids()), max_size=n + 2))
     expected = frozenset().union(*(closure(graph, t).members for t in targets))
-    assert closure_union(graph, targets) == expected
+    result = closure(graph, *targets)
+    assert result.members == expected
+    # The walk starts from the targets in the order given, each visited once.
+    starts = list(dict.fromkeys(targets))
+    assert list(result.visit_order[: len(starts)]) == starts
+    assert sorted(result.visit_order) == sorted(expected)
+    assert result.edge_count == len(exec_edges_within_scan(graph, expected))
 
 
-def test_closure_union_rejects_an_unknown_target():
+def test_closure_names_the_first_unknown_target():
     # It names the first unknown target in the order given, not in hash order.
     graph = make_graph(2, [(0, 1, kg.USED_IN)])
     ghosts = [f"ghost{i}" for i in range(20)]
     with pytest.raises(UnknownEntity, match="'ghost0'"):
-        closure_union(graph, ["n00", *ghosts])
+        closure(graph, "n00", *ghosts)
 
 
 def test_idempotence_minimality_monotonicity():

@@ -10,7 +10,7 @@ from closurekb import battery, codegen, corpus
 from closurekb import knowledge_graph as kg
 from closurekb import model_dsl as md
 from closurekb import retrieval as rt
-from closurekb.closure import closure, closure_union, is_well_defined
+from closurekb.closure import closure, is_well_defined
 from closurekb.errors import (
     GeneratorUnavailable,
     MissingExpression,
@@ -176,7 +176,7 @@ def test_one_walk_package_matches_its_three_part_reference_on_random_digraphs_wi
         graph, n = random_cyclic_graph(rng)
         members = {f"n{i:02d}" for i in range(n) if rng.random() < 0.8} or {"n00"}
         if rng.random() < 0.5:
-            members = set(closure_union(graph, members))
+            members = set(closure(graph, *members).members)
         if rng.random() < 0.1:
             members.add("ghost")
         for check_closed in (True, False):
@@ -208,7 +208,7 @@ def test_closed_package_in_rank_order_is_the_subset_kahn_order(data):
     ids = graph.sorted_ids()
     seed_sets = [{i} for i in ids] + data.draw(st.lists(st.sets(st.sampled_from(ids), min_size=1), max_size=4))
     for seeds in seed_sets:
-        members = closure_union(graph, seeds)
+        members = closure(graph, *seeds).members
         package = codegen.build_context_from_members(graph, members, [], "x")
         assert [ent.id for ent in package.typed_entities] == quadratic_dependency_order(graph, members)
         assert package.subgraph_description == exec_edge_scan(graph, members)
@@ -225,7 +225,7 @@ def copy_graph(graph):
 
 def test_package_and_closures_see_an_edge_and_an_entity_added_after_a_read():
     def outputs(graph, targets):
-        members = closure_union(graph, targets)
+        members = closure(graph, *targets).members
         package = codegen.build_context_from_members(graph, members, [], "x")
         walks = [(result.visit_order, result.edge_count) for result in (closure(graph, t) for t in targets)]
         return members, package, walks

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -151,6 +152,32 @@ def test_parse_fjs_reads_back_what_generate_fjs_writes(n_jobs, n_machines, ops_p
         for op in ops:
             assert len(op.eligible) == min(flexibility, n_machines)
             assert all(times[0] <= ptime <= times[1] for _machine, ptime in op.eligible)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_jobs=st.integers(1, 4),
+    n_machines=st.integers(1, 4),
+    ops_per_job=st.integers(1, 3),
+    flexibility=st.integers(1, 4),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_parse_fjs_reads_back_generated_times_near_the_largest_float(n_jobs, n_machines, ops_per_job, flexibility, seed, data):
+    # Up to the largest float over the operation count, less a margin for the
+    # rounding of the times and of their (at most 12) additions in parse_fjs.
+    bound = int(sys.float_info.max * (1 - 2**-40)) // (n_jobs * ops_per_job)
+    p_max = data.draw(st.integers(1, bound) | st.integers(max(1, bound - 2**60), bound), label="p_max")
+    p_min = data.draw(st.integers(1, p_max) | st.just(p_max), label="p_min")
+    inst = fjsp.parse_fjs(fjsp.generate_fjs(n_jobs, n_machines, ops_per_job, flexibility, seed, p_min, p_max))
+    assert (inst.n_jobs, inst.n_machines) == (n_jobs, n_machines)
+    for ops in inst.jobs:
+        assert len(ops) == ops_per_job
+        for op in ops:
+            assert len(op.eligible) == min(flexibility, n_machines)
+            # Rounding to a float keeps order, so a time within [p_min, p_max]
+            # reads back within the bounds' own floats.
+            assert all(float(p_min) <= ptime <= float(p_max) for _machine, ptime in op.eligible)
 
 
 def test_parse_benchmark_dimension_instance():

@@ -534,8 +534,10 @@ def test_ingest_model_of_a_1500_term_sum_stores_its_text():
                                  "source": "paper", "fields": {"snippet": ["text"]}}], "edges": []},
     {"version": 1, "entities": [{"id": "a", "kind": "concept", "name": None, "description": "",
                                  "source": "paper", "fields": {}}], "edges": []},
+    {"version": 1, "entities": [], "edges": [{"src": "a", "dst": "b", "kind": "bogus"}]},
+    {"version": 1, "entities": [], "edges": [{"src": "a", "dst": "b", "kind": ["used_in"]}]},
 ], ids=["entities-null", "edges-null", "entities-object", "int-id", "list-id", "list-src",
-        "int-description", "list-snippet", "null-name"])
+        "int-description", "list-snippet", "null-name", "unknown-edge-kind", "list-edge-kind"])
 def test_load_rejects_malformed_documents_with_schema_violation(document):
     with pytest.raises(SchemaViolation):
         kg.load(document)

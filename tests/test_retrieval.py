@@ -149,6 +149,14 @@ def test_numeric_payloads_with_units():
     assert parsed.numeric_payloads == ((10.0, "kW"), (0.54, "$/kWh"), (2.0, "kWh"))
 
 
+def test_a_number_past_the_float_range_keeps_its_entity_but_gives_no_payload(battery_graph):
+    # float() reads 400 nines as inf, which no JSON output can hold.
+    huge = "9" * 400 + " kW"
+    parsed = rt.understand_query(f"add the load reduction constraint of {huge} and 5 kW", battery_graph)
+    assert parsed.numeric_payloads == ((5.0, "kW"),)
+    assert [e.surface for e in parsed.entities if e.kind == rt.NUMERIC_WITH_UNIT] == [huge, "5 kW"]
+
+
 def test_time_window_mapping_uses_slots_per_hour():
     graph = empty_graph()
     entity(graph, "slotsPerHour", fields={"data": 6, "index_sets": []})
@@ -409,7 +417,7 @@ def test_structural_retrieve_union_of_closures():
         rt.structural_retrieve(graph, ["ghost"])
 
 
-def closure_union_reference(graph, seeds):
+def per_seed_closures(graph, seeds):
     """One closure per seed, after the one-hop aligns_to expansion of paper seeds."""
     expanded = set(seeds)
     for seed in seeds:
@@ -422,13 +430,13 @@ def closure_union_reference(graph, seeds):
 def test_structural_retrieve_equals_per_seed_closures_on_benchmark_graphs(benchmark_graphs, workload):
     graph, request_seeds, _requests = benchmark_graphs[workload]
     for seeds in request_seeds:
-        assert rt.structural_retrieve(graph, seeds) == closure_union_reference(graph, seeds)
+        assert rt.structural_retrieve(graph, seeds) == per_seed_closures(graph, seeds)
     ids = graph.sorted_ids()
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.sampled_from(ids), max_size=12))
     def check(seeds):
-        assert rt.structural_retrieve(graph, seeds) == closure_union_reference(graph, seeds)
+        assert rt.structural_retrieve(graph, seeds) == per_seed_closures(graph, seeds)
 
     check()
 
@@ -438,7 +446,7 @@ def test_structural_retrieve_equals_per_seed_closures_on_benchmark_graphs(benchm
 def test_structural_retrieve_equals_per_seed_closures_on_random_graphs(seed, data):
     graph = random_graph(random.Random(seed), data.draw(st.integers(2, 30)))
     seeds = data.draw(st.lists(st.sampled_from(graph.sorted_ids()), max_size=6))
-    assert rt.structural_retrieve(graph, seeds) == closure_union_reference(graph, seeds)
+    assert rt.structural_retrieve(graph, seeds) == per_seed_closures(graph, seeds)
 
 
 def test_structural_retrieve_follows_alignment_one_hop_from_paper_seeds():
