@@ -1,19 +1,3 @@
 """closurekb: typed knowledge graph + dependency closure for solver-ready model generation."""
 
-from . import ablation, battery, closure, codegen, corpus, errors, fjsp, model_dsl, retrieval
-from . import knowledge_graph
-
-__all__ = [
-    "ablation",
-    "battery",
-    "closure",
-    "codegen",
-    "corpus",
-    "errors",
-    "fjsp",
-    "knowledge_graph",
-    "model_dsl",
-    "retrieval",
-]
-
 __version__ = "0.1.0"

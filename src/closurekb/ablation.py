@@ -10,13 +10,12 @@ non-type-aware baseline.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import codegen, corpus, retrieval
 from .errors import ClosureKbError, MissingExpression, SchemaViolation
-from .knowledge_graph import json_field
+from .knowledge_graph import json_field, read_json
 
 CLOSURE_MODE = "closure"
 WINDOW_MODE = "window"
@@ -108,7 +107,7 @@ class ScriptedGenerator:
 
     @classmethod
     def from_path(cls, path) -> "ScriptedGenerator":
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = read_json(path)
         if not isinstance(doc, dict):
             raise SchemaViolation("mock script must be an object")
         return cls(json_field(doc, "responses", [str]))

@@ -27,8 +27,7 @@ ENDPOINT_ENV = "CLOSUREKB_GENERATOR_ENDPOINT"
 
 
 def _load_graph(path: str) -> kg.KnowledgeGraph:
-    document = json.loads(Path(path).read_text(encoding="utf-8"))
-    graph = kg.load(document)
+    graph = kg.load(kg.read_json(path))
     graph.freeze()
     return graph
 
@@ -181,8 +180,7 @@ def cmd_validate(args) -> int:
 
 
 def _eval_battery(args) -> int:
-    doc = json.loads(Path(args.instance).read_text(encoding="utf-8"))
-    data, event = battery.data_from_json(doc)
+    data, event = battery.data_from_json(kg.read_json(args.instance))
     if args.brute_force:
         result = battery.brute_force_optimum(data, event)
         payload = {
@@ -197,7 +195,7 @@ def _eval_battery(args) -> int:
             lines.append(f"objective={result.objective}")
         _emit(args, payload, lines)
         return EXIT_OK if result.status == "optimal" else EXIT_FAILED
-    sched = battery.schedule_from_json(json.loads(Path(args.solution).read_text(encoding="utf-8")))
+    sched = battery.schedule_from_json(kg.read_json(args.solution))
     feasible = True
     lines = []
     payload = {}
@@ -227,14 +225,14 @@ def _eval_battery(args) -> int:
 def _eval_fjsp(args) -> int:
     instance = fjsp.parse_fjs(Path(args.instance).read_text(encoding="utf-8"))
     if args.windows:
-        windows = fjsp.windows_from_json(json.loads(Path(args.windows).read_text(encoding="utf-8")))
+        windows = fjsp.windows_from_json(kg.read_json(args.windows))
         instance = fjsp.with_windows(instance, windows)
     if args.brute_force:
         value, solution = fjsp.brute_force_solution(instance)
         payload = {"optimal_makespan": value, "solution": fjsp.solution_to_json(solution)}
         _emit(args, payload, [f"optimal_makespan={value}"])
         return EXIT_OK
-    sol = fjsp.solution_from_json(json.loads(Path(args.solution).read_text(encoding="utf-8")))
+    sol = fjsp.solution_from_json(kg.read_json(args.solution))
     report = fjsp.check_solution(instance, sol)
     payload = {
         "feasible": report.feasible,
@@ -257,7 +255,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    config = ablation.config_from_json(json.loads(Path(args.config).read_text(encoding="utf-8")))
+    config = ablation.config_from_json(kg.read_json(args.config))
     report = ablation.run_ablation(config, args.corpus)
     if args.out:
         Path(args.out).write_text(report.to_text(), encoding="utf-8")
@@ -382,7 +380,7 @@ def main(argv=None) -> int:
     except TooLarge as exc:
         print(f"instance too large: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ClosureKbError, OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8, integer or inf
+    except (ClosureKbError, OSError, ValueError) as exc:  # ValueError: bad UTF-8, integer or inf
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -5,16 +5,17 @@ and depends_on edges, including the targets. `closure` is the one walk:
 breadth-first from the targets in the order given, with one visited set and
 neighbors expanded in sorted-id order, so visit order is deterministic, an
 entity reached from several targets is expanded once, and cycles terminate.
-The walk and the closedness check read each member's executability targets,
-which the graph keeps (KnowledgeGraph.exec_out) from their first read after
-an edge is added, so a walk costs the members it visits, not the graph.
+`is_well_defined` is the one closedness check: the escaping pairs it lists
+are the ones codegen's NotClosed carries. The walk and the check read each
+member's executability targets, which the graph keeps
+(KnowledgeGraph.exec_out) from their first read after an edge is added, so
+a walk costs the members it visits, not the graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnknownEntity
 from .knowledge_graph import EXEC_KINDS, KnowledgeGraph
 
 
@@ -34,8 +35,7 @@ def closure(graph: KnowledgeGraph, *targets: str) -> ClosureResult:
     for the first unknown target.
     """
     for target in targets:
-        if target not in graph:
-            raise UnknownEntity(f"no entity with id {target!r}")
+        graph.entity(target)  # UnknownEntity for an unknown id
     order = list(dict.fromkeys(targets))
     visited = set(order)
     edge_count = 0

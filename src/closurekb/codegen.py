@@ -28,14 +28,8 @@ from dataclasses import dataclass
 
 from . import knowledge_graph as kg
 from . import model_dsl
-from .errors import (
-    DuplicateDeclaration,
-    GeneratorUnavailable,
-    MissingExpression,
-    NotClosed,
-    ParseError,
-    UnknownEntity,
-)
+from .closure import is_well_defined
+from .errors import DuplicateDeclaration, GeneratorUnavailable, MissingExpression, NotClosed, ParseError
 from .knowledge_graph import Entity, KnowledgeGraph
 from .retrieval import (
     DEFAULT_SNIPPET_K,
@@ -87,7 +81,7 @@ def dependency_order(graph: KnowledgeGraph, members) -> list[str]:
     member_set = set(members)
     rank = graph.rank()
     if not rank.keys() >= member_set:
-        raise UnknownEntity(f"no entity with id {min(member_set - rank.keys())!r}")
+        graph.entity(min(member_set - rank.keys()))  # raises UnknownEntity
     return sorted(member_set, key=rank.__getitem__)
 
 
@@ -133,32 +127,29 @@ def build_context_from_members(
     the graph.
 
     One walk over the sorted members reads each one's executability targets
-    (KnowledgeGraph.exec_out) and collects the escaping (src, dst) pairs,
-    sorted, duplicates included. They raise NotClosed, before any ordering
-    and before UnknownEntity, when `check_closed` is set. The members are
-    ordered by `dependency_order`, and the subgraph text joins their kept
-    edge lines in sorted-id order, leaving out each line to a non-member.
-    Only an open set, which window mode of the ablation builds without
-    `check_closed`, has such lines.
+    (KnowledgeGraph.exec_out). When `check_closed` is set, the first member
+    whose targets escape the set raises NotClosed with the escaping (src,
+    dst) pairs that `closure.is_well_defined` reports, before any ordering
+    and before UnknownEntity; a closed set never runs that check. The
+    members are ordered by `dependency_order`, and the subgraph text joins
+    their kept edge lines in sorted-id order, leaving out each line to a
+    non-member. Only an open set, which window mode of the ablation builds
+    without `check_closed`, has such lines.
     """
     member_set = set(members)
-    ordered = sorted(member_set)
     exec_out = graph.exec_out
-    escaping: list[tuple[str, str]] = []
     blocks: list[str] = []
-    for src in ordered:
+    for src in sorted(member_set):
         targets, block = exec_out(src)
         if not member_set.issuperset(targets):
-            # Sources in sorted order, each one's targets sorted: sorted.
-            escaping.extend((src, dst) for dst in targets if dst not in member_set)
+            if check_closed:
+                raise NotClosed(is_well_defined(graph, member_set)[1])
             # The block has one line per target, in the same order.
             block = "\n".join(
                 line for dst, line in zip(targets, block.split("\n")) if dst in member_set
             )
         if block:
             blocks.append(block)
-    if escaping and check_closed:
-        raise NotClosed(escaping)
     order = dependency_order(graph, member_set)
     return ContextPackage(
         instruction=instruction,

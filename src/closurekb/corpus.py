@@ -55,20 +55,20 @@ def ingest_path(path: Path, graph: KnowledgeGraph) -> None:
     name = path.name
     if not name.endswith(INPUT_SUFFIXES):
         raise ClosureKbError(f"unrecognized input file type: {name}")
-    text = path.read_text(encoding="utf-8")
     if name.endswith(".kg.json"):
-        merge_graphs(graph, kg.load(json.loads(text)))
+        merge_graphs(graph, kg.load(kg.read_json(path)))
     elif name.endswith(".cards.json"):
-        kg.ingest_concept_cards(kg.cards_from_json(json.loads(text)), graph)
+        kg.ingest_concept_cards(kg.cards_from_json(kg.read_json(path)), graph)
     elif name.endswith(".battery.json"):
-        data, event = battery.data_from_json(json.loads(text))
+        data, event = battery.data_from_json(kg.read_json(path))
         if event is None:
             raise ClosureKbError(f"{name}: battery instance lacks an event section")
         merge_graphs(graph, battery.build_battery_kg(data, event))
     elif name.endswith(".fjs"):
-        kg.ingest_model(fjsp.build_fjsp_model(fjsp.parse_fjs(text), fjsp.BASELINE), graph)
+        instance = fjsp.parse_fjs(path.read_text(encoding="utf-8"))
+        kg.ingest_model(fjsp.build_fjsp_model(instance, fjsp.BASELINE), graph)
     else:  # *.mm
-        kg.ingest_model(model_dsl.parse_model(text), graph)
+        kg.ingest_model(model_dsl.parse_model(path.read_text(encoding="utf-8")), graph)
 
 
 def ingest_corpus(paths, sources: str = HETEROGENEOUS) -> tuple[KnowledgeGraph, kg.AlignResult]:

@@ -25,9 +25,11 @@ keys and unknown kind strings are rejected.
 from __future__ import annotations
 
 import heapq
+import json
 import math
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from . import model_dsl
 from .errors import (
@@ -228,8 +230,7 @@ class KnowledgeGraph:
 
     def neighbors(self, entity_id: str, kinds, direction: str = "out") -> list[str]:
         """Endpoint ids of matching edges, sorted for determinism."""
-        if entity_id not in self.entities:
-            raise UnknownEntity(f"no entity with id {entity_id!r}")
+        self.entity(entity_id)  # UnknownEntity for an unknown id
         kinds = frozenset(kinds)
         if direction == "out":
             found = {e.dst for e in self._out[entity_id] if e.kind in kinds}
@@ -574,6 +575,20 @@ def json_field(record: dict, key: str, kind, default=_REQUIRED):
     return value
 
 
+def read_json(path):
+    """The JSON document in the file at `path`, the one reader of every JSON
+    input. SchemaViolation for text that is not UTF-8, is not JSON (an
+    integer past Python's digit limit included) or nests deeper than the
+    decoder's recursion limit allows (about 1,000 levels, less the caller's
+    stack depth); OSError for a file that cannot be read."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError among them
+        raise SchemaViolation(f"{path}: {exc}") from None
+    except RecursionError:
+        raise SchemaViolation(f"{path}: JSON nested too deeply") from None
+
+
 # --- Alignment ------------------------------------------------------------------
 
 def normalize_name(name: str) -> str:
@@ -587,13 +602,17 @@ _NAME_PART_RE = re.compile(r"[A-Z]+(?![a-z])|[A-Z]?[a-z0-9]+|\d+")
 def split_name_tokens(name: str) -> tuple[str, ...]:
     """Split an entity name into lowercase tokens at non-alphanumerics and
     camelCase boundaries; an all-caps run is one token, and digits stay
-    attached to the preceding letters."""
+    attached to the letters they touch, so B13 and m01 are one token each
+    and seq_1_2_1 is four, as a query writes them."""
     merged: list[str] = []
-    for part in _NAME_PART_RE.findall(name):
-        if part.isdigit() and merged and merged[-1].isalpha():
-            merged[-1] = merged[-1] + part
+    end = -1
+    for match in _NAME_PART_RE.finditer(name):
+        part = match.group()
+        if part.isdigit() and match.start() == end:
+            merged[-1] += part
         else:
             merged.append(part)
+        end = match.end()
     return tuple(p.lower() for p in merged)
 
 

@@ -819,25 +819,17 @@ def _lingo_constraint(con: Constraint) -> str:
 def _lingo_domain_marker(decl: VarDecl) -> list[str]:
     # Iterates over the leading index set only; nested derived-set iteration
     # is not reproduced in the flavored dialect.
-    lines = []
-    marker = {"binary": "@bin", "integer": "@gin"}.get(decl.domain)
+    ref = f"{decl.name}(t)" if decl.index_sets else decl.name
+    statements = []
+    marker = {BINARY: "@bin", INTEGER: "@gin"}.get(decl.domain)
+    if marker is not None:
+        statements.append(f"{marker}({ref})")
+    if decl.bounds is not None and decl.domain != BINARY:
+        lo, hi = map(format_number, decl.bounds)
+        statements.append(f"@bnd({lo}, {ref}, {hi})")
     if decl.index_sets:
-        ref = f"{decl.name}(t)"
-        wrap = f"{decl.index_sets[0]}(t)"
-        if marker is not None:
-            lines.append(f"@for({wrap}: {marker}({ref}));")
-        if decl.bounds is not None and decl.domain != BINARY:
-            lo, hi = decl.bounds
-            lines.append(
-                f"@for({wrap}: @bnd({format_number(lo)}, {ref}, {format_number(hi)}));"
-            )
-    else:
-        if marker is not None:
-            lines.append(f"{marker}({decl.name});")
-        if decl.bounds is not None and decl.domain != BINARY:
-            lo, hi = decl.bounds
-            lines.append(f"@bnd({format_number(lo)}, {decl.name}, {format_number(hi)});")
-    return lines
+        return [f"@for({decl.index_sets[0]}(t): {statement});" for statement in statements]
+    return [f"{statement};" for statement in statements]
 
 
 def _emit_lingo(ast: ModelAst) -> str:

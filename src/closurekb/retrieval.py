@@ -1,10 +1,12 @@
 """Query understanding plus the two retrieval streams (semantic and structural).
 
 The semantic stream is a deterministic TF-IDF index over entity snippets and
-descriptions. Its weights are stored once, as per-term postings keyed by doc
-id, beside per-document norms and per-term score bounds, so a top-k search
-stops reading postings once the query terms left cannot lift an unseen
-document into the top k, then re-scores the documents it keeps from the same
+descriptions. Its vocabulary is one table from term to idf, in sorted term
+order, and every other table of the index is keyed by term too. Its weights
+are stored once, as postings from each term to {doc id: weight}, beside
+per-document norms and per-term score bounds, so a top-k search stops
+reading postings once the query terms left cannot lift an unseen document
+into the top k, then re-scores the documents it keeps from the same
 postings. The structural stream is the dependency closure of the entities
 resolved in the query, one closure.closure walk from all of them, with
 aligns_to followed one hop from paper seeds so concepts pull in their
@@ -50,7 +52,6 @@ class ExtractedEntity:
 
 @dataclass(frozen=True)
 class ParsedQuery:
-    raw: str
     intents: tuple[str, ...]
     entities: tuple[ExtractedEntity, ...]
     numeric_payloads: tuple[tuple[float, str], ...]
@@ -216,7 +217,6 @@ def understand_query(text: str, graph: KnowledgeGraph) -> ParsedQuery:
         )
 
     return ParsedQuery(
-        raw=text,
         intents=_match_intents(text),
         entities=tuple(entities),
         numeric_payloads=tuple(payloads),
@@ -228,14 +228,13 @@ def understand_query(text: str, graph: KnowledgeGraph) -> ParsedQuery:
 class TfidfEmbedder:
     """Deterministic TF-IDF embedder over lowercased alphanumeric tokens.
 
-    After fitting, weights() maps any UTF-8 text to its nonzero (slot, weight)
-    pairs; a slot is the term's position in the sorted vocabulary.
+    After fitting, vocabulary maps each corpus term to its smoothed idf, in
+    sorted term order, and weights() maps any UTF-8 text to its nonzero
+    (term, weight) pairs.
     """
 
     def __init__(self):
-        self.vocabulary: list[str] = []
-        self._index: dict[str, int] = {}
-        self._idf: list[float] = []
+        self.vocabulary: dict[str, float] = {}
 
     @staticmethod
     def tokenize(text: str) -> list[str]:
@@ -245,52 +244,50 @@ class TfidfEmbedder:
         doc_freq: Counter = Counter()
         for text in corpus:
             doc_freq.update(set(self.tokenize(text)))
-        self.vocabulary = sorted(doc_freq)
-        self._index = {term: i for i, term in enumerate(self.vocabulary)}
         n_docs = len(corpus)
-        self._idf = [
-            math.log((n_docs + 1) / (doc_freq[term] + 1)) + 1.0 for term in self.vocabulary
-        ]
+        self.vocabulary = {
+            term: math.log((n_docs + 1) / (doc_freq[term] + 1)) + 1.0 for term in sorted(doc_freq)
+        }
         return self
 
-    def weights(self, text: str) -> list[tuple[int, float]]:
-        """Nonzero (slot, weight) pairs of the text, in ascending slot order.
+    def weights(self, text: str) -> list[tuple[str, float]]:
+        """Nonzero (term, weight) pairs of the text, in ascending term order.
 
         Every weight is at least 1: both the log term frequency factor and
         the smoothed idf are.
         """
         pairs = []
         for term, count in Counter(self.tokenize(text)).items():
-            slot = self._index.get(term)
-            if slot is not None:
-                pairs.append((slot, (1.0 + math.log(count)) * self._idf[slot]))
+            idf = self.vocabulary.get(term)
+            if idf is not None:
+                pairs.append((term, (1.0 + math.log(count)) * idf))
         pairs.sort()
         return pairs
 
 
 def _norm(pairs) -> float:
-    return math.sqrt(sum(w * w for _slot, w in pairs))
+    return math.sqrt(sum(w * w for _term, w in pairs))
 
 
 @dataclass
 class SemanticIndex:
     """Sparse TF-IDF index over the snippet documents.
 
-    postings, the one store of the weights, maps a slot to {doc id: weight}
-    of every document holding the term, inserted (and so iterated) in
-    ascending doc id; norms maps a document to its Euclidean norm. slot_bounds
-    maps a slot to the largest weight / norm over its postings, so a query
-    term of weight q adds at most q * slot_bound / query_norm to any
-    document's cosine. semantic_search prunes with that bound, less a
-    relative margin of 1e-9 for rounding, and re-scores the documents it
-    keeps exactly by looking each query slot's weight up in its postings.
+    postings, the one store of the weights, maps a term to {doc id: weight}
+    of every document holding it, inserted (and so iterated) in ascending
+    doc id; norms maps a document to its Euclidean norm. term_bounds maps a
+    term to the largest weight / norm over its postings, so a query term of
+    weight q adds at most q * term_bound / query_norm to any document's
+    cosine. semantic_search prunes with that bound, less a relative margin
+    of 1e-9 for rounding, and re-scores the documents it keeps exactly by
+    looking each query term's weight up in its postings.
     """
 
     doc_ids: list[str] = field(default_factory=list)
     texts: dict[str, str] = field(default_factory=dict)
-    postings: dict[int, dict[str, float]] = field(default_factory=dict)
+    postings: dict[str, dict[str, float]] = field(default_factory=dict)
     norms: dict[str, float] = field(default_factory=dict)
-    slot_bounds: dict[int, float] = field(default_factory=dict)
+    term_bounds: dict[str, float] = field(default_factory=dict)
     embedder: TfidfEmbedder | None = None
 
 
@@ -308,21 +305,21 @@ def index_snippets(graph: KnowledgeGraph) -> SemanticIndex:
             docs[entity_id] = text
     doc_ids = sorted(docs)
     embedder = TfidfEmbedder().fit([docs[i] for i in doc_ids])
-    postings: dict[int, dict[str, float]] = {}
+    postings: dict[str, dict[str, float]] = {}
     norms: dict[str, float] = {}
-    slot_bounds: dict[int, float] = {}
+    term_bounds: dict[str, float] = {}
     for doc_id in doc_ids:
         pairs = embedder.weights(docs[doc_id])
         norm = norms[doc_id] = _norm(pairs)
-        for slot, weight in pairs:
-            postings.setdefault(slot, {})[doc_id] = weight
-            slot_bounds[slot] = max(slot_bounds.get(slot, 0.0), weight / norm)
+        for term, weight in pairs:
+            postings.setdefault(term, {})[doc_id] = weight
+            term_bounds[term] = max(term_bounds.get(term, 0.0), weight / norm)
     return SemanticIndex(
         doc_ids=doc_ids,
         texts=docs,
         postings=postings,
         norms=norms,
-        slot_bounds=slot_bounds,
+        term_bounds=term_bounds,
         embedder=embedder,
     )
 
@@ -339,15 +336,15 @@ def semantic_search(index: SemanticIndex, text: str, k: int) -> list[tuple[str, 
     Max-score pruning, term at a time: query terms are walked from the
     shortest posting list up, accumulating each document's partial cosine.
     The terms not yet walked can add at most the sum of their
-    query_weight * slot_bound / query_norm to any document; once k documents
+    query_weight * term_bound / query_norm to any document; once k documents
     have a partial cosine and that sum is below the k-th largest by a
     relative margin of 1e-9, no document outside them can reach the top k,
     and the walk stops. The same test drops the candidates whose partial
     cosine plus that sum is below it (after the last term the sum is 0).
 
     Every remaining candidate is then re-scored exactly: its dot product is
-    summed left to right over the query's slots in ascending order, reading
-    each slot's weight from its postings, the same additions a dense dot
+    summed left to right over the query's terms in ascending order, reading
+    each term's weight from its postings, the same additions a dense dot
     product makes once its zero terms are left out, so scores are
     bit-identical to scoring every document and do not depend on the pruning
     or index layout.
@@ -360,22 +357,22 @@ def semantic_search(index: SemanticIndex, text: str, k: int) -> list[tuple[str, 
     query_norm = _norm(query)
     postings, norms = index.postings, index.norms
     terms = sorted(query, key=lambda pair: (len(postings[pair[0]]), pair[0]))
-    scales = [query_weight / query_norm for _slot, query_weight in terms]
+    scales = [query_weight / query_norm for _term, query_weight in terms]
     # rest[i]: the most the terms after the i-th can add to any cosine
     rest = [0.0] * len(terms)
     for i in range(len(terms) - 1, 0, -1):
-        rest[i - 1] = rest[i] + scales[i] * index.slot_bounds[terms[i][0]]
+        rest[i - 1] = rest[i] + scales[i] * index.term_bounds[terms[i][0]]
     partial: dict[str, float] = {}
     floor = 0.0  # a candidate whose partial cosine is below it cannot reach the top k
-    for (slot, _query_weight), scale, bound in zip(terms, scales, rest):
-        for doc_id, weight in postings[slot].items():
+    for (term, _query_weight), scale, bound in zip(terms, scales, rest):
+        for doc_id, weight in postings[term].items():
             partial[doc_id] = partial.get(doc_id, 0.0) + scale * (weight / norms[doc_id])
         if len(partial) >= k:
             kth = (1.0 - _PRUNE_MARGIN) * heapq.nlargest(k, partial.values())[-1]
             if bound < kth:
                 floor = kth - bound
                 break
-    query_postings = [(postings[slot], query_weight) for slot, query_weight in query]
+    query_postings = [(postings[term], query_weight) for term, query_weight in query]
     ranked = []
     for doc_id, partial_score in partial.items():
         if partial_score < floor:

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -683,6 +684,8 @@ def test_graph_with_malformed_declaration_field_is_a_usage_error_without_traceba
 NOT_UTF8 = b'{"x": "\xff\xfe"}'
 # More digits than json.loads converts to an int (a plain ValueError).
 HUGE_INT = b"9" * 5000
+# Nested deeper than json.loads recurses (a RecursionError).
+DEEP = b"[" * 100000 + b"]" * 100000
 
 
 @pytest.fixture(scope="module")
@@ -746,6 +749,16 @@ ABLATE_SCRIPT = ("ablate", "{corpus}", "--config", "{script_config}")
     (FJSP_WINDOWS, "w.json", HUGE_INT),
     (ABLATE_CONFIG, "config.json", HUGE_INT),
     (("ingest", "{bad}", "--graph", "{out}"), "bad.cards.json", HUGE_INT),
+    (FJSP_SOLUTION, "s.json", DEEP),
+    (FJSP_WINDOWS, "w.json", DEEP),
+    (("eval", "battery", "{bad}", "--brute-force"), "bad.json", DEEP),
+    (("eval", "battery", "{toy}", "--solution", "{bad}"), "s.json", DEEP),
+    (ABLATE_CONFIG, "config.json", DEEP),
+    (ABLATE_SCRIPT, "mock.json", DEEP),
+    (("closure", "--graph", "{bad}", "--target", "x"), "bad.kg.json", DEEP),
+    (("ingest", "{bad}", "--graph", "{out}"), "bad.kg.json", DEEP),
+    (("ingest", "{bad}", "--graph", "{out}"), "bad.cards.json", DEEP),
+    (("ingest", "{bad}", "--graph", "{out}"), "bad.battery.json", DEEP),
 ], ids=[
     "solution-list", "solution-int-x", "solution-not-utf8",
     "windows-string-machine", "windows-int-record", "windows-not-utf8",
@@ -758,6 +771,8 @@ ABLATE_SCRIPT = ("ablate", "{corpus}", "--config", "{script_config}")
     "ingest-kg-not-utf8", "ingest-cards-not-utf8", "ingest-battery-not-utf8",
     "ingest-fjs-not-utf8", "ingest-mm-not-utf8",
     "windows-5000-digit-int", "config-5000-digit-int", "ingest-cards-5000-digit-int",
+    "solution-deep", "windows-deep", "battery-deep", "battery-solution-deep", "config-deep",
+    "script-deep", "closure-graph-deep", "ingest-kg-deep", "ingest-cards-deep", "ingest-battery-deep",
 ])
 def test_malformed_or_non_utf8_input_file_is_a_usage_error_without_traceback(
     good_inputs, tmp_path, capsys, argv, name, content
@@ -795,6 +810,11 @@ QUERY_NUMBERS = st.tuples(
 ).map(lambda parts: f"{parts[0]}{parts[1]} {parts[2]}")
 
 
+# An id whose "_"-separated parts are each letters of one case then digits.
+ONE_CASE_PART = r"(?:[a-z]+[0-9]*|[A-Z]+[0-9]*|[0-9]+)"
+ONE_CASE_PARTS = re.compile(rf"{ONE_CASE_PART}(?:_{ONE_CASE_PART})*")
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_cli_on_drawn_bad_files_and_fjsp_gen_integers_returns_a_status(good_inputs, data):
@@ -814,9 +834,9 @@ def test_cli_on_drawn_bad_files_and_fjsp_gen_integers_returns_a_status(good_inpu
         argv = ["fjsp-gen", *(part for item in options.items() for part in item), "--out", str(out)]
     elif command in ("closure", "query"):
         ids = kg.load(json.loads(good_inputs["graph"].read_text(encoding="utf-8"))).sorted_ids()
-        # A query resolves a one-word name; camelCase and digit-suffixed ones
-        # (bigM, seq_1_2_1) do not resolve yet.
-        named = ids if command == "closure" else [i for i in ids if i.isalpha() and (i.islower() or i.isupper())]
+        # A query resolves a name of ONE_CASE_PARTS (seq_1_2_1); camelCase
+        # ones (bigM) do not resolve yet.
+        named = ids if command == "closure" else [i for i in ids if ONE_CASE_PARTS.fullmatch(i)]
         name = data.draw(st.sampled_from(named) | st.text(max_size=6), label="name")
         if command == "closure":
             argv = ["closure", "--graph", str(good_inputs["graph"]), "--target", name]

@@ -81,6 +81,38 @@ def test_build_context_rejects_open_sets():
         codegen.build_context(graph, retrievalish, "x")
 
 
+def test_only_an_open_set_runs_the_closedness_check(monkeypatch):
+    graph = ingest(LISTING_STYLE)
+    calls = []
+
+    def counted(graph, members):
+        calls.append(set(members))
+        return is_well_defined(graph, members)
+
+    monkeypatch.setattr(codegen, "is_well_defined", counted)
+    package_for(graph, "c")
+    assert calls == []
+    retrievalish = rt.RetrievalResult(structural=frozenset({"c"}), snippets=())
+    with pytest.raises(NotClosed) as raised:
+        codegen.build_context(graph, retrievalish, "x")
+    assert calls == [{"c"}]
+    assert raised.value.violations == is_well_defined(graph, {"c"})[1] != []
+
+
+@pytest.mark.parametrize("lookup", [
+    lambda graph: graph.entity("ghost"),
+    lambda graph: graph.neighbors("ghost", kg.EXEC_KINDS),
+    lambda graph: closure(graph, "a", "ghost"),
+    lambda graph: codegen.dependency_order(graph, {"a", "ghost"}),
+], ids=["entity", "neighbors", "closure", "dependency_order"])
+def test_every_unknown_id_raises_the_one_message(lookup):
+    graph = kg.KnowledgeGraph()
+    graph.add_entity(kg.Entity("a", kg.CONCEPT, "a"))
+    with pytest.raises(UnknownEntity) as raised:
+        lookup(graph)
+    assert str(raised.value) == "no entity with id 'ghost'"
+
+
 def test_dependency_order_breaks_cycles_by_id():
     graph = kg.KnowledgeGraph()
     for name in ("a", "b"):

@@ -304,6 +304,22 @@ def test_split_name_tokens_camel_case_digits_and_all_caps():
     assert kg.split_name_tokens("WORKCENTERS") == ("workcenters",)
     assert kg.split_name_tokens("OPS") == ("ops",)
     assert kg.split_name_tokens("machine m01") == ("machine", "m01")
+    # Digits join only the letters they touch.
+    assert kg.split_name_tokens("seq_1_2_1") == ("seq", "1", "2", "1")
+    assert kg.split_name_tokens("OPS_2") == ("ops", "2")
+
+
+# Identifiers whose "_"-separated parts are each letters of one case followed
+# by digits: seq_1_2_1, B13, m01, OPS_2.
+ONE_CASE_PARTS = st.lists(
+    st.from_regex(r"(?:[a-z]{1,4}|[A-Z]{1,4})?[0-9]{0,3}", fullmatch=True).filter(bool), min_size=1, max_size=4
+).map("_".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ONE_CASE_PARTS)
+def test_split_name_tokens_equals_the_query_tokens_of_the_name(name):
+    assert kg.split_name_tokens(name) == tuple(t for t, _start, _end in retrieval._tokens_with_spans(name))
 
 
 def _find_by_name_scan(graph, name):
@@ -650,6 +666,26 @@ def test_cards_from_json_raises_only_closurekb_errors(document):
         kg.ingest_concept_cards(cards, kg.KnowledgeGraph())
     except ClosureKbError:
         pass
+
+
+def test_read_json_loads_a_document_500_deep(tmp_path):
+    # The decoder's depth limit is the recursion limit less the caller's depth.
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 500 + "]" * 500, encoding="utf-8")
+    document = kg.read_json(path)
+    for _level in range(499):
+        document = document[0]
+    assert document == []
+
+
+@pytest.mark.parametrize("name", ["deep.kg.json", "deep.cards.json", "deep.battery.json"])
+@pytest.mark.parametrize("content", [b"[" * 100000 + b"]" * 100000, b"{", b'{"x": "\xff"}'],
+                         ids=["nested-100000-deep", "not-json", "not-utf8"])
+def test_ingest_corpus_of_unreadable_json_raises_schema_violation(tmp_path, name, content):
+    path = tmp_path / name
+    path.write_bytes(content)
+    with pytest.raises(SchemaViolation, match=name):
+        corpus.ingest_corpus([path])
 
 
 @st.composite

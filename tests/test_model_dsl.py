@@ -309,6 +309,47 @@ def test_emit_lingo_sum_and_conjunction():
     assert "@sum(T(i)|(i#gt#6)#and#(i#le#12): y(i))" in text
 
 
+# The LINGO domain and bound statements of `var x{index} domain bounds;`, as
+# emitted after the sets section. An indexed declaration iterates its leading
+# set only, and a binary variable's bounds are implied by @bin.
+LINGO_VAR_MARKERS = [
+    ('', 'binary', '', '@bin(x);\n'),
+    ('', 'binary', ' in [0, 5]', '@bin(x);\n'),
+    ('', 'binary', ' in [-1.5, 2]', '@bin(x);\n'),
+    ('', 'integer', '', '@gin(x);\n'),
+    ('', 'integer', ' in [0, 5]', '@gin(x);\n@bnd(0, x, 5);\n'),
+    ('', 'integer', ' in [-1.5, 2]', '@gin(x);\n@bnd(-1.5, x, 2);\n'),
+    ('', 'continuous', '', ''),
+    ('', 'continuous', ' in [0, 5]', '@bnd(0, x, 5);\n'),
+    ('', 'continuous', ' in [-1.5, 2]', '@bnd(-1.5, x, 2);\n'),
+    ('{S}', 'binary', '', '@for(S(t): @bin(x(t)));\n'),
+    ('{S}', 'binary', ' in [0, 5]', '@for(S(t): @bin(x(t)));\n'),
+    ('{S}', 'binary', ' in [-1.5, 2]', '@for(S(t): @bin(x(t)));\n'),
+    ('{S}', 'integer', '', '@for(S(t): @gin(x(t)));\n'),
+    ('{S}', 'integer', ' in [0, 5]', '@for(S(t): @gin(x(t)));\n@for(S(t): @bnd(0, x(t), 5));\n'),
+    ('{S}', 'integer', ' in [-1.5, 2]', '@for(S(t): @gin(x(t)));\n@for(S(t): @bnd(-1.5, x(t), 2));\n'),
+    ('{S}', 'continuous', '', ''),
+    ('{S}', 'continuous', ' in [0, 5]', '@for(S(t): @bnd(0, x(t), 5));\n'),
+    ('{S}', 'continuous', ' in [-1.5, 2]', '@for(S(t): @bnd(-1.5, x(t), 2));\n'),
+    ('{S, R}', 'binary', '', '@for(S(t): @bin(x(t)));\n'),
+    ('{S, R}', 'binary', ' in [0, 5]', '@for(S(t): @bin(x(t)));\n'),
+    ('{S, R}', 'binary', ' in [-1.5, 2]', '@for(S(t): @bin(x(t)));\n'),
+    ('{S, R}', 'integer', '', '@for(S(t): @gin(x(t)));\n'),
+    ('{S, R}', 'integer', ' in [0, 5]', '@for(S(t): @gin(x(t)));\n@for(S(t): @bnd(0, x(t), 5));\n'),
+    ('{S, R}', 'integer', ' in [-1.5, 2]', '@for(S(t): @gin(x(t)));\n@for(S(t): @bnd(-1.5, x(t), 2));\n'),
+    ('{S, R}', 'continuous', '', ''),
+    ('{S, R}', 'continuous', ' in [0, 5]', '@for(S(t): @bnd(0, x(t), 5));\n'),
+    ('{S, R}', 'continuous', ' in [-1.5, 2]', '@for(S(t): @bnd(-1.5, x(t), 2));\n'),
+]
+
+
+@pytest.mark.parametrize("index, domain, bounds, expected", LINGO_VAR_MARKERS)
+def test_emit_lingo_domain_and_bound_statements(index, domain, bounds, expected):
+    src = f"set S = 1..2; set R = 1..3; var x{index} {domain}{bounds};"
+    text = md.emit_model(md.parse_model(src), md.LINGO_FLAVORED)
+    assert text == "sets:\nS /1..2/;\nR /1..3/;\nendsets\n" + expected
+
+
 def test_emit_is_deterministic():
     ast = md.parse_model(LISTING_STYLE)
     assert md.emit_model(ast) == md.emit_model(ast)

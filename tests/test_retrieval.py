@@ -256,10 +256,11 @@ def test_empty_descriptions_are_never_retrieved():
 
 def embed(emb, text):
     """Reference: the dense vector of the text's weights (dimension =
-    vocabulary size)."""
+    vocabulary size, one coordinate per term in sorted order)."""
+    position = {term: i for i, term in enumerate(sorted(emb.vocabulary))}
     vector = [0.0] * len(emb.vocabulary)
-    for slot, weight in emb.weights(text):
-        vector[slot] = weight
+    for term, weight in emb.weights(text):
+        vector[position[term]] = weight
     return vector
 
 
@@ -315,8 +316,8 @@ def full_sort_search(index, text, k):
     query = index.embedder.weights(text)
     query_norm = rt._norm(query)
     dots = {}
-    for slot, query_weight in query:
-        for doc_id, weight in index.postings.get(slot, {}).items():
+    for term, query_weight in query:
+        for doc_id, weight in index.postings.get(term, {}).items():
             dots[doc_id] = dots.get(doc_id, 0.0) + query_weight * weight
     scored = [(doc_id, dot / (query_norm * index.norms[doc_id])) for doc_id, dot in dots.items()]
     scored.sort(key=lambda item: (-item[1], item[0]))
@@ -328,7 +329,7 @@ def test_semantic_search_equals_full_sort_on_the_kb_scale_graph(benchmark_graphs
     graph, _seeds, queries = benchmark_graphs["kb-scale"]
     index = rt.index_snippets(graph)
     rng = random.Random(2026)
-    vocabulary = index.embedder.vocabulary
+    vocabulary = list(index.embedder.vocabulary)
     queries = list(queries)
     for _ in range(800):
         queries.append(" ".join(rng.choice(vocabulary) for _ in range(rng.randint(1, 6))))
@@ -361,7 +362,7 @@ def test_semantic_search_reads_few_postings_and_documents_on_benchmark_requests(
             rescored.add(doc_id)
             return dict.get(self, doc_id, default)
 
-    index.postings = {slot: CountedPostings(p) for slot, p in index.postings.items()}
+    index.postings = {term: CountedPostings(p) for term, p in index.postings.items()}
     for request, hits in zip(requests, expected):
         walked.clear()
         rescored.clear()
@@ -374,7 +375,7 @@ def test_postings_iterate_in_ascending_doc_id_on_the_kb_scale_graph(benchmark_gr
     # The partial scores are built in this order, and ties are kept by it.
     graph, _seeds, _requests = benchmark_graphs["kb-scale"]
     index = rt.index_snippets(graph)
-    assert sorted(index.postings) == list(range(len(index.embedder.vocabulary)))
+    assert sorted(index.postings) == list(index.embedder.vocabulary)
     for posting in index.postings.values():
         doc_ids = list(posting)
         assert doc_ids == sorted(doc_ids)
@@ -460,7 +461,6 @@ def test_structural_retrieve_follows_alignment_one_hop_from_paper_seeds():
 def test_select_seeds_expands_to_constraints_using_entity():
     graph = chain_graph()
     parsed = rt.ParsedQuery(
-        raw="add a constraint for var1",
         intents=(rt.ADD_CONSTRAINT,),
         entities=(rt.ExtractedEntity("var1", "var1", rt.NAME_MATCH),),
         numeric_payloads=(),
@@ -471,7 +471,6 @@ def test_select_seeds_expands_to_constraints_using_entity():
 def test_select_seeds_no_expansion_without_constraint_intent():
     graph = chain_graph()
     parsed = rt.ParsedQuery(
-        raw="generate model for var1",
         intents=(rt.GENERATE_MODEL,),
         entities=(rt.ExtractedEntity("var1", "var1", rt.NAME_MATCH),),
         numeric_payloads=(),
@@ -484,7 +483,6 @@ def test_select_seeds_modify_objective_pulls_dependent_objectives():
     entity(graph, "profitObj", kind=kg.OBJECTIVE)
     graph.add_edge("profitObj", "var1", kg.USED_IN)
     parsed = rt.ParsedQuery(
-        raw="modify the objective for var1",
         intents=(rt.MODIFY_OBJECTIVE,),
         entities=(rt.ExtractedEntity("var1", "var1", rt.NAME_MATCH),),
         numeric_payloads=(),
