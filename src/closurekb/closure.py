@@ -34,10 +34,11 @@ def closure(graph: KnowledgeGraph, *targets: str) -> ClosureResult:
     edge_count is their total executability out-degree. Raises UnknownEntity
     for the first unknown target.
     """
-    for target in targets:
-        graph.entity(target)  # UnknownEntity for an unknown id
     order = list(dict.fromkeys(targets))
     visited = set(order)
+    if not graph.entities.keys() >= visited:
+        for target in order:
+            graph.entity(target)  # UnknownEntity for the first unknown id
     edge_count = 0
     # The visit order is the queue: the loop reaches each entity appended.
     for node in order:

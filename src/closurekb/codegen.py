@@ -76,12 +76,17 @@ class ContextPackage:
 
 def dependency_order(graph: KnowledgeGraph, members) -> list[str]:
     """Members dependencies-first: the graph's dependency rank
-    (KnowledgeGraph.rank) seen on the set. UnknownEntity for the smallest
-    member not in the graph. perfbench's tracer times it by this name."""
-    member_set = set(members)
+    (KnowledgeGraph.rank) seen on the set. A set of n members of a graph of
+    N entities filters the rank, whose dict order is rank order, when
+    n log2 n >= N (knowledge_graph.filter_beats_sort), and is sorted by rank
+    otherwise. UnknownEntity for the smallest member not in the graph.
+    perfbench's tracer times it by this name."""
+    member_set = frozenset(members)
     rank = graph.rank()
     if not rank.keys() >= member_set:
         graph.entity(min(member_set - rank.keys()))  # raises UnknownEntity
+    if kg.filter_beats_sort(len(member_set), len(rank)):
+        return [entity_id for entity_id in rank if entity_id in member_set]
     return sorted(member_set, key=rank.__getitem__)
 
 
@@ -126,20 +131,24 @@ def build_context_from_members(
     """The context package of `members`. UnknownEntity for a member not in
     the graph.
 
-    One walk over the sorted members reads each one's executability targets
-    (KnowledgeGraph.exec_out). When `check_closed` is set, the first member
-    whose targets escape the set raises NotClosed with the escaping (src,
-    dst) pairs that `closure.is_well_defined` reports, before any ordering
-    and before UnknownEntity; a closed set never runs that check. The
-    members are ordered by `dependency_order`, and the subgraph text joins
-    their kept edge lines in sorted-id order, leaving out each line to a
-    non-member. Only an open set, which window mode of the ablation builds
-    without `check_closed`, has such lines.
+    One walk over the members in sorted-id order reads each one's
+    executability targets (KnowledgeGraph.exec_out). That order filters the
+    graph's kept sorted ids when n log2 n >= N for n members of N entities,
+    and sorts the members otherwise (KnowledgeGraph.in_id_order); a member
+    not in the graph has no targets, so either way the walk sees the same
+    lines. When `check_closed` is set, the first member whose targets escape
+    the set raises NotClosed with the escaping (src, dst) pairs that
+    `closure.is_well_defined` reports, before any ordering and before
+    UnknownEntity; a closed set never runs that check. The members are
+    ordered by `dependency_order`, and the subgraph text joins their kept
+    edge lines in sorted-id order, leaving out each line to a non-member.
+    Only an open set, which window mode of the ablation builds without
+    `check_closed`, has such lines.
     """
-    member_set = set(members)
+    member_set = frozenset(members)
     exec_out = graph.exec_out
     blocks: list[str] = []
-    for src in sorted(member_set):
+    for src in graph.in_id_order(member_set):
         targets, block = exec_out(src)
         if not member_set.issuperset(targets):
             if check_closed:
@@ -331,26 +340,27 @@ def validate(code: str, graph: KnowledgeGraph | None = None) -> ValidationReport
     variables/parameters, iteration positions accept index sets only, and the
     used arity must match the declared arity.
 
-    The code's symbol facts come line by line from a memo keyed by each
-    line's exact text and bounded at 8,192 lines
-    (`model_dsl.symbol_facts_by_line`). It holds code facts only, so graph
-    resolution runs on every call and no entry goes stale. When the lines
-    cannot stand alone (a parse error, a statement over several lines, a
-    name declared twice, a second objective), the whole source is parsed
-    once instead, and a parse error is reported exactly as that parse
-    raises it.
+    The code's symbol uses come line by line from a memo keyed by each
+    line's exact text and bounded at 8,192 lines, merged by set union
+    (`model_dsl.uses_by_line`), so each distinct reference and iterated set
+    is checked once however many lines repeat it. The memo holds code facts
+    only, so graph resolution runs on every call and no entry goes stale.
+    When the lines cannot stand alone (a parse error, a statement over
+    several lines, a name declared twice, a second objective), the whole
+    source is parsed once instead and its uses read from `extract_symbols`,
+    and a parse error is reported exactly as that parse raises it.
     """
-    facts = model_dsl.symbol_facts_by_line(code)
-    if facts is None:
+    uses = model_dsl.uses_by_line(code)
+    if uses is None:
         try:
             ast = model_dsl.parse_model(code)
         except (ParseError, DuplicateDeclaration) as exc:
             return ValidationReport(status="failed", parse_error=str(exc))
-        facts = model_dsl.extract_symbols(ast)
-    if not facts.declarations:
+        uses = model_dsl.symbol_uses(model_dsl.extract_symbols(ast))
+    if not uses.declarations:
         return ValidationReport(status="failed", parse_error="model has no statement")
 
-    declared = {decl.name: decl for decl in facts.declarations}
+    declared = {decl.name: decl for decl in uses.declarations}
     missing: set[str] = set()
     kind_mismatches: set[tuple[str, str, str]] = set()
     arity_mismatches: set[tuple[str, int, int]] = set()
@@ -361,9 +371,9 @@ def validate(code: str, graph: KnowledgeGraph | None = None) -> ValidationReport
             return decl.kind, decl.arity
         return _graph_resolution(graph, name)
 
-    # Each distinct reference and iterated set is checked once: the findings
-    # are sets, sorted into the report.
-    for name, arity in {(ref.name, ref.arity) for ref in facts.references}:
+    # The findings are sets, sorted into the report, so the hash order of
+    # the uses does not reach it.
+    for name, arity in uses.references:
         resolution = resolve(name)
         if resolution is None:
             missing.add(name)
@@ -375,7 +385,7 @@ def validate(code: str, graph: KnowledgeGraph | None = None) -> ValidationReport
         if declared_arity != arity:
             arity_mismatches.add((name, declared_arity, arity))
 
-    for name in {name for _site, name in facts.iterations}:
+    for name in uses.iterated:
         resolution = resolve(name)
         if resolution is None:
             missing.add(name)
@@ -443,7 +453,7 @@ def run_pipeline(query: str, graph: KnowledgeGraph, index, generator,
     extra: set[str] = set()
     code = ""
     for rounds in range(1, max_rounds + 1):
-        fused = fuse(structural_retrieve(graph, sorted(set(seeds) | extra)), snippets)
+        fused = fuse(structural_retrieve(graph, (*seeds, *sorted(extra))), snippets)
         package = build_context(graph, fused, query)
         try:
             code = generate(package, generator)

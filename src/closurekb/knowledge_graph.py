@@ -12,11 +12,17 @@ Every writer hands its entities and edges to one `KnowledgeGraph.add_all`
 call, which checks the whole batch first, so a write that raises leaves the
 graph as it was.
 
-The graph keeps what requests read again and again, each built on first use
-after the last change that affects it: the name lookup, each entity's
-executability targets and edge lines, and the dependency rank (the position
-of every entity in one dependencies-first order of the whole graph). Sorted
-out-edges (edges_from) are not kept: they are sorted per call.
+The graph keeps what requests read again and again, each built on first read
+and dropped by the next add_all: the name lookup, the sorted ids (for
+in_id_order), each entity's sorted neighbors per (edge kinds, direction),
+its executability targets and edge lines, and the dependency rank (the
+position of every entity in one dependencies-first order of the whole
+graph). Loading and freezing a graph build none of them. Sorted out-edges
+(edges_from) are not kept: they are sorted per call.
+
+A large subset of a kept order is put in that order by filtering the
+order, a small one by sorting it (`filter_beats_sort`: n log2 n >= N for n
+members of N).
 
 Persistence is a versioned JSON knowledge-unit document; unknown top-level
 keys and unknown kind strings are rejected.
@@ -143,6 +149,8 @@ class KnowledgeGraph:
         self._out: dict[str, set[Edge]] = {}
         self._in: dict[str, set[Edge]] = {}
         self._exec_out: dict[str, tuple[tuple[str, ...], str]] = {}
+        self._neighbors: dict[tuple[str, frozenset, str], tuple[str, ...]] = {}
+        self._ids: tuple[str, ...] | None = None
         self._names: NameLookup | None = None
         self._rank: dict[str, int] | None = None
         self.frozen = False
@@ -189,7 +197,8 @@ class KnowledgeGraph:
             self._out[edge.src].add(edge)
             self._in[edge.dst].add(edge)
         self._exec_out.clear()
-        self._names = self._rank = None
+        self._neighbors.clear()
+        self._ids = self._names = self._rank = None
 
     def add_entity(self, entity: Entity) -> None:
         """add_all of one entity."""
@@ -222,6 +231,17 @@ class KnowledgeGraph:
     def sorted_ids(self) -> list[str]:
         return sorted(self.entities)
 
+    def in_id_order(self, members) -> list[str]:
+        """`members`, a set of ids of this graph, in sorted-id order: the
+        sorted ids filtered through the set when `filter_beats_sort`, the
+        members sorted otherwise. The sorted ids are kept from the first
+        filter until the next add_all."""
+        if not filter_beats_sort(len(members), len(self.entities)):
+            return sorted(members)
+        if self._ids is None:
+            self._ids = tuple(sorted(self.entities))
+        return [entity_id for entity_id in self._ids if entity_id in members]
+
     @property
     def edges(self) -> tuple[Edge, ...]:
         """Every edge in (src, dst, kind) order. Each edge is stored once, in
@@ -229,16 +249,22 @@ class KnowledgeGraph:
         return tuple(e for entity_id in self.sorted_ids() for e in self.edges_from(entity_id))
 
     def neighbors(self, entity_id: str, kinds, direction: str = "out") -> list[str]:
-        """Endpoint ids of matching edges, sorted for determinism."""
-        self.entity(entity_id)  # UnknownEntity for an unknown id
+        """Endpoint ids of matching edges, sorted for determinism. The
+        sorted answer is kept per (id, kinds, direction) until the next
+        add_all; each call returns a fresh list of it."""
         kinds = frozenset(kinds)
-        if direction == "out":
-            found = {e.dst for e in self._out[entity_id] if e.kind in kinds}
-        elif direction == "in":
-            found = {e.src for e in self._in[entity_id] if e.kind in kinds}
-        else:
-            raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
-        return sorted(found)
+        key = (entity_id, kinds, direction)
+        kept = self._neighbors.get(key)
+        if kept is None:
+            self.entity(entity_id)  # UnknownEntity for an unknown id
+            if direction == "out":
+                found = {e.dst for e in self._out[entity_id] if e.kind in kinds}
+            elif direction == "in":
+                found = {e.src for e in self._in[entity_id] if e.kind in kinds}
+            else:
+                raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
+            kept = self._neighbors[key] = tuple(sorted(found))
+        return list(kept)
 
     def edges_from(self, entity_id: str) -> tuple[Edge, ...]:
         """Out-edges sorted by (dst, kind), sorted on each call (not kept);
@@ -291,6 +317,15 @@ class KnowledgeGraph:
         if not isinstance(other, KnowledgeGraph):
             return NotImplemented
         return self.entities == other.entities and self.edges == other.edges
+
+
+def filter_beats_sort(n: int, total: int) -> bool:
+    """Whether n members of a kept order of `total` ids are put in that
+    order faster by filtering the order (`total` set lookups) than by
+    sorting them (about n log2 n comparisons): n log2 n >= total. A rule on
+    input size only: a few members of a large graph are sorted, most of a
+    graph filtered."""
+    return n > 1 and n * math.log2(n) >= total
 
 
 def dependencies_first(ordered: list[str], deps: dict[str, list[str]]) -> list[str]:

@@ -14,14 +14,15 @@ only enforces grammar and name uniqueness. Kind/arity checking lives in the
 code validator so that broken generated code can be diagnosed rather than
 rejected outright.
 
-The validator reads a source's symbol facts (declarations, references and
-iterations) line by line through a memo keyed by the exact text of
-one line (`str.split("\n")`, not `splitlines()`), bounded at 8,192 lines. An
-entry holds code facts only: no AST and nothing of a graph. A line that does
-not parse on its own, a name declared on two lines or a second objective
-sends the validator back to one whole-source parse, so every error message,
-line and column is the whole source's. Ingest parses through `parse_model`
-and `extract_symbols`, which are not memoised.
+The validator reads a source's symbol uses (its declarations, its distinct
+(name, arity) references and the sets it iterates over) line by line
+through a memo keyed by the exact text of one line (`str.split("\n")`, not
+`splitlines()`), bounded at 8,192 lines, and merges them by set union
+(`uses_by_line`). An entry holds code facts only: no AST and nothing of a
+graph. A line that does not parse on its own, a name declared on two lines
+or a second objective sends the validator back to one whole-source parse,
+so every error message, line and column is the whole source's. Ingest
+parses through `parse_model` and `extract_symbols`, which are not memoised.
 """
 
 from __future__ import annotations
@@ -613,20 +614,40 @@ def extract_symbols(ast: ModelAst) -> SymbolFacts:
     return SymbolFacts(tuple(declarations), tuple(references), tuple(iterations))
 
 
+@dataclass(frozen=True)
+class SymbolUses:
+    """What validation reads of a model: its declarations, its distinct
+    (name, arity) references and the names of the sets it iterates over."""
+
+    declarations: tuple[Declaration, ...]
+    references: frozenset[tuple[str, int]]
+    iterated: frozenset[str]
+
+
+def symbol_uses(facts: SymbolFacts) -> SymbolUses:
+    """The uses of a model, read from its symbol facts."""
+    return SymbolUses(
+        facts.declarations,
+        frozenset((ref.name, ref.arity) for ref in facts.references),
+        frozenset(set_name for _site, set_name in facts.iterations),
+    )
+
+
 @functools.lru_cache(maxsize=8192)
-def _line_facts(line: str) -> SymbolFacts:
-    """extract_symbols of one source line, memoised by the line's exact text.
+def _line_uses(line: str) -> SymbolUses:
+    """symbol_uses of one source line, memoised by the line's exact text.
 
     Holds at most 8,192 lines, the least recently used leaving first; the
     whole model of the benchmark's FJSP instance has 1,094. An error
     propagates and is not memoised.
     """
-    return extract_symbols(parse_model(line))
+    return symbol_uses(extract_symbols(parse_model(line)))
 
 
-def symbol_facts_by_line(source: str) -> SymbolFacts | None:
-    """extract_symbols(parse_model(source)) up to order, assembled from
-    memoised lines.
+def uses_by_line(source: str) -> SymbolUses | None:
+    """symbol_uses(extract_symbols(parse_model(source))) up to the order of
+    the declarations, merged from memoised lines: the declarations
+    concatenated, the references and iterated sets as set unions.
 
     Tokens never span a line, so when every line parses on its own the whole
     source parses to the same statements. Returns None where only a
@@ -634,27 +655,20 @@ def symbol_facts_by_line(source: str) -> SymbolFacts | None:
     statement split over lines, or an error), a name declared on two lines,
     or a second objective.
     """
-    declared: set[str] = set()
-    declarations: list[Declaration] = []
-    references: list[Reference] = []
-    iterations: list[tuple[str, str]] = []
-    objectives = 0
-    for line in source.split("\n"):
-        try:
-            facts = _line_facts(line)
-        except (ParseError, DuplicateDeclaration):
-            return None
-        for decl in facts.declarations:
-            if decl.name in declared:
-                return None
-            declared.add(decl.name)
-            objectives += decl.kind == OBJECTIVE
-        if objectives > 1:
-            return None
-        declarations += facts.declarations
-        references += facts.references
-        iterations += facts.iterations
-    return SymbolFacts(tuple(declarations), tuple(references), tuple(iterations))
+    try:
+        lines = list(map(_line_uses, source.split("\n")))
+    except (ParseError, DuplicateDeclaration):
+        return None
+    declarations = tuple(decl for uses in lines for decl in uses.declarations)
+    if len({decl.name for decl in declarations}) < len(declarations):
+        return None
+    if sum(decl.kind == OBJECTIVE for decl in declarations) > 1:
+        return None
+    return SymbolUses(
+        declarations,
+        frozenset().union(*(uses.references for uses in lines)),
+        frozenset().union(*(uses.iterated for uses in lines)),
+    )
 
 
 # --- Emission -----------------------------------------------------------------
@@ -817,9 +831,11 @@ def _lingo_constraint(con: Constraint) -> str:
 
 
 def _lingo_domain_marker(decl: VarDecl) -> list[str]:
-    # Iterates over the leading index set only; nested derived-set iteration
-    # is not reproduced in the flavored dialect.
-    ref = f"{decl.name}(t)" if decl.index_sets else decl.name
+    """The @bin/@gin and @bnd statements of a var, each wrapped in one @for
+    per index set: index t over one set, t1..tk over k >= 2."""
+    sets = decl.index_sets
+    indices = ["t"] if len(sets) == 1 else [f"t{i}" for i in range(1, len(sets) + 1)]
+    ref = f"{decl.name}({','.join(indices)})" if sets else decl.name
     statements = []
     marker = {BINARY: "@bin", INTEGER: "@gin"}.get(decl.domain)
     if marker is not None:
@@ -827,9 +843,8 @@ def _lingo_domain_marker(decl: VarDecl) -> list[str]:
     if decl.bounds is not None and decl.domain != BINARY:
         lo, hi = map(format_number, decl.bounds)
         statements.append(f"@bnd({lo}, {ref}, {hi})")
-    if decl.index_sets:
-        return [f"@for({decl.index_sets[0]}(t): {statement});" for statement in statements]
-    return [f"{statement};" for statement in statements]
+    loops = "".join(f"@for({set_name}({index}): " for set_name, index in zip(sets, indices))
+    return [f"{loops}{statement}{')' * len(sets)};" for statement in statements]
 
 
 def _emit_lingo(ast: ModelAst) -> str:

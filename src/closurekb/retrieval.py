@@ -10,8 +10,9 @@ into the top k, then re-scores the documents it keeps from the same
 postings. The structural stream is the dependency closure of the entities
 resolved in the query, one closure.closure walk from all of them, with
 aligns_to followed one hop from paper seeds so concepts pull in their
-executable realizations. Entity names are matched through the graph's name
-lookup (KnowledgeGraph.names()).
+executable realizations. The seed expansion reads each anchor's in-neighbors
+as the graph keeps them (KnowledgeGraph.neighbors), into a set. Entity names
+are matched through the graph's name lookup (KnowledgeGraph.names()).
 """
 
 from __future__ import annotations
@@ -391,31 +392,39 @@ def semantic_search(index: SemanticIndex, text: str, k: int) -> list[tuple[str, 
 
 # --- Structural stream -----------------------------------------------------------
 
-def _with_realizations(graph: KnowledgeGraph, seed: str) -> list[str]:
-    """The seed and, for a paper seed, its aligns_to targets (one hop), so a
-    concept pulls in its code realizations. Raises UnknownEntity for an
-    unknown seed."""
-    if graph.entity(seed).source == kg.SOURCE_PAPER:
-        return [seed, *graph.neighbors(seed, {kg.ALIGNS_TO}, "out")]
-    return [seed]
+_ALIGNS = frozenset({kg.ALIGNS_TO})
+_USED_IN = frozenset({kg.USED_IN})
+
+
+def _realized(graph: KnowledgeGraph, seeds):
+    """Each seed and, for a paper seed, its aligns_to targets (one hop), so a
+    concept pulls in its code realizations. Raises UnknownEntity for the
+    first unknown seed."""
+    for seed in seeds:
+        yield seed
+        if graph.entity(seed).source == kg.SOURCE_PAPER:
+            yield from graph.neighbors(seed, _ALIGNS, "out")
 
 
 def structural_retrieve(graph: KnowledgeGraph, seeds) -> frozenset[str]:
     """Members of the dependency closure of the seeds and their realizations
-    (_with_realizations), walked from them in seed order."""
-    expanded = [entity_id for seed in seeds for entity_id in _with_realizations(graph, seed)]
-    return closure(graph, *expanded).members
+    (_realized): one closure.closure walk from all of them, in seed order.
+    Only the members are returned, so the seeds' order does not change the
+    answer."""
+    return closure(graph, *_realized(graph, seeds)).members
 
 
 def _dependents_of_kind(graph: KnowledgeGraph, seeds, edge_kinds, wanted_kind) -> set[str]:
+    """The entities of `wanted_kind` with an `edge_kinds` edge into a seed or
+    a realization that is not of that kind."""
+    entities = graph.entities
     found: set[str] = set()
-    for seed in seeds:
-        for anchor in sorted(_with_realizations(graph, seed)):
-            if graph.entity(anchor).kind == wanted_kind:
-                continue
-            for user in graph.neighbors(anchor, edge_kinds, "in"):
-                if graph.entity(user).kind == wanted_kind:
-                    found.add(user)
+    for anchor in _realized(graph, seeds):
+        if entities[anchor].kind == wanted_kind:
+            continue
+        for user in graph.neighbors(anchor, edge_kinds, "in"):
+            if entities[user].kind == wanted_kind:
+                found.add(user)
     return found
 
 
@@ -428,15 +437,17 @@ def select_seeds(parsed: ParsedQuery, graph: KnowledgeGraph) -> list[str]:
     reaches the constraint nodes; modify_objective pulls in the objectives
     depending on a seed, so an event-modification request reaches the
     event-modified objective. Requirement-direction closure alone cannot walk
-    from a symbol up to its dependents.
+    from a symbol up to its dependents. The expansion follows the resolved
+    ids in sorted-id order (KnowledgeGraph.in_id_order).
     """
     seeds = list(parsed.resolved_ids())
     expansion: set[str] = set()
     if any(i in (ADD_CONSTRAINT, EXPLAIN_CONSTRAINT) for i in parsed.intents):
-        expansion |= _dependents_of_kind(graph, seeds, {kg.USED_IN}, kg.CONSTRAINT)
+        expansion |= _dependents_of_kind(graph, seeds, _USED_IN, kg.CONSTRAINT)
     if MODIFY_OBJECTIVE in parsed.intents:
         expansion |= _dependents_of_kind(graph, seeds, EXEC_KINDS, kg.OBJECTIVE)
-    seeds.extend(sorted(expansion - set(seeds)))
+    expansion.difference_update(seeds)
+    seeds += graph.in_id_order(expansion)
     return seeds
 
 

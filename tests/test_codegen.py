@@ -1,6 +1,7 @@
 """Context packaging, template generation, validation, and the repair loop."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from closurekb.errors import (
     UnknownEntity,
 )
 
-from test_closure import make_graph
+from test_closure import make_graph, random_digraph
 from test_model_dsl import MALFORMED_SOURCES, random_model
 from test_retrieval import fjsp_graph
 
@@ -244,6 +245,35 @@ def test_closed_package_in_rank_order_is_the_subset_kahn_order(data):
         package = codegen.build_context_from_members(graph, members, [], "x")
         assert [ent.id for ent in package.typed_entities] == quadratic_dependency_order(graph, members)
         assert package.subgraph_description == exec_edge_scan(graph, members)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6), st.data())
+def test_filtered_and_sorted_orders_agree_on_every_subset_size(seed, data):
+    """Subsets of every size from 0 to N, so both sides of n log2 n = N are
+    taken: below it the members are sorted, from it kept orders filtered."""
+    graph, n = random_digraph(random.Random(seed))
+    ids = graph.sorted_ids()
+    order = data.draw(st.permutations(ids), label="order")
+    whole = quadratic_dependency_order(graph, graph.entities)
+    for size in range(n + 1):
+        members = set(order[:size])
+        assert codegen.dependency_order(graph, members) == [m for m in whole if m in members]
+        package = codegen.build_context_from_members(graph, members, [], "x", check_closed=False)
+        assert [ent.id for ent in package.typed_entities] == [m for m in whole if m in members]
+        lines = [
+            f"{e.src} -{e.kind}-> {e.dst}"
+            for src in sorted(members)
+            for e in graph.edges_from(src)
+            if e.kind in kg.EXEC_KINDS and e.dst in members
+        ]
+        assert package.subgraph_description == "\n".join(lines)
+        ghosts = data.draw(st.lists(st.sampled_from(["ghost0", "ghost1", "ghost2"]), min_size=1), label="ghosts")
+        targets = data.draw(st.permutations([*order[:size], *ghosts]), label="targets")
+        with pytest.raises(UnknownEntity) as raised:
+            closure(graph, *targets)
+        first_ghost = next(t for t in targets if t not in graph.entities)
+        assert str(raised.value) == f"no entity with id {first_ghost!r}"
 
 
 def copy_graph(graph):
@@ -495,9 +525,12 @@ def test_validate_parse_error_reported_not_raised():
 @pytest.mark.parametrize("code", ["", "! comment\n", "\n\n", "! one\n! two"])
 @pytest.mark.parametrize("path", ["memo", "whole-parse"])
 def test_validate_model_with_no_statement_fails(monkeypatch, code, path):
+    parse = mock.Mock(wraps=md.parse_model)
     if path == "whole-parse":
-        monkeypatch.setattr(md, "symbol_facts_by_line", lambda _source: None)
+        monkeypatch.setattr(md, "uses_by_line", lambda _source: None)
+        monkeypatch.setattr(md, "parse_model", parse)
     report = codegen.validate(code)
+    assert parse.call_args_list == ([mock.call(code)] if path == "whole-parse" else [])
     assert (report.status, report.ok) == ("failed", False)
     assert report.parse_error == "model has no statement"
 

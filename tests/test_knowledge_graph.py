@@ -1,5 +1,6 @@
 """Entity/edge store, ingestion, alignment, and persistence tests."""
 
+import itertools
 import json
 import random
 
@@ -359,6 +360,24 @@ def test_neighbors_sorted_and_filtered():
         graph.neighbors("nope", {kg.USED_IN}, "out")
 
 
+def test_editing_a_neighbors_list_leaves_the_kept_answer():
+    graph = ingest_source(LISTING_STYLE)
+    for direction, entity_id in (("out", "c"), ("in", "T")):
+        first = graph.neighbors(entity_id, kg.EXEC_KINDS, direction)
+        expected = list(first)
+        first.append("ghost")
+        first.reverse()
+        assert graph.neighbors(entity_id, kg.EXEC_KINDS, direction) == expected
+
+
+@pytest.mark.parametrize("n, total, filters", [
+    (0, 0, False), (1, 1, False), (2, 2, True), (2, 3, False),
+    (3, 4, True), (3, 5, False), (4, 8, True), (4, 9, False), (1093, 1102, True), (5, 11_500, False),
+])
+def test_filter_beats_sort_exactly_when_n_log2_n_reaches_the_total(n, total, filters):
+    assert kg.filter_beats_sort(n, total) is filters
+
+
 def test_edges_from_is_sorted_and_sees_an_edge_added_after_a_read():
     def sorted_reference(graph, entity_id):
         return sorted(
@@ -394,6 +413,7 @@ BATCH_ENTITIES = st.builds(
     BATCH_IDS, st.sampled_from((kg.PARAMETER, kg.CONCEPT)), st.integers(0, 1),
 )
 BATCH_EDGES = st.builds(kg.Edge, BATCH_IDS, BATCH_IDS, st.sampled_from(kg.EDGE_KINDS))
+NEIGHBOR_KINDS = (kg.EXEC_KINDS, frozenset(kg.EDGE_KINDS))
 
 
 def insert_one_at_a_time(entities, edges, held_entities=(), held_edges=()):
@@ -424,8 +444,10 @@ def test_add_all_changes_nothing_or_matches_one_at_a_time_inserts(held, held_edg
     held_edges = [e for e in held_edges if e.src != e.dst and {e.src, e.dst} <= held_ids]
     graph = kg.KnowledgeGraph()
     graph.add_all(held, held_edges)
-    # Warm every cache, so a stale one would show below.
-    graph.rank(), graph.names(), [graph.exec_out(entity_id) for entity_id in held_ids]
+    # Warm every kept table, so a stale one would show below.
+    graph.rank(), graph.names(), graph.in_id_order(held_ids), [graph.exec_out(entity_id) for entity_id in held_ids]
+    for entity_id, kinds, direction in itertools.product(held_ids, NEIGHBOR_KINDS, ("in", "out")):
+        graph.neighbors(entity_id, kinds, direction)
     before = kg.save(graph)
     expected = insert_one_at_a_time(entities, edges, held, held_edges)
     try:
@@ -443,9 +465,12 @@ def test_add_all_changes_nothing_or_matches_one_at_a_time_inserts(held, held_edg
     assert graph == one_by_one
     fresh = kg.load(kg.save(graph))
     assert graph.rank() == fresh.rank()
+    assert graph.in_id_order(set(fresh.entities)) == fresh.sorted_ids()
     for entity_id in fresh.entities:
         assert graph.exec_out(entity_id) == fresh.exec_out(entity_id)
         assert graph.find_by_name(entity_id) == fresh.find_by_name(entity_id)
+        for kinds, direction in itertools.product(NEIGHBOR_KINDS, ("in", "out")):
+            assert graph.neighbors(entity_id, kinds, direction) == fresh.neighbors(entity_id, kinds, direction)
 
 
 def test_frozen_graph_rejects_writes():

@@ -310,8 +310,8 @@ def test_emit_lingo_sum_and_conjunction():
 
 
 # The LINGO domain and bound statements of `var x{index} domain bounds;`, as
-# emitted after the sets section. An indexed declaration iterates its leading
-# set only, and a binary variable's bounds are implied by @bin.
+# emitted after the sets section. An indexed declaration nests one @for per
+# index set, and a binary variable's bounds are implied by @bin.
 LINGO_VAR_MARKERS = [
     ('', 'binary', '', '@bin(x);\n'),
     ('', 'binary', ' in [0, 5]', '@bin(x);\n'),
@@ -331,15 +331,20 @@ LINGO_VAR_MARKERS = [
     ('{S}', 'continuous', '', ''),
     ('{S}', 'continuous', ' in [0, 5]', '@for(S(t): @bnd(0, x(t), 5));\n'),
     ('{S}', 'continuous', ' in [-1.5, 2]', '@for(S(t): @bnd(-1.5, x(t), 2));\n'),
-    ('{S, R}', 'binary', '', '@for(S(t): @bin(x(t)));\n'),
-    ('{S, R}', 'binary', ' in [0, 5]', '@for(S(t): @bin(x(t)));\n'),
-    ('{S, R}', 'binary', ' in [-1.5, 2]', '@for(S(t): @bin(x(t)));\n'),
-    ('{S, R}', 'integer', '', '@for(S(t): @gin(x(t)));\n'),
-    ('{S, R}', 'integer', ' in [0, 5]', '@for(S(t): @gin(x(t)));\n@for(S(t): @bnd(0, x(t), 5));\n'),
-    ('{S, R}', 'integer', ' in [-1.5, 2]', '@for(S(t): @gin(x(t)));\n@for(S(t): @bnd(-1.5, x(t), 2));\n'),
+    ('{S, R}', 'binary', '', '@for(S(t1): @for(R(t2): @bin(x(t1,t2))));\n'),
+    ('{S, R}', 'binary', ' in [0, 5]', '@for(S(t1): @for(R(t2): @bin(x(t1,t2))));\n'),
+    ('{S, R}', 'binary', ' in [-1.5, 2]', '@for(S(t1): @for(R(t2): @bin(x(t1,t2))));\n'),
+    ('{S, R}', 'integer', '', '@for(S(t1): @for(R(t2): @gin(x(t1,t2))));\n'),
+    ('{S, R}', 'integer', ' in [0, 5]',
+     '@for(S(t1): @for(R(t2): @gin(x(t1,t2))));\n@for(S(t1): @for(R(t2): @bnd(0, x(t1,t2), 5)));\n'),
+    ('{S, R}', 'integer', ' in [-1.5, 2]',
+     '@for(S(t1): @for(R(t2): @gin(x(t1,t2))));\n@for(S(t1): @for(R(t2): @bnd(-1.5, x(t1,t2), 2)));\n'),
     ('{S, R}', 'continuous', '', ''),
-    ('{S, R}', 'continuous', ' in [0, 5]', '@for(S(t): @bnd(0, x(t), 5));\n'),
-    ('{S, R}', 'continuous', ' in [-1.5, 2]', '@for(S(t): @bnd(-1.5, x(t), 2));\n'),
+    ('{S, R}', 'continuous', ' in [0, 5]', '@for(S(t1): @for(R(t2): @bnd(0, x(t1,t2), 5)));\n'),
+    ('{S, R}', 'continuous', ' in [-1.5, 2]', '@for(S(t1): @for(R(t2): @bnd(-1.5, x(t1,t2), 2)));\n'),
+    ('{S, R, S}', 'integer', ' in [0, 5]',
+     '@for(S(t1): @for(R(t2): @for(S(t3): @gin(x(t1,t2,t3)))));\n'
+     '@for(S(t1): @for(R(t2): @for(S(t3): @bnd(0, x(t1,t2,t3), 5))));\n'),
 ]
 
 

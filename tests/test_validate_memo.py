@@ -1,7 +1,7 @@
-"""`codegen.validate` reads symbol facts line by line through a memo and
-checks each distinct reference once; these tests hold it, report for report,
-to the whole-source parse it stands in for and to a loop over every
-reference and iteration in turn."""
+"""`codegen.validate` reads symbol uses line by line through a memo, merges
+them by set union and checks each distinct reference once; these tests
+hold it, report for report, to the whole-source parse it stands in for and
+to a loop over every reference and iteration in turn."""
 
 import random
 from unittest import mock
@@ -21,9 +21,13 @@ from test_retrieval import fjsp_graph
 
 
 def whole_source_report(code, graph=None):
-    """validate() with the line memo switched off: one whole-source parse."""
-    with mock.patch.object(md, "symbol_facts_by_line", lambda _source: None):
-        return codegen.validate(code, graph)
+    """validate() with the line memo switched off: one whole-source parse,
+    which the test checks is made."""
+    parse = mock.Mock(wraps=md.parse_model)
+    with mock.patch.object(md, "uses_by_line", lambda _source: None), mock.patch.object(md, "parse_model", parse):
+        report = codegen.validate(code, graph)
+    parse.assert_called_once_with(code)
+    return report
 
 
 def every_reference_report(code, graph=None):
@@ -141,7 +145,7 @@ def test_line_memo_reports_equal_whole_source_reports(case):
 def test_unmutated_models_take_the_line_path():
     for seed in range(50):
         code, graph = model_and_graph(seed)
-        assert md.symbol_facts_by_line(code) is not None
+        assert md.uses_by_line(code) is not None
         assert_same_reports(code, graph)
 
 
@@ -159,7 +163,7 @@ def test_unmutated_models_take_the_line_path():
         "unicode-separators", "crlf-and-comments", "separator-in-comment", "empty",
         "one-name-at-two-arities"])
 def test_line_path_or_fallback_matches_the_whole_source(code, fast):
-    assert (md.symbol_facts_by_line(code) is not None) == fast
+    assert (md.uses_by_line(code) is not None) == fast
     assert_same_reports(code, None)
 
 
@@ -177,12 +181,12 @@ def test_fjsp_and_battery_template_code_matches_the_whole_source():
             members = closure(graph, entity_id).members
             package = codegen.build_context_from_members(graph, members, [], "build it")
             code = codegen.TemplateGenerator()(package)
-            assert md.symbol_facts_by_line(code) is not None
+            assert md.uses_by_line(code) is not None
             assert_same_reports(code, graph)
 
 
 def test_a_model_longer_than_the_memo_validates_the_same_twice():
-    bound = md._line_facts.cache_info().maxsize
+    bound = md._line_uses.cache_info().maxsize
     lines = ["set T = 1..2;"]
     lines += [f"param p{i}{{T}} = [{i}, 1];" for i in range(bound + 500)]
     lines += [f"con c{i}{{t in T}}: p{i}[t] <= q;" for i in range(0, bound + 500, 97)]
@@ -191,4 +195,4 @@ def test_a_model_longer_than_the_memo_validates_the_same_twice():
     assert first == codegen.validate(code)
     assert first == whole_source_report(code)
     assert first.missing_declarations == ("q",)
-    assert md._line_facts.cache_info().currsize <= bound
+    assert md._line_uses.cache_info().currsize <= bound
