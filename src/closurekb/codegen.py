@@ -439,6 +439,14 @@ def run_pipeline(query: str, graph: KnowledgeGraph, index, generator,
     and returns the last code and report. Generated code is validated
     self-contained (no graph assist): the solver only sees the code.
 
+    The structural set is kept across rounds: round 1 walks the seeds, and a
+    later round walks only the found entities not walked before, unioning
+    their closure into the kept set. The closure of a union of targets is
+    the union of their closures, so the set is the one a walk from the
+    seeds and every found entity gives. The fused result and the package
+    are rebuilt only when the set grew; otherwise the generator is asked
+    again with the same package.
+
     A query that resolves no seed entity has nothing to build from: it
     returns empty code, an `unresolved` report and zero rounds.
     """
@@ -450,11 +458,19 @@ def run_pipeline(query: str, graph: KnowledgeGraph, index, generator,
     if not seeds:
         unresolved = ValidationReport(status="unresolved")
         return PipelineRun(parsed, seeds, fuse((), snippets), "", unresolved, 0, None)
+    structural = structural_retrieve(graph, seeds)
+    walked = set(seeds)
     extra: set[str] = set()
+    fused = package = None
     code = ""
     for rounds in range(1, max_rounds + 1):
-        fused = fuse(structural_retrieve(graph, (*seeds, *sorted(extra))), snippets)
-        package = build_context(graph, fused, query)
+        unwalked = extra - walked
+        if unwalked:
+            walked |= unwalked
+            structural |= structural_retrieve(graph, sorted(unwalked))
+        if package is None or len(structural) > len(fused.structural):
+            fused = fuse(structural, snippets)
+            package = build_context(graph, fused, query)
         try:
             code = generate(package, generator)
         except MissingExpression as exc:

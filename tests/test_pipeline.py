@@ -7,8 +7,11 @@ path must reproduce (as `full_sort_search` is kept for `semantic_search`).
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from closurekb import ablation, codegen, corpus
+from closurekb import knowledge_graph as kg
 from closurekb import retrieval as rt
 from closurekb.closure import is_well_defined
 from closurekb.errors import MissingExpression, NotClosed
@@ -135,3 +138,75 @@ def test_run_pipeline_matches_the_old_copies_on_the_battery_corpus(tmp_path, sou
         [p for p in inputs if p.name != "query.txt"], sources=sources
     )
     assert_same_as_references(query, graph, rt.index_snippets(graph), GENERATORS[generator])
+
+
+def mixed_source_graph(n, paper, edges):
+    """n00.. entities; those in `paper` come from a paper, with an id holding
+    a space (`paper:p 03`) and a name (`p03`) that code can reference."""
+    def entity(i):
+        if i in paper:
+            return kg.Entity(f"paper:p {i:02d}", kg.CONCEPT, f"p{i:02d}", source=kg.SOURCE_PAPER)
+        return kg.Entity(f"n{i:02d}", kg.CONCEPT, f"n{i:02d}", fields={"solver_symbol": f"n{i:02d}"})
+
+    entities = [entity(i) for i in range(n)]
+    graph = kg.KnowledgeGraph()
+    graph.add_all(entities, [kg.Edge(entities[s].id, entities[d].id, kind) for s, d, kind in edges])
+    return graph
+
+
+class MissingInTurn:
+    """Code that references one undeclared name per round, in the order given,
+    then code that validates; keeps each round's package members."""
+
+    def __init__(self, names):
+        self.names = names
+        self.members: list[frozenset] = []
+
+    def __call__(self, package):
+        self.members.append(frozenset(ent.id for ent in package.typed_entities))
+        turn = len(self.members) - 1
+        if turn < len(self.names):
+            return f"var zz continuous; con c: zz + {self.names[turn]} >= 0;\n"
+        return "var zz continuous;\n"
+
+
+def assert_rounds_keep_the_walked_set(graph, query, extras):
+    """Each round's package holds the closure of the seeds and every entity
+    found by the rounds before it."""
+    generator = MissingInTurn([graph.entity(extra).name for extra in extras])
+    run = codegen.run_pipeline(query, graph, rt.index_snippets(graph), generator, len(extras) + 1)
+    assert run.seeds and run.rounds == len(extras) + 1
+    assert len(generator.members) == run.rounds
+    for done, members in enumerate(generator.members):
+        assert members == rt.structural_retrieve(graph, (*run.seeds, *sorted(set(extras[:done]))))
+
+
+def test_a_found_paper_entity_already_in_the_set_still_pulls_its_realizations():
+    # n00 uses the paper concept p01, which aligns to n02: the closure of n00
+    # holds p01 but not n02, and finding p01 must walk its aligns_to hop.
+    graph = mixed_source_graph(3, {1}, [(0, 1, kg.USED_IN), (1, 2, kg.ALIGNS_TO)])
+    assert rt.structural_retrieve(graph, ["n00"]) == {"n00", "paper:p 01"}
+    assert_rounds_keep_the_walked_set(graph, "n00", ["paper:p 01"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_rounds_keep_the_closure_of_the_seeds_and_every_found_entity(data):
+    n = data.draw(st.integers(1, 10), label="n")
+    paper = data.draw(st.sets(st.integers(0, n - 1)), label="paper")
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from(kg.EDGE_KINDS))
+    edges = data.draw(st.sets(pairs.filter(lambda e: e[0] != e[1]), max_size=3 * n), label="edges")
+    # Each paper entity aligns to one more entity, so a found paper entity
+    # already in the set often has a realization outside it.
+    for i in sorted(paper) if n > 1 else ():
+        j = data.draw(st.integers(0, n - 2), label="aligns_to")
+        edges.add((i, j + (j >= i), kg.ALIGNS_TO))
+    graph = mixed_source_graph(n, paper, sorted(edges))
+    ids = graph.sorted_ids()
+    query = graph.entity(data.draw(st.sampled_from(ids), label="query")).name
+    # Paper entities are drawn as found entities half the time.
+    found = st.sampled_from(ids)
+    if paper:
+        found |= st.sampled_from([entity_id for entity_id in ids if entity_id.startswith("paper:")])
+    extras = data.draw(st.lists(found, max_size=5), label="extras")
+    assert_rounds_keep_the_walked_set(graph, query, extras)
