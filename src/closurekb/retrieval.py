@@ -93,24 +93,26 @@ def _tokens_with_spans(text: str) -> list[tuple[str, int, int]]:
     return [(m.group(), m.start(), m.end()) for m in _WORD_RE.finditer(text.lower())]
 
 
-def _trigger_position(lowered: str, trigger: str) -> int | None:
-    # Whole-word match with an optional plural, so "address" never fires "add"
-    # but "constraints" still fires "constraint".
-    m = re.search(rf"\b{re.escape(trigger)}(?:s|es)?\b", lowered)
-    return m.start() if m else None
+# Each trigger as a whole word with an optional plural, so "address" never
+# fires "add" but "constraints" still fires "constraint"; compiled once.
+_INTENT_PATTERNS = tuple(
+    (intent, tuple(tuple(re.compile(rf"\b{re.escape(trigger)}(?:s|es)?\b") for trigger in group)
+                   for group in groups))
+    for intent, groups in _INTENT_TABLE
+)
 
 
 def _match_intents(text: str) -> tuple[str, ...]:
     lowered = text.lower()
     matched: list[tuple[int, str]] = []
-    for intent, groups in _INTENT_TABLE:
+    for intent, groups in _INTENT_PATTERNS:
         positions = []
         for group in groups:
             best = None
-            for trigger in group:
-                pos = _trigger_position(lowered, trigger)
-                if pos is not None and (best is None or pos < best):
-                    best = pos
+            for pattern in group:
+                m = pattern.search(lowered)
+                if m is not None and (best is None or m.start() < best):
+                    best = m.start()
             if best is None:
                 positions = None
                 break

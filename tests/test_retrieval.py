@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -69,6 +70,46 @@ def test_intent_triggers_match_whole_words_only():
 def test_intent_parameter_query_phrase():
     parsed = rt.understand_query("what is the incentive rate", empty_graph())
     assert rt.PARAMETER_QUERY in parsed.intents
+
+
+def reference_intents(text):
+    """_match_intents with each trigger's pattern formatted and searched per call."""
+    lowered = text.lower()
+    matched = []
+    for intent, groups in rt._INTENT_TABLE:
+        positions = []
+        for group in groups:
+            hits = [re.search(rf"\b{re.escape(trigger)}(?:s|es)?\b", lowered) for trigger in group]
+            found = [m.start() for m in hits if m]
+            if not found:
+                break
+            positions.append(min(found))
+        else:
+            matched.append((min(positions), intent))
+    matched.sort(key=lambda item: item[0])
+    return tuple(intent for _pos, intent in matched) or (rt.UNKNOWN,)
+
+
+TRIGGERS = sorted({trigger for _intent, groups in rt._INTENT_TABLE for group in groups for trigger in group})
+# Words that hold a trigger without being it, or one of its plurals.
+NEAR_MISSES = ["address", "modeling", "added", "codes", "explains", "generated", "modelss",
+               "rewards", "objectivees", "reconstraint", "profits", "changed", "what's", "valueof"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(
+    st.one_of(
+        st.sampled_from(TRIGGERS),
+        st.sampled_from(TRIGGERS).map(lambda t: t + "s"),
+        st.sampled_from(TRIGGERS).map(lambda t: t + "es"),
+        st.sampled_from(TRIGGERS).map(str.upper),
+        st.sampled_from(NEAR_MISSES),
+        st.text(alphabet="abcdeghilmnorstv -_.", max_size=6),
+    ),
+    max_size=8,
+).map(" ".join))
+def test_compiled_intent_triggers_agree_with_per_call_search(text):
+    assert rt._match_intents(text) == reference_intents(text)
 
 
 def test_unknown_fallback_and_empty_query():
