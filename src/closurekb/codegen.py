@@ -1,17 +1,20 @@
 """Context packaging, code generation, static validation, corrective re-retrieval.
 
-The context package lists typed entities dependencies-first, describes the
-induced dependency subgraph, and appends background snippets plus the
-instruction. It reads what the graph keeps: each member's executability
-targets and edge lines, and the graph-wide dependency rank, which orders
-every package, closed or open (`dependency_order`). The first package
-after a change to the graph pays for rebuilding them (the rank visits every
-entity); later packages cost only their members. Each entity's text (its
-definition line, and its template statement) is made once and kept on the
-entity. The default generator is a deterministic template that declares
-every set/param/var in the package and renders stored constraint/objective
-statements; an external generator is a wire contract (package text in, code
-text out) exercised through mocks or the CLOSUREKB_GENERATOR_ENDPOINT setting.
+The context package lists typed entities dependencies-first, writes the
+induced dependency subgraph one line per source and edge kind
+(`src -kind-> dst, dst`, knowledge_graph.edge_lines), and appends background
+snippets plus the instruction. It reads what the graph keeps: each member's
+executability targets and subgraph lines, and the graph-wide dependency
+rank, which orders every package, closed or open (`dependency_order`). The
+first package after a change to the graph pays for rebuilding them (the
+rank visits every entity); later packages cost only their members. Each
+entity's text (its definition line, and its template statement) is made
+once and kept on the entity. The default generator is a deterministic
+template that declares every set/param/var in the package and renders
+stored constraint/objective statements; an external generator is a wire
+contract (the rendered package is the request body, code text the
+response) exercised through mocks or the CLOSUREKB_GENERATOR_ENDPOINT
+setting.
 
 Validation is static symbol checking: every referenced name must be declared
 in the code itself or, when a graph is supplied (fragment mode), exist there
@@ -141,9 +144,11 @@ def build_context_from_members(
     `closure.is_well_defined` reports, before any ordering and before
     UnknownEntity; a closed set never runs that check. The members are
     ordered by `dependency_order`, and the subgraph text joins their kept
-    edge lines in sorted-id order, leaving out each line to a non-member.
-    Only an open set, which window mode of the ablation builds without
-    `check_closed`, has such lines.
+    lines (one per edge kind, with every target) in sorted-id order. Only
+    an open set, which window mode of the ablation builds without
+    `check_closed`, has a member with a target outside it; that member's
+    lines are written again by `knowledge_graph.edge_lines` from its
+    executability edges to members.
     """
     member_set = frozenset(members)
     exec_out = graph.exec_out
@@ -153,9 +158,8 @@ def build_context_from_members(
         if not member_set.issuperset(targets):
             if check_closed:
                 raise NotClosed(is_well_defined(graph, member_set)[1])
-            # The block has one line per target, in the same order.
-            block = "\n".join(
-                line for dst, line in zip(targets, block.split("\n")) if dst in member_set
+            block = kg.edge_lines(
+                e for e in graph.edges_from(src) if e.kind in kg.EXEC_KINDS and e.dst in member_set
             )
         if block:
             blocks.append(block)

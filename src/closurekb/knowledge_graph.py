@@ -274,17 +274,14 @@ class KnowledgeGraph:
     def exec_out(self, entity_id: str) -> tuple[tuple[str, ...], str]:
         """The targets of the entity's executability out-edges in edges_from
         order (a target reached by both kinds comes twice), and the edges'
-        `src -kind-> dst` lines joined by newlines; kept until the next
-        add_all. ((), "") for an unknown id."""
+        package text (`edge_lines`: one line per edge kind); built on first
+        read and kept until the next add_all. ((), "") for an unknown id."""
         kept = self._exec_out.get(entity_id)
         if kept is None:
             if entity_id not in self._out:
                 return (), ""
             edges = [e for e in self.edges_from(entity_id) if e.kind in EXEC_KINDS]
-            kept = self._exec_out[entity_id] = (
-                tuple(e.dst for e in edges),
-                "\n".join(f"{e.src} -{e.kind}-> {e.dst}" for e in edges),
-            )
+            kept = self._exec_out[entity_id] = (tuple(e.dst for e in edges), edge_lines(edges))
         return kept
 
     def rank(self) -> dict[str, int]:
@@ -317,6 +314,16 @@ class KnowledgeGraph:
         if not isinstance(other, KnowledgeGraph):
             return NotImplemented
         return self.entities == other.entities and self.edges == other.edges
+
+
+def edge_lines(edges) -> str:
+    """The dependency-subgraph text of `edges`: one `src -kind-> dst, dst`
+    line per (source, edge kind), sources and then kinds in sorted order,
+    each line's targets sorted and joined by ", ". "" for no edge."""
+    targets: dict[tuple[str, str], list[str]] = {}
+    for edge in sorted(edges, key=lambda e: (e.src, e.kind, e.dst)):
+        targets.setdefault((edge.src, edge.kind), []).append(edge.dst)
+    return "\n".join(f"{src} -{kind}-> {', '.join(dsts)}" for (src, kind), dsts in targets.items())
 
 
 def filter_beats_sort(n: int, total: int) -> bool:

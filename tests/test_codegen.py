@@ -21,6 +21,7 @@ from closurekb.errors import (
 
 from test_closure import make_graph, random_digraph
 from test_model_dsl import MALFORMED_SOURCES, random_model
+from test_pipeline import mixed_source_graph
 from test_retrieval import fjsp_graph
 
 
@@ -63,7 +64,7 @@ def test_build_context_sections_and_determinism():
     assert text.index("TYPED ENTITIES") < text.index("DEPENDENCY SUBGRAPH")
     assert text.index("DEPENDENCY SUBGRAPH") < text.index("BACKGROUND SNIPPETS")
     assert text.index("BACKGROUND SNIPPETS") < text.index("INSTRUCTION")
-    assert "c -used_in-> B13" in text
+    assert "c -used_in-> B13, y" in text.split("\n")
     assert package_for(graph, "c").render() == text
 
 
@@ -169,10 +170,23 @@ def test_dependency_order_matches_quadratic_reference_on_random_digraphs_with_cy
     assert cyclic > 100  # the cycle-breaking branch is exercised
 
 
+def grouped_reference(graph, members, leaving=False):
+    """The subgraph text of `members`, scanned from graph.edges: one
+    `src -kind-> dst, dst` line per (source, kind) of the executability
+    edges from a member to a member (with `leaving`, to any entity), in
+    sorted order, each line's targets sorted."""
+    targets = {}
+    for e in graph.edges:
+        if e.kind in kg.EXEC_KINDS and e.src in members and (leaving or e.dst in members):
+            targets.setdefault((e.src, e.kind), []).append(e.dst)
+    return "\n".join(f"{src} -{kind}-> {', '.join(sorted(dsts))}" for (src, kind), dsts in sorted(targets.items()))
+
+
 def reference_package(graph, members, check_closed):
     """(typed entities, subgraph text) of build_context_from_members from its
     three former parts: the closedness check, the quadratic order of the
-    whole graph seen on the members and a scan of every executability edge.
+    whole graph seen on the members and a scan of every executability edge
+    (grouped_reference).
     Definition lines come from a fresh copy of each entity, which keeps no
     text."""
     ok, violations = is_well_defined(graph, members)
@@ -185,12 +199,7 @@ def reference_package(graph, members, check_closed):
         ent = graph.entity(entity_id)
         fresh = kg.Entity(ent.id, ent.kind, ent.name, ent.description, ent.fields, ent.source)
         typed.append((ent, codegen.formal_definition(fresh)))
-    inside = sorted(
-        (e.src, e.dst, e.kind)
-        for e in graph.edges
-        if e.kind in kg.EXEC_KINDS and e.src in members and e.dst in members
-    )
-    return tuple(typed), "\n".join(f"{src} -{kind}-> {dst}" for src, dst, kind in inside)
+    return tuple(typed), grouped_reference(graph, members)
 
 
 def package_outcome(build):
@@ -224,13 +233,6 @@ def test_one_walk_package_matches_its_three_part_reference_on_random_digraphs_wi
     assert seen == {"NotClosed", "UnknownEntity", "package"}
 
 
-def exec_edge_scan(graph, members):
-    """The subgraph text of a closed set: every executability edge leaving a
-    member, by (src, dst, kind)."""
-    inside = sorted((e.src, e.dst, e.kind) for e in graph.edges if e.kind in kg.EXEC_KINDS and e.src in members)
-    return "\n".join(f"{src} -{kind}-> {dst}" for src, dst, kind in inside)
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_closed_package_in_rank_order_is_the_subset_kahn_order(data):
@@ -244,7 +246,7 @@ def test_closed_package_in_rank_order_is_the_subset_kahn_order(data):
         members = closure(graph, *seeds).members
         package = codegen.build_context_from_members(graph, members, [], "x")
         assert [ent.id for ent in package.typed_entities] == quadratic_dependency_order(graph, members)
-        assert package.subgraph_description == exec_edge_scan(graph, members)
+        assert package.subgraph_description == grouped_reference(graph, members, leaving=True)
 
 
 @settings(max_examples=200, deadline=None)
@@ -261,19 +263,68 @@ def test_filtered_and_sorted_orders_agree_on_every_subset_size(seed, data):
         assert codegen.dependency_order(graph, members) == [m for m in whole if m in members]
         package = codegen.build_context_from_members(graph, members, [], "x", check_closed=False)
         assert [ent.id for ent in package.typed_entities] == [m for m in whole if m in members]
-        lines = [
-            f"{e.src} -{e.kind}-> {e.dst}"
-            for src in sorted(members)
-            for e in graph.edges_from(src)
-            if e.kind in kg.EXEC_KINDS and e.dst in members
-        ]
-        assert package.subgraph_description == "\n".join(lines)
+        assert package.subgraph_description == grouped_reference(graph, members)
         ghosts = data.draw(st.lists(st.sampled_from(["ghost0", "ghost1", "ghost2"]), min_size=1), label="ghosts")
         targets = data.draw(st.permutations([*order[:size], *ghosts]), label="targets")
         with pytest.raises(UnknownEntity) as raised:
             closure(graph, *targets)
         first_ghost = next(t for t in targets if t not in graph.entities)
         assert str(raised.value) == f"no entity with id {first_ghost!r}"
+
+
+def parse_subgraph(text):
+    """(src, kind, targets) of each `src -kind-> dst, dst` line."""
+    rows = []
+    for line in text.split("\n") if text else ():
+        head, _, tail = line.partition("-> ")
+        src, _, kind = head.rstrip().rpartition(" -")
+        rows.append((src, kind, tail.split(", ")))
+    return rows
+
+
+def assert_subgraph_parses_back(graph, members, check_closed):
+    """The package's subgraph lines hold the members' internal executability
+    edges exactly: one line per (src, kind), both in sorted order, each with
+    sorted, distinct targets."""
+    package = codegen.build_context_from_members(graph, members, [], "x", check_closed)
+    rows = parse_subgraph(package.subgraph_description)
+    heads = [(src, kind) for src, kind, _targets in rows]
+    assert heads == sorted(set(heads))
+    for _src, _kind, targets in rows:
+        assert targets and "" not in targets and targets == sorted(set(targets))
+    parsed = [(src, dst, kind) for src, kind, targets in rows for dst in targets]
+    assert sorted(parsed) == sorted(
+        (e.src, e.dst, e.kind)
+        for e in graph.edges
+        if e.kind in kg.EXEC_KINDS and e.src in members and e.dst in members
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**6), st.booleans(), st.data())
+def test_subgraph_lines_parse_back_to_the_internal_edges_on_random_graphs(seed, cyclic, data):
+    """Closed sets and open (window-mode) sets, with paper ids that hold a
+    space (`paper:p 03`)."""
+    drawn, n = (random_cyclic_graph if cyclic else random_digraph)(random.Random(seed))
+    paper = data.draw(st.sets(st.integers(0, n - 1)), label="paper")
+    graph = mixed_source_graph(n, paper, [(int(e.src[1:]), int(e.dst[1:]), e.kind) for e in drawn.edges])
+    members = data.draw(st.sets(st.sampled_from(graph.sorted_ids())), label="members")
+    assert_subgraph_parses_back(graph, closure(graph, *members).members, check_closed=True)
+    assert_subgraph_parses_back(graph, members, check_closed=False)
+
+
+@pytest.mark.parametrize("workload", ["battery-paper", "fjsp-full-model", "kb-scale"])
+def test_subgraph_lines_parse_back_to_the_internal_edges_on_benchmark_graphs(benchmark_graphs, workload):
+    graph, request_seeds, _requests = benchmark_graphs[workload]
+    rng = random.Random(5)
+    # Paper ids, such as battery's `paper:load reduction`.
+    papers = sorted(entity_id for entity_id, ent in graph.entities.items() if ent.source == kg.SOURCE_PAPER)
+    assert papers
+    for seeds in [*request_seeds, papers]:
+        closed = rt.structural_retrieve(graph, seeds)
+        assert_subgraph_parses_back(graph, closed, check_closed=True)
+        window = set(rng.sample(sorted(closed), len(closed) // 2)) | set(papers[:3])
+        assert_subgraph_parses_back(graph, window, check_closed=False)
 
 
 def copy_graph(graph):

@@ -37,9 +37,9 @@ FJSP_QUERIES = (
 )
 
 DIGESTS = {
-    "battery": "b2e4feba9a19ccfcecc72a0b4b8de42372ddf55105140b616d63746d2a6be4d1",
-    "fjsp": "287ff9e79711c6fabc533807ec272757b44b0b97328352a9d7a41ce6d6d753a3",
-    "ablate-closure": "0dc93c545ae74a7d631e062d3f46e752ad3c249c4e9e325434c3a800622c9a46",
+    "battery": "94c4e8186d26834db58aa966af5b6071bb8b8ae414f037866a604fdb64979b6d",
+    "fjsp": "33eef8856bf262f19ffc7456886e89f65f616e8634bb1d07307bd60703d7e22d",
+    "ablate-closure": "e15648ddb06c6e44a7525811a673ce2ec266c93d8a4c7256c12d82c31d639971",
     "ablate-window": "a226ab7ce991faa47acc4ea93b479b52939f90b06db482db5d232a875e3898a9",
     "fjsp-models": "ea9a4721378dfec295ebab3b7f4bb84c3090b14e00af9ef360a2971044f62058",
 }
