@@ -277,7 +277,7 @@ def parse_subgraph(text):
     rows = []
     for line in text.split("\n") if text else ():
         head, _, tail = line.partition("-> ")
-        src, _, kind = head.rstrip().rpartition(" -")
+        src, _, kind = head.rpartition(" -")
         rows.append((src, kind, tail.split(", ")))
     return rows
 
