@@ -1,8 +1,9 @@
 """Command-line surface for the pipeline.
 
 Exit codes: 0 success, 1 validation/feasibility failure, 2 usage or parse
-error, 3 generator unavailable. Setting CLOSUREKB_GENERATOR_ENDPOINT switches
-`generate` to the external generator exchange.
+error, 3 generator unavailable. A nonempty CLOSUREKB_GENERATOR_ENDPOINT
+switches `generate` to the external generator exchange; unset or empty, it
+uses the template generator.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def cmd_ingest(args) -> int:
     document = kg.save(graph)
     out = Path(args.graph)
     out.write_text(json.dumps(document, indent=2, allow_nan=False) + "\n", encoding="utf-8")
-    n_edges = len(graph.edges)
+    n_edges = len(document["edges"])
     payload = {
         "graph": str(out),
         "entities": len(graph),
@@ -122,19 +123,11 @@ def cmd_closure(args) -> int:
     return EXIT_OK
 
 
-def _select_generator(args):
-    endpoint = os.environ.get(ENDPOINT_ENV)
-    if args.generator == "endpoint" or (args.generator == "auto" and endpoint):
-        if not endpoint:
-            raise GeneratorUnavailable(f"{ENDPOINT_ENV} is not set")
-        return codegen.ExternalEndpointGenerator(endpoint)
-    return codegen.TemplateGenerator()
-
-
 def cmd_generate(args) -> int:
     graph = _load_graph(args.graph)
     index = retrieval.index_snippets(graph)
-    generator = _select_generator(args)
+    endpoint = os.environ.get(ENDPOINT_ENV)
+    generator = codegen.ExternalEndpointGenerator(endpoint) if endpoint else codegen.TemplateGenerator()
     run = codegen.run_pipeline(args.text, graph, index, generator, max_rounds=args.max_rounds)
     code, report, rounds = run.code, run.report, run.rounds
     output_code = code
@@ -324,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--out")
     p.add_argument("--dialect", choices=list(model_dsl.DIALECTS), default=model_dsl.CANONICAL)
-    p.add_argument("--generator", choices=["auto", "template", "endpoint"], default="auto")
     p.add_argument("--max-rounds", type=_positive_int, default=codegen.DEFAULT_MAX_ROUNDS)
     add_common(p)
     p.set_defaults(func=cmd_generate)

@@ -79,18 +79,14 @@ class ContextPackage:
 
 def dependency_order(graph: KnowledgeGraph, members) -> list[str]:
     """Members dependencies-first: the graph's dependency rank
-    (KnowledgeGraph.rank) seen on the set. A set of n members of a graph of
-    N entities filters the rank, whose dict order is rank order, when
-    n log2 n >= N (knowledge_graph.filter_beats_sort), and is sorted by rank
-    otherwise. UnknownEntity for the smallest member not in the graph.
-    perfbench's tracer times it by this name."""
+    (KnowledgeGraph.rank, a dict in rank order) seen on the set, by
+    knowledge_graph.in_kept_order. UnknownEntity for the smallest member not
+    in the graph. perfbench's tracer times it by this name."""
     member_set = frozenset(members)
     rank = graph.rank()
     if not rank.keys() >= member_set:
         graph.entity(min(member_set - rank.keys()))  # raises UnknownEntity
-    if kg.filter_beats_sort(len(member_set), len(rank)):
-        return [entity_id for entity_id in rank if entity_id in member_set]
-    return sorted(member_set, key=rank.__getitem__)
+    return kg.in_kept_order(member_set, rank, rank.__getitem__)
 
 
 # The domain label by kind, for a parameter and for an entity with no declaration.
@@ -134,13 +130,11 @@ def build_context_from_members(
     """The context package of `members`. UnknownEntity for a member not in
     the graph.
 
-    One walk over the members in sorted-id order reads each one's
-    executability targets (KnowledgeGraph.exec_out). That order filters the
-    graph's kept sorted ids when n log2 n >= N for n members of N entities,
-    and sorts the members otherwise (KnowledgeGraph.in_id_order); a member
-    not in the graph has no targets, so either way the walk sees the same
-    lines. When `check_closed` is set, the first member whose targets escape
-    the set raises NotClosed with the escaping (src, dst) pairs that
+    One walk over the members in sorted-id order (KnowledgeGraph.in_id_order)
+    reads each one's executability targets (KnowledgeGraph.exec_out); a
+    member not in the graph has no targets, so the walk sees the same lines
+    whether that order keeps it or not. When `check_closed` is set, the
+    first member whose targets escape the set raises NotClosed with the escaping (src, dst) pairs that
     `closure.is_well_defined` reports, before any ordering and before
     UnknownEntity; a closed set never runs that check. The members are
     ordered by `dependency_order`, and the subgraph text joins their kept
@@ -351,16 +345,15 @@ def validate(code: str, graph: KnowledgeGraph | None = None) -> ValidationReport
     only, so graph resolution runs on every call and no entry goes stale.
     When the lines cannot stand alone (a parse error, a statement over
     several lines, a name declared twice, a second objective), the whole
-    source is parsed once instead and its uses read from `extract_symbols`,
-    and a parse error is reported exactly as that parse raises it.
+    source's uses are read once instead (`model_dsl.source_uses`), and a
+    parse error is reported exactly as that parse raises it.
     """
     uses = model_dsl.uses_by_line(code)
     if uses is None:
         try:
-            ast = model_dsl.parse_model(code)
+            uses = model_dsl.source_uses(code)
         except (ParseError, DuplicateDeclaration) as exc:
             return ValidationReport(status="failed", parse_error=str(exc))
-        uses = model_dsl.symbol_uses(model_dsl.extract_symbols(ast))
     if not uses.declarations:
         return ValidationReport(status="failed", parse_error="model has no statement")
 

@@ -13,16 +13,16 @@ call, which checks the whole batch first, so a write that raises leaves the
 graph as it was.
 
 The graph keeps what requests read again and again, each built on first read
-and dropped by the next add_all: the name lookup, the sorted ids (for
-in_id_order), each entity's sorted neighbors per (edge kinds, direction),
+and dropped by the next add_all: the name lookup, the sorted ids
+(sorted_ids), each entity's sorted neighbors per (edge kinds, direction),
 its executability targets and edge lines, and the dependency rank (the
 position of every entity in one dependencies-first order of the whole
 graph). Loading and freezing a graph build none of them. Sorted out-edges
 (edges_from) are not kept: they are sorted per call.
 
-A large subset of a kept order is put in that order by filtering the
-order, a small one by sorting it (`filter_beats_sort`: n log2 n >= N for n
-members of N).
+`in_kept_order` puts a member set in a kept order (the sorted ids, or the
+rank): a large set filters the order, a small one is sorted by position
+(`filter_beats_sort`: n log2 n >= N for n members of N).
 
 Persistence is a versioned JSON knowledge-unit document; unknown top-level
 keys and unknown kind strings are rejected.
@@ -128,6 +128,9 @@ class ConceptCard:
     def __post_init__(self):
         if not self.name:
             raise SchemaViolation("concept card name must be nonempty")
+        if "," in self.name or "->" in self.name:
+            # Either would break the package's `src -kind-> dst, dst` lines.
+            raise SchemaViolation(f"concept card name {self.name!r} holds ',' or '->'")
         if self.kind not in ENTITY_KINDS:
             raise SchemaViolation(f"unknown concept card kind {self.kind!r}")
         for rel_kind, _target in self.relations:
@@ -228,19 +231,17 @@ class KnowledgeGraph:
         except KeyError:
             raise UnknownEntity(f"no entity with id {entity_id!r}") from None
 
-    def sorted_ids(self) -> list[str]:
-        return sorted(self.entities)
-
-    def in_id_order(self, members) -> list[str]:
-        """`members`, a set of ids of this graph, in sorted-id order: the
-        sorted ids filtered through the set when `filter_beats_sort`, the
-        members sorted otherwise. The sorted ids are kept from the first
-        filter until the next add_all."""
-        if not filter_beats_sort(len(members), len(self.entities)):
-            return sorted(members)
+    def sorted_ids(self) -> tuple[str, ...]:
+        """Every entity id, sorted; kept from the first read until the next
+        add_all."""
         if self._ids is None:
             self._ids = tuple(sorted(self.entities))
-        return [entity_id for entity_id in self._ids if entity_id in members]
+        return self._ids
+
+    def in_id_order(self, members) -> list[str]:
+        """`members`, a set of ids of this graph, in sorted-id order
+        (`in_kept_order` of the sorted ids)."""
+        return in_kept_order(members, self.sorted_ids())
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -289,7 +290,7 @@ class KnowledgeGraph:
         graph (`dependencies_first` over every entity), built on first use
         after the last add_all."""
         if self._rank is None:
-            ordered = sorted(self.entities)
+            ordered = self.sorted_ids()
             deps = {
                 entity_id: [e.dst for e in self._out[entity_id] if e.kind in EXEC_KINDS]
                 for entity_id in ordered
@@ -335,7 +336,17 @@ def filter_beats_sort(n: int, total: int) -> bool:
     return n > 1 and n * math.log2(n) >= total
 
 
-def dependencies_first(ordered: list[str], deps: dict[str, list[str]]) -> list[str]:
+def in_kept_order(members, order, position=None) -> list[str]:
+    """`members`, a set of keys of the kept `order` (a sequence, or a dict
+    iterated in its order), in that order: the order filtered through the
+    set when `filter_beats_sort`, the members sorted by `position` (their
+    natural order when None) otherwise."""
+    if filter_beats_sort(len(members), len(order)):
+        return [key for key in order if key in members]
+    return sorted(members, key=position)
+
+
+def dependencies_first(ordered: tuple[str, ...], deps: dict[str, list[str]]) -> list[str]:
     """Kahn's algorithm over the sorted ids `ordered`, where deps[m] lists
     m's dependencies among them in any order (a repeat is counted and
     released alike): the smallest ready id (every dependency emitted) comes
@@ -739,7 +750,7 @@ def load(document: dict) -> KnowledgeGraph:
     missing = _DOC_KEYS - set(document)
     if missing:
         raise SchemaViolation(f"missing top-level keys: {sorted(missing)}")
-    if document["version"] != 1:
+    if json_field(document, "version", int) != 1:
         raise SchemaViolation(f"unsupported version {document['version']!r}")
 
     if not isinstance(document["entities"], list) or not isinstance(document["edges"], list):

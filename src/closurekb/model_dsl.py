@@ -14,13 +14,13 @@ only enforces grammar and name uniqueness. Kind/arity checking lives in the
 code validator so that broken generated code can be diagnosed rather than
 rejected outright.
 
-The validator reads a source's symbol uses (its declarations, its distinct
-(name, arity) references and the sets it iterates over) line by line
-through a memo keyed by the exact text of one line (`str.split("\n")`, not
-`splitlines()`), bounded at 8,192 lines, and merges them by set union
-(`uses_by_line`). An entry holds code facts only: no AST and nothing of a
-graph. A line that does not parse on its own, a name declared on two lines
-or a second objective sends the validator back to one whole-source parse,
+`source_uses` reads a text's symbol uses: its declarations, its distinct
+(name, arity) references and the sets it iterates over. The validator
+reads them line by line through its memo of `source_uses`, keyed by the
+exact text of one line (`str.split("\n")`, not `splitlines()`) and bounded
+at 8,192 lines, and merges them by set union (`uses_by_line`). A line that
+does not parse on its own, a name declared on two lines or a second
+objective sends the validator back to `source_uses` of the whole source,
 so every error message, line and column is the whole source's. Ingest
 parses through `parse_model` and `extract_symbols`, which are not memoised.
 """
@@ -624,8 +624,10 @@ class SymbolUses:
     iterated: frozenset[str]
 
 
-def symbol_uses(facts: SymbolFacts) -> SymbolUses:
-    """The uses of a model, read from its symbol facts."""
+def source_uses(text: str) -> SymbolUses:
+    """The uses of a model text, read from its symbol facts. ParseError or
+    DuplicateDeclaration as parse_model raises them."""
+    facts = extract_symbols(parse_model(text))
     return SymbolUses(
         facts.declarations,
         frozenset((ref.name, ref.arity) for ref in facts.references),
@@ -633,21 +635,17 @@ def symbol_uses(facts: SymbolFacts) -> SymbolUses:
     )
 
 
-@functools.lru_cache(maxsize=8192)
-def _line_uses(line: str) -> SymbolUses:
-    """symbol_uses of one source line, memoised by the line's exact text.
-
-    Holds at most 8,192 lines, the least recently used leaving first; the
-    whole model of the benchmark's FJSP instance has 1,094. An error
-    propagates and is not memoised.
-    """
-    return symbol_uses(extract_symbols(parse_model(line)))
+# source_uses of one source line, memoised by the line's exact text. Holds
+# at most 8,192 lines, the least recently used leaving first; the whole
+# model of the benchmark's FJSP instance has 1,094. An error propagates and
+# is not memoised.
+_line_uses = functools.lru_cache(maxsize=8192)(source_uses)
 
 
 def uses_by_line(source: str) -> SymbolUses | None:
-    """symbol_uses(extract_symbols(parse_model(source))) up to the order of
-    the declarations, merged from memoised lines: the declarations
-    concatenated, the references and iterated sets as set unions.
+    """source_uses(source) up to the order of the declarations, merged from
+    memoised lines: the declarations concatenated, the references and
+    iterated sets as set unions.
 
     Tokens never span a line, so when every line parses on its own the whole
     source parses to the same statements. Returns None where only a

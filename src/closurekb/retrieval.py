@@ -300,13 +300,13 @@ def snippet_text(entity) -> str:
 
 def index_snippets(graph: KnowledgeGraph) -> SemanticIndex:
     """Build the semantic index from entity descriptions/snippets. Insertion
-    order independent: documents are sorted by id."""
+    order independent: documents are filled in sorted-id order."""
     docs: dict[str, str] = {}
     for entity_id in graph.sorted_ids():
         text = snippet_text(graph.entities[entity_id])
         if text:
             docs[entity_id] = text
-    doc_ids = sorted(docs)
+    doc_ids = list(docs)
     embedder = TfidfEmbedder().fit([docs[i] for i in doc_ids])
     postings: dict[str, dict[str, float]] = {}
     norms: dict[str, float] = {}

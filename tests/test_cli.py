@@ -23,7 +23,7 @@ from closurekb.cli import (
     EXIT_USAGE,
     main,
 )
-from test_knowledge_graph import json_documents
+from test_knowledge_graph import UNREADABLE_CARDS, json_documents
 
 QUERY = "Add a load-reduction constraint for the demand-response event"
 
@@ -142,14 +142,36 @@ def test_generate_lingo_dialect(battery_graph, tmp_path, capsys):
     assert "@bin(" in text
 
 
-def test_generate_failure_exit_code(battery_graph, tmp_path, capsys):
-    # An endpoint generator with no endpoint configured is 'unavailable'.
-    code = main([
-        "generate", QUERY, "--graph", str(battery_graph),
-        "--generator", "endpoint", "--out", str(tmp_path / "x.mm"),
-    ])
-    capsys.readouterr()
+def test_generate_failure_exit_code(battery_graph, tmp_path, capsys, monkeypatch):
+    # An endpoint naming no executable is 'unavailable'.
+    monkeypatch.setenv("CLOSUREKB_GENERATOR_ENDPOINT", str(tmp_path / "no-such-generator"))
+    code = main(["generate", QUERY, "--graph", str(battery_graph), "--out", str(tmp_path / "x.mm")])
     assert code == EXIT_GENERATOR
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_generate_with_an_empty_endpoint_setting_runs_the_template(battery_graph, capsys, monkeypatch):
+    monkeypatch.setenv("CLOSUREKB_GENERATOR_ENDPOINT", "")
+    assert main(["generate", QUERY, "--graph", str(battery_graph)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("status=ok\n")
+
+
+def test_generate_has_no_generator_option(battery_graph, capsys):
+    assert main(["generate", QUERY, "--graph", str(battery_graph), "--generator", "template"]) == EXIT_USAGE
+    capsys.readouterr()
+    assert main(["generate", "--help"]) == EXIT_OK
+    assert "--generator" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
+def test_generate_on_a_graph_whose_version_only_equals_1_is_a_usage_error(
+    battery_graph, tmp_path, capsys, version
+):
+    document = json.loads(battery_graph.read_text(encoding="utf-8"))
+    graph = tmp_path / "version.kg.json"
+    graph.write_text(json.dumps(dict(document, version=version)), encoding="utf-8")
+    assert main(["generate", QUERY, "--graph", str(graph)]) == EXIT_USAGE
+    assert "field 'version' must be an integer" in capsys.readouterr().err
 
 
 def test_generate_with_process_endpoint(battery_graph, tmp_path, capsys, monkeypatch):
@@ -470,7 +492,8 @@ def broken_battery_doc(path, value):
     ("bad.kg.json", {"version": 1, "entities": None, "edges": []}, "entities and edges must be lists"),
     ("bad.battery.json", broken_battery_doc(("event", "b_ref"), "xy"), "field 'b_ref' must be a list of numbers"),
     ("bad.battery.json", broken_battery_doc(("machines", 0, "p_on"), None), "missing field 'p_on'"),
-], ids=["null-card", "card-without-name", "null-entities", "string-b_ref", "no-p_on"])
+    ("bad.cards.json", UNREADABLE_CARDS, "concept card name 'rate, cap' holds ',' or '->'"),
+], ids=["null-card", "card-without-name", "null-entities", "string-b_ref", "no-p_on", "comma-card-name"])
 def test_ingest_of_malformed_input_is_a_usage_error_without_traceback(tmp_path, name, document, message):
     path = tmp_path / name
     path.write_text(json.dumps(document), encoding="utf-8")

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -378,6 +379,21 @@ def test_filter_beats_sort_exactly_when_n_log2_n_reaches_the_total(n, total, fil
     assert kg.filter_beats_sort(n, total) is filters
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 80), st.integers(0, 2**32 - 1), st.booleans(), st.data())
+def test_in_kept_order_filters_or_sorts_to_the_same_order(total, seed, filters, data):
+    graph = random_graph(random.Random(seed), total)
+    # The smallest member count that filters; one fewer sorts.
+    n = next(n for n in itertools.count(2) if n * math.log2(n) >= total) - (not filters)
+    assert kg.filter_beats_sort(n, total) is filters
+    members = frozenset(
+        data.draw(st.lists(st.sampled_from(graph.sorted_ids()), min_size=n, max_size=n, unique=True))
+    )
+    rank = graph.rank()
+    for order, position in ((graph.sorted_ids(), None), (rank, rank.__getitem__)):
+        assert kg.in_kept_order(members, order, position) == sorted(members, key=position)
+
+
 def test_edges_from_is_sorted_and_sees_an_edge_added_after_a_read():
     def sorted_reference(graph, entity_id):
         return sorted(
@@ -445,9 +461,9 @@ def test_add_all_changes_nothing_or_matches_one_at_a_time_inserts(held, held_edg
     graph = kg.KnowledgeGraph()
     graph.add_all(held, held_edges)
     # Warm every kept table, so a stale one would show below.
-    graph.rank(), graph.names(), graph.in_id_order(held_ids), [graph.exec_out(entity_id) for entity_id in held_ids]
+    graph.sorted_ids(), graph.rank(), graph.names(), graph.in_id_order(held_ids)
     for entity_id, kinds, direction in itertools.product(held_ids, NEIGHBOR_KINDS, ("in", "out")):
-        graph.neighbors(entity_id, kinds, direction)
+        graph.exec_out(entity_id), graph.neighbors(entity_id, kinds, direction)
     before = kg.save(graph)
     expected = insert_one_at_a_time(entities, edges, held, held_edges)
     try:
@@ -463,9 +479,10 @@ def test_add_all_changes_nothing_or_matches_one_at_a_time_inserts(held, held_edg
     for edge in (*held_edges, *edges):
         one_by_one.add_edge(edge.src, edge.dst, edge.kind)
     assert graph == one_by_one
+    assert list(graph.sorted_ids()) == sorted(graph.entities)
     fresh = kg.load(kg.save(graph))
     assert graph.rank() == fresh.rank()
-    assert graph.in_id_order(set(fresh.entities)) == fresh.sorted_ids()
+    assert graph.in_id_order(set(fresh.entities)) == list(fresh.sorted_ids())
     for entity_id in fresh.entities:
         assert graph.exec_out(entity_id) == fresh.exec_out(entity_id)
         assert graph.find_by_name(entity_id) == fresh.find_by_name(entity_id)
@@ -577,11 +594,25 @@ def test_ingest_model_of_a_1500_term_sum_stores_its_text():
                                  "source": "paper", "fields": {}}], "edges": []},
     {"version": 1, "entities": [], "edges": [{"src": "a", "dst": "b", "kind": "bogus"}]},
     {"version": 1, "entities": [], "edges": [{"src": "a", "dst": "b", "kind": ["used_in"]}]},
+    {"version": True, "entities": [], "edges": []},
+    {"version": 1.0, "entities": [], "edges": []},
 ], ids=["entities-null", "edges-null", "entities-object", "int-id", "list-id", "list-src",
-        "int-description", "list-snippet", "null-name", "unknown-edge-kind", "list-edge-kind"])
+        "int-description", "list-snippet", "null-name", "unknown-edge-kind", "list-edge-kind",
+        "true-version", "float-version"])
 def test_load_rejects_malformed_documents_with_schema_violation(document):
     with pytest.raises(SchemaViolation):
         kg.load(document)
+
+
+# Cards whose subgraph line would not read back: `paper:budget -used_in->
+# paper:cap, paper:rate, paper:rate, cap` has four targets for three edges.
+UNREADABLE_CARDS = [
+    {"name": "budget", "kind": "parameter",
+     "relations": [["used_in", "rate, cap"], ["used_in", "rate"], ["used_in", "cap"]]},
+    {"name": "rate, cap", "kind": "parameter"},
+    {"name": "rate", "kind": "parameter"},
+    {"name": "cap", "kind": "parameter"},
+]
 
 
 @pytest.mark.parametrize("document", [
@@ -592,8 +623,10 @@ def test_load_rejects_malformed_documents_with_schema_violation(document):
     [{"name": "n", "kind": "concept", "relations": [["x"]]}],
     [{"name": "n", "kind": "concept", "relations": "depends_on"}],
     [{"name": "n", "kind": "concept", "snippet": ["text"]}],
+    UNREADABLE_CARDS,
+    [{"name": "rate -used_in-> cap", "kind": "parameter"}],
 ], ids=["null-card", "no-name", "no-kind", "int-name", "one-part-relation",
-        "string-relations", "list-snippet"])
+        "string-relations", "list-snippet", "comma-name", "arrow-name"])
 def test_cards_from_json_rejects_malformed_cards_with_schema_violation(document):
     with pytest.raises(SchemaViolation):
         kg.cards_from_json(document)
