@@ -1,15 +1,18 @@
 """Context packaging, code generation, static validation, corrective re-retrieval.
 
-The context package lists typed entities dependencies-first, writes the
-induced dependency subgraph one line per source and edge kind
-(`src -kind-> dst, dst`, knowledge_graph.edge_lines), and appends background
-snippets plus the instruction. It reads what the graph keeps: each member's
-executability targets and subgraph lines, and the graph-wide dependency
-rank, which orders every package, closed or open (`dependency_order`). The
-first package after a change to the graph pays for rebuilding them (the
-rank visits every entity); later packages cost only their members. Each
-entity's text (its definition line, and its template statement) is made
-once and kept on the entity. The default generator is a deterministic
+The context package lists typed entities dependencies-first, a run of
+neighbours with one `kind : domain : {sets}` signature on one
+`n1, n2 : kind : domain : {sets}` line (`typed_lines`), writes the induced
+dependency subgraph one line per source and edge kind (`src -kind-> dst,
+dst`, knowledge_graph.edge_lines), and appends background snippets plus the
+instruction. Both texts are written once, when the package is built. It
+reads what the graph keeps: each member's executability targets and
+subgraph lines, and the graph-wide dependency rank, which orders every
+package, closed or open (`dependency_order`). The first package after a
+change to the graph pays for rebuilding them (the rank visits every
+entity); later packages cost only their members. Each entity's text (its
+typed signature, and its template statement) is made once and kept on the
+entity. The default generator is a deterministic
 template that declares every set/param/var in the package and renders
 stored constraint/objective statements; an external generator is a wire
 contract (the rendered package is the request body, code text the
@@ -55,13 +58,22 @@ MAX_RESPONSE_BYTES = 16 * 1024 * 1024
 
 @dataclass(frozen=True)
 class ContextPackage:
+    """A context package. `typed_entities` are the members, dependencies
+    first; `typed_description` is their TYPED ENTITIES text (`typed_lines`)
+    and `subgraph_description` their DEPENDENCY SUBGRAPH text, each written
+    once when the package is built, so `render` only joins sections."""
+
     instruction: str
     typed_entities: tuple[Entity, ...]  # dependencies first
+    typed_description: str
     subgraph_description: str
     snippets: tuple[tuple[str, float, str], ...]
 
     def render(self) -> str:
-        lines = ["TYPED ENTITIES", *map(formal_definition, self.typed_entities), ""]
+        lines = ["TYPED ENTITIES"]
+        if self.typed_description:
+            lines.append(self.typed_description)
+        lines.append("")
         lines.append("DEPENDENCY SUBGRAPH")
         lines.append(self.subgraph_description if self.subgraph_description else "(none)")
         lines.append("")
@@ -107,17 +119,46 @@ def _domain_label(kind: str, decl) -> str:
     return _KIND_DOMAIN.get(kind, "-")
 
 
-def formal_definition(entity: Entity) -> str:
-    """The entity's line in the package, made once and kept on the entity."""
-    line = entity._definition
-    if line is None:
+def typed_signature(entity: Entity) -> tuple[str, str | None]:
+    """The entity's `kind : domain : {index sets}` text, and the solver symbol
+    its TYPED ENTITIES line ends with: None when the entity can join a run,
+    since its symbol is its name and that name is a MiniModel name. Made
+    once and kept on the entity."""
+    typed = entity._typed
+    if typed is None:
         decl = kg.declaration(entity)
         sets = ", ".join(getattr(decl, "index_sets", ()))
         symbol = entity.fields.get("solver_symbol") or entity.fields.get("solver_symbol_hint") or "-"
-        line = entity._definition = (
-            f"{entity.name} : {entity.kind} : {_domain_label(entity.kind, decl)} : {{{sets}}} : {symbol}"
-        )
-    return line
+        if symbol == entity.name and model_dsl.NAME_RE.fullmatch(symbol):
+            symbol = None
+        typed = entity._typed = (f"{entity.kind} : {_domain_label(entity.kind, decl)} : {{{sets}}}", symbol)
+    return typed
+
+
+def typed_lines(entities) -> str:
+    """The TYPED ENTITIES text of `entities`, in their order. Neighbours that
+    can join a run (typed_signature) and share a signature make one
+    `n1, n2 : kind : domain : {sets}` line; every other entity makes one
+    `name : kind : domain : {sets} : symbol` line. "" for no entity."""
+    lines: list[str] = []
+    names: list[str] = []  # the run being written
+    run = None  # its signature
+    for entity in entities:
+        # The kept pair read in place: a call per member would double the cost.
+        signature, symbol = entity._typed or typed_signature(entity)
+        if symbol is None and signature == run:
+            names.append(entity.name)
+            continue
+        if names:
+            lines.append(f"{', '.join(names)} : {run}")
+        if symbol is None:
+            names, run = [entity.name], signature
+        else:
+            names, run = [], None
+            lines.append(f"{entity.name} : {signature} : {symbol}")
+    if names:
+        lines.append(f"{', '.join(names)} : {run}")
+    return "\n".join(lines)
 
 
 def build_context_from_members(
@@ -142,7 +183,8 @@ def build_context_from_members(
     an open set, which window mode of the ablation builds without
     `check_closed`, has a member with a target outside it; that member's
     lines are written again by `knowledge_graph.edge_lines` from its
-    executability edges to members.
+    executability edges to members. The typed text is `typed_lines` of the
+    ordered members.
     """
     member_set = frozenset(members)
     exec_out = graph.exec_out
@@ -157,10 +199,11 @@ def build_context_from_members(
             )
         if block:
             blocks.append(block)
-    order = dependency_order(graph, member_set)
+    typed = tuple(map(graph.entities.__getitem__, dependency_order(graph, member_set)))
     return ContextPackage(
         instruction=instruction,
-        typed_entities=tuple(map(graph.entities.__getitem__, order)),
+        typed_entities=typed,
+        typed_description=typed_lines(typed),
         subgraph_description="\n".join(blocks),
         snippets=tuple(snippets),
     )

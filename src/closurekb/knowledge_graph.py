@@ -89,11 +89,12 @@ class Entity:
     fields: dict = field(default_factory=dict)
     source: str = SOURCE_CODE
     # Text derived from fields, made once and kept, since an entity is not
-    # mutated once made: what declaration() read, the package's definition
-    # line (codegen.formal_definition) and the template's set/param/var
-    # statement (codegen._template_statement; "" when it declares nothing).
+    # mutated once made: what declaration() read, the package's typed
+    # signature and the symbol ending its line, None when it can join a run
+    # (codegen.typed_signature), and the template's set/param/var statement
+    # (codegen._template_statement; "" when it declares nothing).
     _declaration: object = field(default=_UNREAD, init=False, repr=False, compare=False)
-    _definition: str | None = field(default=None, init=False, repr=False, compare=False)
+    _typed: tuple[str, str | None] | None = field(default=None, init=False, repr=False, compare=False)
     _statement: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -128,9 +129,7 @@ class ConceptCard:
     def __post_init__(self):
         if not self.name:
             raise SchemaViolation("concept card name must be nonempty")
-        if "," in self.name or "->" in self.name:
-            # Either would break the package's `src -kind-> dst, dst` lines.
-            raise SchemaViolation(f"concept card name {self.name!r} holds ',' or '->'")
+        check_listable("concept card name", self.name)
         if self.kind not in ENTITY_KINDS:
             raise SchemaViolation(f"unknown concept card kind {self.kind!r}")
         for rel_kind, _target in self.relations:
@@ -138,6 +137,13 @@ class ConceptCard:
                 raise SchemaViolation(
                     f"concept card relation kind must be used_in/depends_on, got {rel_kind!r}"
                 )
+
+
+def check_listable(label: str, text: str) -> None:
+    """SchemaViolation when `text` holds ',' or '->': either would break the
+    package's `src -kind-> dst, dst` and `n1, n2 : kind : ...` lines."""
+    if "," in text or "->" in text:
+        raise SchemaViolation(f"{label} {text!r} holds ',' or '->'")
 
 
 def concept_entity_id(name: str) -> str:
@@ -645,8 +651,12 @@ def read_json(path):
 # --- Alignment ------------------------------------------------------------------
 
 def normalize_name(name: str) -> str:
-    """Case-fold and strip underscores, spaces, and other subscript markers."""
-    return "".join(ch for ch in name.casefold() if ch.isalnum())
+    """Case-fold and strip underscores, spaces, and other subscript markers.
+    A folded name that is all alphanumeric (str.isalnum) is returned as is."""
+    folded = name.casefold()
+    if folded.isalnum():
+        return folded
+    return "".join(ch for ch in folded if ch.isalnum())
 
 
 _NAME_PART_RE = re.compile(r"[A-Z]+(?![a-z])|[A-Z]?[a-z0-9]+|\d+")
@@ -740,8 +750,9 @@ def save(graph: KnowledgeGraph) -> dict:
 
 def load(document: dict) -> KnowledgeGraph:
     """Rebuild a graph from a knowledge-unit document; SchemaViolation on
-    malformed input, a code entity's declaration fields included. Every
-    record is checked, then the graph is filled by one add_all."""
+    malformed input, a code entity's declaration fields and an entity id or
+    name holding ',' or '->' (check_listable) included. Every record is
+    checked, then the graph is filled by one add_all."""
     if not isinstance(document, dict):
         raise SchemaViolation("knowledge-unit document must be an object")
     unknown = set(document) - _DOC_KEYS
@@ -767,6 +778,8 @@ def load(document: dict) -> KnowledgeGraph:
         for label, text in (("name", raw["name"]), ("description", raw["description"])):
             if not isinstance(text, str):
                 raise SchemaViolation(f"entity {label} must be a string, got {type(text).__name__}")
+        check_listable("entity id", raw["id"])
+        check_listable("entity name", raw["name"])
         if raw["id"] in entities:
             raise SchemaViolation(f"duplicate entity id {raw['id']!r}")
         entity = Entity(**raw)

@@ -23,7 +23,7 @@ from closurekb.cli import (
     EXIT_USAGE,
     main,
 )
-from test_knowledge_graph import UNREADABLE_CARDS, json_documents
+from test_knowledge_graph import UNREADABLE_CARDS, UNREADABLE_DOCUMENT, json_documents
 
 QUERY = "Add a load-reduction constraint for the demand-response event"
 
@@ -500,6 +500,15 @@ def test_ingest_of_malformed_input_is_a_usage_error_without_traceback(tmp_path, 
     proc = run_cli("ingest", path, "--graph", tmp_path / "g.json")
     assert proc.returncode == EXIT_USAGE
     assert message in proc.stderr
+    assert "Traceback" not in proc.stderr + proc.stdout
+
+
+def test_generate_on_a_graph_with_a_comma_in_an_id_is_a_usage_error_without_traceback(tmp_path):
+    graph = tmp_path / "unreadable.kg.json"
+    graph.write_text(json.dumps(UNREADABLE_DOCUMENT), encoding="utf-8")
+    proc = run_cli("generate", "what is the value of budget", "--graph", graph)
+    assert proc.returncode == EXIT_USAGE
+    assert "entity id 'rate, cap' holds ',' or '->'" in proc.stderr
     assert "Traceback" not in proc.stderr + proc.stdout
 
 

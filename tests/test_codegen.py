@@ -182,24 +182,49 @@ def grouped_reference(graph, members, leaving=False):
     return "\n".join(f"{src} -{kind}-> {', '.join(sorted(dsts))}" for (src, kind), dsts in sorted(targets.items()))
 
 
+def typed_fields(entity):
+    """(name, kind, domain, sets, symbol) of an entity by the package's field
+    rules, read from a fresh copy of it, which keeps no text."""
+    fresh = kg.Entity(entity.id, entity.kind, entity.name, entity.description, entity.fields, entity.source)
+    decl = kg.declaration(fresh)
+    sets = "{" + ", ".join(getattr(decl, "index_sets", ())) + "}"
+    symbol = fresh.fields.get("solver_symbol") or fresh.fields.get("solver_symbol_hint") or "-"
+    return fresh.name, fresh.kind, codegen._domain_label(fresh.kind, decl), sets, symbol
+
+
+def typed_reference(rows):
+    """The TYPED ENTITIES text of (name, kind, domain, sets, symbol) rows,
+    written row by row: a row whose symbol is its name, a MiniModel name,
+    joins the line before when that line is a run with its signature;
+    every other row is a five-field line."""
+    entries = []  # [names, signature, symbol or None for a run]
+    for name, kind, domain, sets, symbol in rows:
+        signature = f"{kind} : {domain} : {sets}"
+        joins = symbol == name and md.NAME_RE.fullmatch(name) is not None
+        if joins and entries and entries[-1][2] is None and entries[-1][1] == signature:
+            entries[-1][0].append(name)
+        else:
+            entries.append([[name], signature, None if joins else symbol])
+    return "\n".join(
+        f"{', '.join(names)} : {signature}" + ("" if symbol is None else f" : {symbol}")
+        for names, signature, symbol in entries
+    )
+
+
 def reference_package(graph, members, check_closed):
-    """(typed entities, subgraph text) of build_context_from_members from its
-    three former parts: the closedness check, the quadratic order of the
-    whole graph seen on the members and a scan of every executability edge
-    (grouped_reference).
-    Definition lines come from a fresh copy of each entity, which keeps no
-    text."""
+    """(typed entities, typed text, subgraph text) of
+    build_context_from_members from its former parts: the closedness check,
+    the quadratic order of the whole graph seen on the members, the typed
+    lines written row by row (typed_reference) and a scan of every
+    executability edge (grouped_reference)."""
     ok, violations = is_well_defined(graph, members)
     if check_closed and not ok:
         raise NotClosed(violations)
     for entity_id in members:
         graph.entity(entity_id)  # UnknownEntity for a member not in the graph
-    typed = []
-    for entity_id in [m for m in quadratic_dependency_order(graph, graph.entities) if m in members]:
-        ent = graph.entity(entity_id)
-        fresh = kg.Entity(ent.id, ent.kind, ent.name, ent.description, ent.fields, ent.source)
-        typed.append((ent, codegen.formal_definition(fresh)))
-    return tuple(typed), grouped_reference(graph, members)
+    order = [m for m in quadratic_dependency_order(graph, graph.entities) if m in members]
+    typed = tuple(map(graph.entity, order))
+    return typed, typed_reference(map(typed_fields, typed)), grouped_reference(graph, members)
 
 
 def package_outcome(build):
@@ -224,8 +249,7 @@ def test_one_walk_package_matches_its_three_part_reference_on_random_digraphs_wi
         for check_closed in (True, False):
             def build():
                 package = codegen.build_context_from_members(graph, members, [], "x", check_closed)
-                typed = tuple((ent, codegen.formal_definition(ent)) for ent in package.typed_entities)
-                return typed, package.subgraph_description
+                return package.typed_entities, package.typed_description, package.subgraph_description
 
             got = package_outcome(build)
             assert got == package_outcome(lambda: reference_package(graph, members, check_closed))
@@ -327,6 +351,97 @@ def test_subgraph_lines_parse_back_to_the_internal_edges_on_benchmark_graphs(ben
         assert_subgraph_parses_back(graph, window, check_closed=False)
 
 
+def parse_typed(text):
+    """(name, kind, domain, sets, symbol) of each entity a TYPED ENTITIES
+    text lists: a four-field line is a run, its names split at ", " and each
+    its own symbol; a five-field line is one entity."""
+    rows = []
+    for line in text.split("\n") if text else ():
+        fields = line.split(" : ")
+        if len(fields) == 4:
+            names, *signature = fields
+            rows += [(name, *signature, name) for name in names.split(", ")]
+        else:
+            name, kind, domain, sets, symbol = fields
+            rows.append((name, kind, domain, sets, symbol))
+    return rows
+
+
+def assert_typed_parses_back(graph, members, check_closed):
+    """The package's typed lines hold its typed entities exactly, in order,
+    and every run is maximal: no two neighbouring four-field lines share a
+    signature. Returns the package."""
+    package = codegen.build_context_from_members(graph, members, [], "x", check_closed)
+    text = package.typed_description
+    assert parse_typed(text) == list(map(typed_fields, package.typed_entities))
+    fields = [line.split(" : ") for line in text.split("\n")] if text else []
+    for before, after in zip(fields, fields[1:]):
+        assert not (len(before) == len(after) == 4 and before[1:] == after[1:])
+    return package
+
+
+def typed_entity(i, style, kind, index_sets, domain):
+    """Entity i in one of the line rule's cases: a code entity whose symbol
+    is its name, differs from it or is missing, or a paper entity whose name
+    holds a space, or whose hint is its name, differs from it or is missing."""
+    code = style.startswith("code")
+    name = f"p {i:02d}" if style == "paper-space" else f"{'v' if code else 'p'}{i:02d}"
+    if code:
+        fields = {"index_sets": index_sets}
+        if kind == kg.DECISION_VARIABLE:
+            fields["domain"] = domain
+        symbol = {"code": name, "code-renamed": f"sym{i}"}.get(style)
+        if symbol is not None:
+            fields["solver_symbol"] = symbol
+        return kg.Entity(name, kind, name, fields=fields)
+    hint = {"paper-hint": name, "paper-renamed": f"h{i}", "paper-space": f"h{i}"}.get(style)
+    fields = {"solver_symbol_hint": hint} if hint is not None else {}
+    return kg.Entity(f"paper:{name}", kind, name, fields=fields, source=kg.SOURCE_PAPER)
+
+
+TYPED_STYLES = ["code", "code-renamed", "code-no-symbol", "paper-space", "paper-hint", "paper-renamed", "paper-no-hint"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_typed_lines_parse_back_to_the_typed_entities_on_random_graphs(data):
+    """Graphs with few signatures, so runs form, in every case of the line
+    rule; closed sets and open (window-mode) sets."""
+    n = data.draw(st.integers(1, 16), label="n")
+    entities = [
+        typed_entity(
+            i,
+            data.draw(st.sampled_from(TYPED_STYLES)),
+            data.draw(st.sampled_from([kg.PARAMETER, kg.DECISION_VARIABLE, kg.CONSTRAINT])),
+            data.draw(st.sampled_from([[], ["T"]])),
+            data.draw(st.sampled_from(["binary", "continuous"])),
+        )
+        for i in range(n)
+    ]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from(sorted(kg.EXEC_KINDS)))
+    edges = data.draw(st.sets(pairs.filter(lambda e: e[0] != e[1]), max_size=2 * n), label="edges")
+    graph = kg.KnowledgeGraph()
+    graph.add_all(entities, [kg.Edge(entities[s].id, entities[d].id, kind) for s, d, kind in sorted(edges)])
+    members = data.draw(st.sets(st.sampled_from(graph.sorted_ids())), label="members")
+    assert_typed_parses_back(graph, closure(graph, *members).members, check_closed=True)
+    assert_typed_parses_back(graph, members, check_closed=False)
+
+
+@pytest.mark.parametrize("workload", ["battery-paper", "fjsp-full-model", "kb-scale"])
+def test_typed_lines_parse_back_to_the_typed_entities_on_benchmark_graphs(benchmark_graphs, workload):
+    graph, request_seeds, _requests = benchmark_graphs[workload]
+    rng = random.Random(5)
+    papers = sorted(entity_id for entity_id, ent in graph.entities.items() if ent.source == kg.SOURCE_PAPER)
+    runs = 0
+    for seeds in [*request_seeds, papers]:
+        closed = rt.structural_retrieve(graph, seeds)
+        package = assert_typed_parses_back(graph, closed, check_closed=True)
+        runs += len(package.typed_entities) - len(package.typed_description.split("\n"))
+        window = set(rng.sample(sorted(closed), len(closed) // 2)) | set(papers[:3])
+        assert_typed_parses_back(graph, window, check_closed=False)
+    assert runs > 0  # some line lists two or more entities
+
+
 def copy_graph(graph):
     fresh = kg.KnowledgeGraph()
     for entity_id in graph.sorted_ids():
@@ -368,8 +483,16 @@ def test_package_and_closures_see_an_edge_and_an_entity_added_after_a_read():
 
 def test_formal_definition_line_shape():
     graph = ingest(LISTING_STYLE)
-    line = codegen.formal_definition(graph.entity("y"))
-    assert line == "y : decision_variable : binary : {T} : y"
+    assert codegen.typed_signature(graph.entity("y")) == ("decision_variable : binary : {T}", None)
+    graph = ingest("set T = 1..4; var y{T} binary; var z{T} binary; con c{t in T}: y[t] + z[t] <= 1;")
+    assert package_for(graph, "c").typed_description.split("\n") == [
+        "T : index_set : 1..4 : {}",
+        "y, z : decision_variable : binary : {T}",
+        "c : constraint : - : {}",
+    ]
+    rate = kg.Entity("paper:rate", kg.PARAMETER, "incentive rate", fields={"solver_symbol_hint": "rate"},
+                     source=kg.SOURCE_PAPER)
+    assert codegen.typed_lines([rate]) == "incentive rate : parameter : numeric : {} : rate"
 
 
 # --- Template generation ------------------------------------------------------------
@@ -388,9 +511,9 @@ def test_kept_text_belongs_to_the_entity_not_to_its_id():
     texts = []
     for graph in (scalar, indexed, scalar, indexed):
         package = package_for(graph, "q")
-        texts.append((codegen.formal_definition(package.typed_entities[-1]), codegen.TemplateGenerator()(package)))
-    assert texts[0] == texts[2] == ("q : parameter : numeric : {} : q", "param q = 3;\n")
-    assert texts[1] == texts[3] == ("q : parameter : numeric : {T} : q", "set T = 1..2;\nparam q{T};\n")
+        texts.append((package.typed_description.split("\n")[-1], codegen.TemplateGenerator()(package)))
+    assert texts[0] == texts[2] == ("q : parameter : numeric : {}", "param q = 3;\n")
+    assert texts[1] == texts[3] == ("q : parameter : numeric : {T}", "set T = 1..2;\nparam q{T};\n")
 
 
 def test_template_generator_missing_expression():

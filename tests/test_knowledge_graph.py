@@ -297,6 +297,12 @@ def test_normalize_name():
     assert kg.normalize_name("LoadReduction") == "loadreduction"
 
 
+@settings(max_examples=2000, deadline=None)
+@given(st.text())
+def test_normalize_name_fast_path_equals_the_character_join(name):
+    assert kg.normalize_name(name) == "".join(ch for ch in name.casefold() if ch.isalnum())
+
+
 def test_split_name_tokens_camel_case_digits_and_all_caps():
     assert kg.split_name_tokens("loadReduction") == ("load", "reduction")
     assert kg.split_name_tokens("deltaLmin") == ("delta", "lmin")
@@ -577,6 +583,20 @@ def test_ingest_model_of_a_1500_term_sum_stores_its_text():
     assert edge_set(graph) == {("c", "x", kg.USED_IN)}
 
 
+def entity_record(entity_id, name=None):
+    return {"id": entity_id, "kind": "parameter", "name": entity_id if name is None else name,
+            "description": "", "source": "paper", "fields": {}}
+
+
+# A graph whose subgraph line would not read back: `budget -used_in-> cap,
+# rate, rate, cap` has four targets for three edges.
+UNREADABLE_DOCUMENT = {
+    "version": 1,
+    "entities": [entity_record(entity_id) for entity_id in ("budget", "rate, cap", "rate", "cap")],
+    "edges": [{"src": "budget", "dst": dst, "kind": "used_in"} for dst in ("rate, cap", "rate", "cap")],
+}
+
+
 @pytest.mark.parametrize("document", [
     {"version": 1, "entities": None, "edges": []},
     {"version": 1, "entities": [], "edges": None},
@@ -596,9 +616,13 @@ def test_ingest_model_of_a_1500_term_sum_stores_its_text():
     {"version": 1, "entities": [], "edges": [{"src": "a", "dst": "b", "kind": ["used_in"]}]},
     {"version": True, "entities": [], "edges": []},
     {"version": 1.0, "entities": [], "edges": []},
+    UNREADABLE_DOCUMENT,
+    {"version": 1, "entities": [entity_record("rate->cap")], "edges": []},
+    {"version": 1, "entities": [entity_record("rate", "rate, cap")], "edges": []},
+    {"version": 1, "entities": [entity_record("rate", "rate -used_in-> cap")], "edges": []},
 ], ids=["entities-null", "edges-null", "entities-object", "int-id", "list-id", "list-src",
         "int-description", "list-snippet", "null-name", "unknown-edge-kind", "list-edge-kind",
-        "true-version", "float-version"])
+        "true-version", "float-version", "comma-id", "arrow-id", "comma-name", "arrow-name"])
 def test_load_rejects_malformed_documents_with_schema_violation(document):
     with pytest.raises(SchemaViolation):
         kg.load(document)
@@ -775,8 +799,11 @@ def test_load_of_saved_json_equals_the_graph(graph):
     try:
         for entity in graph.entities.values():
             kg.declaration(entity)
+            if any("," in text or "->" in text for text in (entity.id, entity.name)):
+                raise SchemaViolation("an id or name that would not read back in a package")
     except SchemaViolation:
-        # A code entity whose declaration fields are malformed does not load.
+        # A code entity whose declaration fields are malformed does not load,
+        # nor does an entity whose id or name holds ',' or '->'.
         with pytest.raises(SchemaViolation):
             kg.load(document)
         return

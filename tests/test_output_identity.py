@@ -37,10 +37,10 @@ FJSP_QUERIES = (
 )
 
 DIGESTS = {
-    "battery": "94c4e8186d26834db58aa966af5b6071bb8b8ae414f037866a604fdb64979b6d",
-    "fjsp": "33eef8856bf262f19ffc7456886e89f65f616e8634bb1d07307bd60703d7e22d",
-    "ablate-closure": "e15648ddb06c6e44a7525811a673ce2ec266c93d8a4c7256c12d82c31d639971",
-    "ablate-window": "a226ab7ce991faa47acc4ea93b479b52939f90b06db482db5d232a875e3898a9",
+    "battery": "9baf62b42ef46b0c7dc467cc0eaf894251745c40304155ff192cf53a6b9f4b49",
+    "fjsp": "aa2367349c8af73109a726838c60853d2327500b7e2be5baeddc5cf05c4c2e07",
+    "ablate-closure": "bcdc2b8c8cd2e0fa8d56ddd6ddec715067cf2c603461668b3957162dab735e1e",
+    "ablate-window": "d37d4b50574a2d9788b0bc2fba60139ca6e0a6c223665f56c1e9dbc0f3913245",
     "fjsp-models": "ea9a4721378dfec295ebab3b7f4bb84c3090b14e00af9ef360a2971044f62058",
 }
 
