@@ -43,7 +43,7 @@ def closure(graph: KnowledgeGraph, *targets: str) -> ClosureResult:
     # The visit order is the queue: the loop reaches each entity appended.
     for node in order:
         # Targets in edges_from order, sorted by (dst, kind): sorted-id order.
-        reached, _lines = graph.exec_out(node)
+        reached, _tails = graph.exec_out(node)
         edge_count += len(reached)
         for dst in reached:
             if dst not in visited:

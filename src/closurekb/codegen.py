@@ -3,21 +3,20 @@
 The context package lists typed entities dependencies-first, a run of
 neighbours with one `kind : domain : {sets}` signature on one
 `n1, n2 : kind : domain : {sets}` line (`typed_lines`), writes the induced
-dependency subgraph one line per source and edge kind (`src -kind-> dst,
-dst`, knowledge_graph.edge_lines), and appends background snippets plus the
+dependency subgraph one `src, src -kind-> dst, dst` line per edge kind and
+target list (ContextPackage), and appends background snippets plus the
 instruction. Both texts are written once, when the package is built. It
-reads what the graph keeps: each member's executability targets and
-subgraph lines, and the graph-wide dependency rank, which orders every
-package, closed or open (`dependency_order`). The first package after a
-change to the graph pays for rebuilding them (the rank visits every
+reads what the graph keeps: each member's executability targets and their
+`-kind-> dst, dst` tails, and the graph-wide dependency rank, which orders
+every package, closed or open (`dependency_order`). The first package after
+a change to the graph pays for rebuilding them (the rank visits every
 entity); later packages cost only their members. Each entity's text (its
 typed signature, and its template statement) is made once and kept on the
-entity. The default generator is a deterministic
-template that declares every set/param/var in the package and renders
-stored constraint/objective statements; an external generator is a wire
-contract (the rendered package is the request body, code text the
-response) exercised through mocks or the CLOSUREKB_GENERATOR_ENDPOINT
-setting.
+entity. The default generator is a deterministic template that declares
+every set/param/var in the package and renders stored constraint/objective
+statements; an external generator is a wire contract (the rendered package
+is the request body, code text the response) exercised through mocks or
+the CLOSUREKB_GENERATOR_ENDPOINT setting.
 
 Validation is static symbol checking: every referenced name must be declared
 in the code itself or, when a graph is supplied (fragment mode), exist there
@@ -60,8 +59,11 @@ MAX_RESPONSE_BYTES = 16 * 1024 * 1024
 class ContextPackage:
     """A context package. `typed_entities` are the members, dependencies
     first; `typed_description` is their TYPED ENTITIES text (`typed_lines`)
-    and `subgraph_description` their DEPENDENCY SUBGRAPH text, each written
-    once when the package is built, so `render` only joins sections."""
+    and `subgraph_description` their DEPENDENCY SUBGRAPH text: one
+    `s1, s2 -kind-> d1, d2` line per kind and target list, which each of its
+    sources has, read back by splitting at "-> ", the last " -" and ", ";
+    sources sorted, lines by first source, then kind. Both are written once
+    when the package is built, so `render` only joins sections."""
 
     instruction: str
     typed_entities: tuple[Entity, ...]  # dependencies first
@@ -172,39 +174,37 @@ def build_context_from_members(
     the graph.
 
     One walk over the members in sorted-id order (KnowledgeGraph.in_id_order)
-    reads each one's executability targets (KnowledgeGraph.exec_out); a
-    member not in the graph has no targets, so the walk sees the same lines
-    whether that order keeps it or not. When `check_closed` is set, the
-    first member whose targets escape the set raises NotClosed with the escaping (src, dst) pairs that
+    reads each one's executability targets and `-kind-> dst, dst` tails
+    (KnowledgeGraph.exec_out); a member not in the graph has neither, so the
+    walk sees the same lines whether that order keeps it or not. When
+    `check_closed` is set, the first member whose targets escape the set
+    raises NotClosed with the escaping (src, dst) pairs that
     `closure.is_well_defined` reports, before any ordering and before
-    UnknownEntity; a closed set never runs that check. The members are
-    ordered by `dependency_order`, and the subgraph text joins their kept
-    lines (one per edge kind, with every target) in sorted-id order. Only
-    an open set, which window mode of the ablation builds without
-    `check_closed`, has a member with a target outside it; that member's
-    lines are written again by `knowledge_graph.edge_lines` from its
-    executability edges to members. The typed text is `typed_lines` of the
-    ordered members.
-    """
+    UnknownEntity; a closed set never runs that check. Only an open set,
+    which window mode of the ablation builds without `check_closed`, has a
+    member with a target outside it; its tails are made again by
+    `knowledge_graph.arrow_tails` from its executability edges to members.
+    The walk groups the members by tail, in one dict, into subgraph lines;
+    the typed text is `typed_lines` of the `dependency_order`."""
     member_set = frozenset(members)
     exec_out = graph.exec_out
-    blocks: list[str] = []
+    sources: dict[str, list[str]] = {}  # tail -> its sources: one line each
     for src in graph.in_id_order(member_set):
-        targets, block = exec_out(src)
+        targets, tails = exec_out(src)
         if not member_set.issuperset(targets):
             if check_closed:
                 raise NotClosed(is_well_defined(graph, member_set)[1])
-            block = kg.edge_lines(
+            tails = kg.arrow_tails(
                 e for e in graph.edges_from(src) if e.kind in kg.EXEC_KINDS and e.dst in member_set
             )
-        if block:
-            blocks.append(block)
+        for tail in tails:
+            sources.setdefault(tail, []).append(src)
     typed = tuple(map(graph.entities.__getitem__, dependency_order(graph, member_set)))
     return ContextPackage(
         instruction=instruction,
         typed_entities=typed,
         typed_description=typed_lines(typed),
-        subgraph_description="\n".join(blocks),
+        subgraph_description="\n".join(f"{', '.join(srcs)} {tail}" for tail, srcs in sources.items()),
         snippets=tuple(snippets),
     )
 

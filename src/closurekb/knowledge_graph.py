@@ -15,10 +15,10 @@ graph as it was.
 The graph keeps what requests read again and again, each built on first read
 and dropped by the next add_all: the name lookup, the sorted ids
 (sorted_ids), each entity's sorted neighbors per (edge kinds, direction),
-its executability targets and edge lines, and the dependency rank (the
-position of every entity in one dependencies-first order of the whole
-graph). Loading and freezing a graph build none of them. Sorted out-edges
-(edges_from) are not kept: they are sorted per call.
+its executability targets and their `-kind-> dst, dst` tails, and the
+dependency rank (the position of every entity in one dependencies-first
+order of the whole graph). Loading and freezing a graph build none of
+them. Sorted out-edges (edges_from) are not kept: they are sorted per call.
 
 `in_kept_order` puts a member set in a kept order (the sorted ids, or the
 rank): a large set filters the order, a small one is sorted by position
@@ -130,6 +130,8 @@ class ConceptCard:
         if not self.name:
             raise SchemaViolation("concept card name must be nonempty")
         check_listable("concept card name", self.name)
+        if self.solver_symbol_hint is not None:
+            check_listable("concept card solver_symbol_hint", self.solver_symbol_hint)
         if self.kind not in ENTITY_KINDS:
             raise SchemaViolation(f"unknown concept card kind {self.kind!r}")
         for rel_kind, _target in self.relations:
@@ -140,10 +142,18 @@ class ConceptCard:
 
 
 def check_listable(label: str, text: str) -> None:
-    """SchemaViolation when `text` holds ',' or '->': either would break the
-    package's `src -kind-> dst, dst` and `n1, n2 : kind : ...` lines."""
-    if "," in text or "->" in text:
-        raise SchemaViolation(f"{label} {text!r} holds ',' or '->'")
+    """SchemaViolation when `text` holds ',' or '->' (they split a package
+    line's name lists and its subgraph arrow), ' : ' once written between
+    two spaces (the typed fields' separator, which a leading ': ' or a
+    trailing ' :' would complete) or a line break, any character
+    str.splitlines splits at (all are unprintable)."""
+    if (
+        "," in text
+        or "->" in text
+        or ":" in text and " : " in f" {text} "
+        or not text.isprintable() and len(f"a{text}b".splitlines()) > 1
+    ):
+        raise SchemaViolation(f"{label} {text!r} holds ',', '->', ' : ' or a line break")
 
 
 def concept_entity_id(name: str) -> str:
@@ -157,7 +167,7 @@ class KnowledgeGraph:
         self.entities: dict[str, Entity] = {}
         self._out: dict[str, set[Edge]] = {}
         self._in: dict[str, set[Edge]] = {}
-        self._exec_out: dict[str, tuple[tuple[str, ...], str]] = {}
+        self._exec_out: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
         self._neighbors: dict[tuple[str, frozenset, str], tuple[str, ...]] = {}
         self._ids: tuple[str, ...] | None = None
         self._names: NameLookup | None = None
@@ -278,17 +288,17 @@ class KnowledgeGraph:
         () for an unknown id."""
         return tuple(sorted(self._out.get(entity_id, ()), key=lambda e: (e.dst, e.kind)))
 
-    def exec_out(self, entity_id: str) -> tuple[tuple[str, ...], str]:
+    def exec_out(self, entity_id: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
         """The targets of the entity's executability out-edges in edges_from
-        order (a target reached by both kinds comes twice), and the edges'
-        package text (`edge_lines`: one line per edge kind); built on first
-        read and kept until the next add_all. ((), "") for an unknown id."""
+        order (a target reached by both kinds comes twice), and their
+        package tails (`arrow_tails`); built on first read and kept until
+        the next add_all. ((), ()) for an unknown id."""
         kept = self._exec_out.get(entity_id)
         if kept is None:
             if entity_id not in self._out:
-                return (), ""
+                return (), ()
             edges = [e for e in self.edges_from(entity_id) if e.kind in EXEC_KINDS]
-            kept = self._exec_out[entity_id] = (tuple(e.dst for e in edges), edge_lines(edges))
+            kept = self._exec_out[entity_id] = (tuple(e.dst for e in edges), arrow_tails(edges))
         return kept
 
     def rank(self) -> dict[str, int]:
@@ -323,14 +333,14 @@ class KnowledgeGraph:
         return self.entities == other.entities and self.edges == other.edges
 
 
-def edge_lines(edges) -> str:
-    """The dependency-subgraph text of `edges`: one `src -kind-> dst, dst`
-    line per (source, edge kind), sources and then kinds in sorted order,
-    each line's targets sorted and joined by ", ". "" for no edge."""
-    targets: dict[tuple[str, str], list[str]] = {}
-    for edge in sorted(edges, key=lambda e: (e.src, e.kind, e.dst)):
-        targets.setdefault((edge.src, edge.kind), []).append(edge.dst)
-    return "\n".join(f"{src} -{kind}-> {', '.join(dsts)}" for (src, kind), dsts in targets.items())
+def arrow_tails(edges) -> tuple[str, ...]:
+    """One source's `edges` as `-kind-> dst, dst` tails, kinds and targets
+    sorted; a DEPENDENCY SUBGRAPH line is the sources that share a tail,
+    then the tail (codegen.build_context_from_members)."""
+    targets: dict[str, list[str]] = {}
+    for edge in sorted(edges, key=lambda e: (e.kind, e.dst)):
+        targets.setdefault(edge.kind, []).append(edge.dst)
+    return tuple(f"-{kind}-> {', '.join(dsts)}" for kind, dsts in targets.items())
 
 
 def filter_beats_sort(n: int, total: int) -> bool:
@@ -634,18 +644,43 @@ def json_field(record: dict, key: str, kind, default=_REQUIRED):
     return value
 
 
+# The deepest nesting of arrays and objects a JSON input may have: fixed, and
+# well under the interpreter's default recursion limit of 1,000, so the
+# decoder has room for it in any caller less than about 400 frames deep.
+MAX_JSON_DEPTH = 512
+
+
+def json_depth(document) -> int:
+    """The nesting depth of arrays and objects in a decoded JSON document,
+    0 for a scalar: counted level by level, without recursion."""
+    depth = 0
+    level = [document] if type(document) in (list, dict) else []
+    while level:
+        depth += 1
+        level = [
+            child
+            for value in level
+            for child in (value.values() if type(value) is dict else value)
+            if type(child) in (list, dict)
+        ]
+    return depth
+
+
 def read_json(path):
     """The JSON document in the file at `path`, the one reader of every JSON
     input. SchemaViolation for text that is not UTF-8, is not JSON (an
-    integer past Python's digit limit included) or nests deeper than the
-    decoder's recursion limit allows (about 1,000 levels, less the caller's
-    stack depth); OSError for a file that cannot be read."""
+    integer past Python's digit limit included) or nests arrays and objects
+    more than MAX_JSON_DEPTH deep; OSError for a file that cannot be read.
+    The bound is fixed, so it does not depend on the caller's stack."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        document = json.loads(Path(path).read_text(encoding="utf-8"))
+        if json_depth(document) <= MAX_JSON_DEPTH:
+            return document
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError among them
         raise SchemaViolation(f"{path}: {exc}") from None
-    except RecursionError:
-        raise SchemaViolation(f"{path}: JSON nested too deeply") from None
+    except RecursionError:  # deeper than the decoder's stack, so past the bound
+        pass
+    raise SchemaViolation(f"{path}: JSON nested more than {MAX_JSON_DEPTH} deep")
 
 
 # --- Alignment ------------------------------------------------------------------
@@ -750,9 +785,10 @@ def save(graph: KnowledgeGraph) -> dict:
 
 def load(document: dict) -> KnowledgeGraph:
     """Rebuild a graph from a knowledge-unit document; SchemaViolation on
-    malformed input, a code entity's declaration fields and an entity id or
-    name holding ',' or '->' (check_listable) included. Every record is
-    checked, then the graph is filled by one add_all."""
+    malformed input, a code entity's declaration fields and an entity id,
+    name, solver_symbol or solver_symbol_hint holding ',', '->', ' : ' or a
+    line break (check_listable) included. Every record is checked, then the
+    graph is filled by one add_all."""
     if not isinstance(document, dict):
         raise SchemaViolation("knowledge-unit document must be an object")
     unknown = set(document) - _DOC_KEYS
@@ -787,6 +823,8 @@ def load(document: dict) -> KnowledgeGraph:
             for key, value in entity.fields.items():
                 if key in _TEXT_FIELDS and type(value) is not str:
                     raise SchemaViolation(f"field {key!r} must be a string")
+                if key in ("solver_symbol", "solver_symbol_hint"):  # a typed line's last field
+                    check_listable(f"field {key!r}", value)
             declaration(entity)
         except SchemaViolation as exc:
             raise SchemaViolation(f"entity {entity.id!r}: {exc}") from None

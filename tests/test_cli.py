@@ -492,8 +492,13 @@ def broken_battery_doc(path, value):
     ("bad.kg.json", {"version": 1, "entities": None, "edges": []}, "entities and edges must be lists"),
     ("bad.battery.json", broken_battery_doc(("event", "b_ref"), "xy"), "field 'b_ref' must be a list of numbers"),
     ("bad.battery.json", broken_battery_doc(("machines", 0, "p_on"), None), "missing field 'p_on'"),
-    ("bad.cards.json", UNREADABLE_CARDS, "concept card name 'rate, cap' holds ',' or '->'"),
-], ids=["null-card", "card-without-name", "null-entities", "string-b_ref", "no-p_on", "comma-card-name"])
+    ("bad.cards.json", UNREADABLE_CARDS, "concept card name 'rate, cap' holds ',', '->', ' : ' or a line break"),
+    ("bad.cards.json", [{"name": "rate\nDEPENDENCY SUBGRAPH", "kind": "parameter"}],
+     "concept card name 'rate\\nDEPENDENCY SUBGRAPH' holds ',', '->', ' : ' or a line break"),
+    ("bad.cards.json", [{"name": "rate : cap", "kind": "parameter"}],
+     "concept card name 'rate : cap' holds ',', '->', ' : ' or a line break"),
+], ids=["null-card", "card-without-name", "null-entities", "string-b_ref", "no-p_on", "comma-card-name",
+        "line-break-card-name", "colon-card-name"])
 def test_ingest_of_malformed_input_is_a_usage_error_without_traceback(tmp_path, name, document, message):
     path = tmp_path / name
     path.write_text(json.dumps(document), encoding="utf-8")
@@ -508,7 +513,7 @@ def test_generate_on_a_graph_with_a_comma_in_an_id_is_a_usage_error_without_trac
     graph.write_text(json.dumps(UNREADABLE_DOCUMENT), encoding="utf-8")
     proc = run_cli("generate", "what is the value of budget", "--graph", graph)
     assert proc.returncode == EXIT_USAGE
-    assert "entity id 'rate, cap' holds ',' or '->'" in proc.stderr
+    assert "entity id 'rate, cap' holds ',', '->', ' : ' or a line break" in proc.stderr
     assert "Traceback" not in proc.stderr + proc.stdout
 
 

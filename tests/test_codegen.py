@@ -1,10 +1,13 @@
 """Context packaging, template generation, validation, and the repair loop."""
 
+import json
 import random
+import re
+from typing import NamedTuple
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from closurekb import battery, codegen, corpus
@@ -16,10 +19,12 @@ from closurekb.errors import (
     GeneratorUnavailable,
     MissingExpression,
     NotClosed,
+    SchemaViolation,
     UnknownEntity,
 )
 
 from test_closure import make_graph, random_digraph
+from test_knowledge_graph import unlistable
 from test_model_dsl import MALFORMED_SOURCES, random_model
 from test_pipeline import mixed_source_graph
 from test_retrieval import fjsp_graph
@@ -171,15 +176,21 @@ def test_dependency_order_matches_quadratic_reference_on_random_digraphs_with_cy
 
 
 def grouped_reference(graph, members, leaving=False):
-    """The subgraph text of `members`, scanned from graph.edges: one
-    `src -kind-> dst, dst` line per (source, kind) of the executability
-    edges from a member to a member (with `leaving`, to any entity), in
-    sorted order, each line's targets sorted."""
+    """The subgraph text of `members`, scanned from graph.edges: each
+    member's sorted targets per kind over the executability edges from a
+    member to a member (with `leaving`, to any entity); the sources that
+    share a (kind, targets) pair make one `src, src -kind-> dst, dst` line,
+    sources sorted, lines sorted by their first source, then kind."""
     targets = {}
     for e in graph.edges:
         if e.kind in kg.EXEC_KINDS and e.src in members and (leaving or e.dst in members):
             targets.setdefault((e.src, e.kind), []).append(e.dst)
-    return "\n".join(f"{src} -{kind}-> {', '.join(sorted(dsts))}" for (src, kind), dsts in sorted(targets.items()))
+    sources = {}
+    for (src, kind), dsts in targets.items():
+        sources.setdefault((kind, tuple(sorted(dsts))), []).append(src)
+    lines = sorted(((sorted(srcs), kind, dsts) for (kind, dsts), srcs in sources.items()),
+                   key=lambda line: (line[0][0], line[1]))
+    return "\n".join(f"{', '.join(srcs)} -{kind}-> {', '.join(dsts)}" for srcs, kind, dsts in lines)
 
 
 def typed_fields(entity):
@@ -296,32 +307,100 @@ def test_filtered_and_sorted_orders_agree_on_every_subset_size(seed, data):
         assert str(raised.value) == f"no entity with id {first_ghost!r}"
 
 
-def parse_subgraph(text):
-    """(src, kind, targets) of each `src -kind-> dst, dst` line."""
-    rows = []
-    for line in text.split("\n") if text else ():
-        head, _, tail = line.partition("-> ")
-        src, _, kind = head.rpartition(" -")
-        rows.append((src, kind, tail.split(", ")))
-    return rows
+class PackageText(NamedTuple):
+    """A rendered context package, read back by parse_package."""
+
+    typed_lines: list  # (names, (kind, domain, sets), symbol, None for a run) per TYPED ENTITIES line
+    subgraph_lines: list  # (sources, kind, targets) per DEPENDENCY SUBGRAPH line
+    snippets: list  # (doc id, score) per BACKGROUND SNIPPETS line
+    instruction: str
+
+    @property
+    def typed(self):
+        """(name, kind, domain, sets, symbol) per entity, in order: each name
+        of a run is its own symbol."""
+        return [(name, *signature, name if symbol is None else symbol)
+                for names, signature, symbol in self.typed_lines for name in names]
+
+    @property
+    def edges(self):
+        """(src, dst, kind) of every source and target of every subgraph line."""
+        return {(src, dst, kind) for srcs, kind, dsts in self.subgraph_lines for src in srcs for dst in dsts}
 
 
-def assert_subgraph_parses_back(graph, members, check_closed):
+_SNIPPET_LINE = re.compile(r"- \[(.*?)\] \((-?\d+\.\d{4})\) .*", re.DOTALL)
+
+
+def parse_package(text):
+    """Read a rendered package back, section by section: each heading is
+    the line after the blank line that ends the section before, so a name
+    that spells a heading cannot move one. A TYPED ENTITIES line split at
+    " : " is a run (four fields, names split at ", ") or one entity (five
+    fields). A DEPENDENCY SUBGRAPH line `s1, s2 -kind-> d1, d2` splits at its
+    one "-> " and its last " -": every source has exactly those targets
+    under that kind. A snippet line is `- [doc id] (score) text`."""
+    lines = text.split("\n")
+    assert lines[-1] == "", "a package ends with a line break"
+    sections = {}
+    at = 0
+    for heading in ("TYPED ENTITIES", "DEPENDENCY SUBGRAPH", "BACKGROUND SNIPPETS"):
+        assert lines[at] == heading
+        end = lines.index("", at)
+        sections[heading] = lines[at + 1:end]
+        at = end + 1
+    assert lines[at] == "INSTRUCTION"
+    typed_lines = []
+    for line in sections["TYPED ENTITIES"]:
+        fields = line.split(" : ")
+        assert len(fields) in (4, 5), line
+        names = tuple(fields[0].split(", ")) if len(fields) == 4 else (fields[0],)
+        typed_lines.append((names, tuple(fields[1:4]), fields[4] if len(fields) == 5 else None))
+    subgraph_lines = []
+    for line in sections["DEPENDENCY SUBGRAPH"]:
+        if line == "(none)":
+            assert len(sections["DEPENDENCY SUBGRAPH"]) == 1
+            break
+        head, arrow, tail = line.partition("-> ")
+        srcs, dash, kind = head.rpartition(" -")
+        assert arrow and dash and kind in kg.EXEC_KINDS and "-> " not in tail, line
+        subgraph_lines.append((tuple(srcs.split(", ")), kind, tuple(tail.split(", "))))
+    snippets = []
+    for line in sections["BACKGROUND SNIPPETS"]:
+        if line == "(none)":
+            assert len(sections["BACKGROUND SNIPPETS"]) == 1
+            break
+        doc_id, score = _SNIPPET_LINE.fullmatch(line).groups()
+        snippets.append((doc_id, float(score)))
+    return PackageText(typed_lines, subgraph_lines, snippets, "\n".join(lines[at + 1:-1]))
+
+
+def assert_subgraph_reads_back(graph, package, members):
     """The package's subgraph lines hold the members' internal executability
-    edges exactly: one line per (src, kind), both in sorted order, each with
-    sorted, distinct targets."""
-    package = codegen.build_context_from_members(graph, members, [], "x", check_closed)
-    rows = parse_subgraph(package.subgraph_description)
-    heads = [(src, kind) for src, kind, _targets in rows]
-    assert heads == sorted(set(heads))
-    for _src, _kind, targets in rows:
-        assert targets and "" not in targets and targets == sorted(set(targets))
-    parsed = [(src, dst, kind) for src, kind, targets in rows for dst in targets]
-    assert sorted(parsed) == sorted(
+    edges exactly, one line per (kind, target list): sources and targets
+    sorted and distinct, no (source, kind) on two lines, no two lines with
+    one (kind, target list), lines in order of their first source, then
+    kind."""
+    read = parse_package(package.render())
+    heads = []
+    for srcs, kind, dsts in read.subgraph_lines:
+        assert list(srcs) == sorted(set(srcs)) and list(dsts) == sorted(set(dsts))
+        heads += [(src, kind) for src in srcs]
+    assert len(heads) == len(set(heads))
+    pairs = [(kind, dsts) for _srcs, kind, dsts in read.subgraph_lines]
+    assert len(pairs) == len(set(pairs))
+    firsts = [(srcs[0], kind) for srcs, kind, _dsts in read.subgraph_lines]
+    assert firsts == sorted(firsts)
+    assert read.edges == {
         (e.src, e.dst, e.kind)
         for e in graph.edges
         if e.kind in kg.EXEC_KINDS and e.src in members and e.dst in members
-    )
+    }
+    return read
+
+
+def assert_subgraph_parses_back(graph, members, check_closed):
+    package = codegen.build_context_from_members(graph, members, [], "x", check_closed)
+    return assert_subgraph_reads_back(graph, package, members)
 
 
 @settings(max_examples=300, deadline=None)
@@ -351,32 +430,103 @@ def test_subgraph_lines_parse_back_to_the_internal_edges_on_benchmark_graphs(ben
         assert_subgraph_parses_back(graph, window, check_closed=False)
 
 
-def parse_typed(text):
-    """(name, kind, domain, sets, symbol) of each entity a TYPED ENTITIES
-    text lists: a four-field line is a run, its names split at ", " and each
-    its own symbol; a five-field line is one entity."""
-    rows = []
-    for line in text.split("\n") if text else ():
-        fields = line.split(" : ")
-        if len(fields) == 4:
-            names, *signature = fields
-            rows += [(name, *signature, name) for name in names.split(", ")]
+# The package's separators, and near misses of them among short Unicode
+# texts and MiniModel names (which can join a typed run).
+SEPARATORS = (",", "->", " : ", "x :", ": x", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+              "\x85", "\u2028", "\u2029")
+NEAR_MISSES = (":", " :x", "x: ", "-", ">", " -", "- >", "> ", " ", "] (", "(none)", "paper:")
+MINIMODEL_NAME = st.from_regex(r"[a-z][a-z0-9_]{0,2}", fullmatch=True)
+DRAWN_TEXT = MINIMODEL_NAME | st.lists(
+    st.sampled_from(NEAR_MISSES) | st.text(min_size=1, max_size=3) | MINIMODEL_NAME, min_size=1, max_size=3
+).map("".join)
+PACKAGE_SNIPPETS = (("paper:doc", 0.123456, "first snippet"), ("doc 2", 1.0, "second"))
+
+
+def drawn_graph(data):
+    """A graph ingested from concept cards, or loaded from a document, whose
+    names, ids and solver symbols are DRAWN_TEXT, one of them, half the
+    time, with a separator put in; None when ingest or load refuses it,
+    which it must do exactly when one of them would not read back
+    (test_knowledge_graph.unlistable)."""
+    n = data.draw(st.integers(2, 8), label="n")
+    via_load = data.draw(st.booleans(), label="load")
+    texts = {
+        "names": data.draw(st.lists(DRAWN_TEXT, min_size=n, max_size=n), label="names"),
+        # A symbol is absent, the entity's name or a text of its own.
+        "symbols": data.draw(st.lists(st.none() | st.just("") | DRAWN_TEXT, min_size=n, max_size=n),
+                             label="symbols"),
+        "ids": data.draw(st.lists(DRAWN_TEXT, min_size=n, max_size=n), label="ids") if via_load else [],
+    }
+    texts["symbols"] = [name if symbol == "" else symbol for name, symbol in zip(texts["names"], texts["symbols"])]
+    if data.draw(st.booleans(), label="separator"):
+        group = data.draw(st.sampled_from(sorted(key for key, drawn in texts.items() if any(drawn))))
+        i = data.draw(st.sampled_from([i for i, text in enumerate(texts[group]) if text is not None]))
+        at = data.draw(st.integers(0, len(texts[group][i])), label="at")
+        texts[group][i] = texts[group][i][:at] + data.draw(st.sampled_from(SEPARATORS)) + texts[group][i][at:]
+    names, symbols, ids = texts["names"], texts["symbols"], texts["ids"]
+    assume(len(set(names)) == n and len(set(ids)) == len(ids))
+    kinds = data.draw(st.lists(st.sampled_from([kg.PARAMETER, kg.DECISION_VARIABLE, kg.CONSTRAINT, kg.CONCEPT]),
+                               min_size=n, max_size=n), label="kinds")
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from(sorted(kg.EXEC_KINDS)))
+    edges = sorted(data.draw(st.sets(pairs.filter(lambda e: e[0] != e[1]), max_size=3 * n), label="edges"))
+    drawn = [*names, *filter(None, symbols), *ids]
+    try:
+        if via_load:
+            records = []
+            for entity_id, name, symbol, kind in zip(ids, names, symbols, kinds):
+                code = kind in (kg.PARAMETER, kg.DECISION_VARIABLE)
+                fields = {"index_sets": []} if code else {}
+                if symbol is not None:
+                    fields["solver_symbol" if code else "solver_symbol_hint"] = symbol
+                records.append({"id": entity_id, "kind": kind, "name": name, "description": "",
+                                "source": kg.SOURCE_CODE if code else kg.SOURCE_PAPER, "fields": fields})
+            document = {"version": 1, "entities": records,
+                        "edges": [{"src": ids[s], "dst": ids[d], "kind": kind} for s, d, kind in edges]}
+            graph = kg.load(json.loads(json.dumps(document)))
         else:
-            name, kind, domain, sets, symbol = fields
-            rows.append((name, kind, domain, sets, symbol))
-    return rows
+            relations = [[] for _ in range(n)]
+            for s, d, kind in edges:
+                relations[s].append((kind, names[d]))
+            cards = [kg.ConceptCard(name, kind, solver_symbol_hint=symbol, relations=tuple(rels))
+                     for name, symbol, kind, rels in zip(names, symbols, kinds, relations)]
+            graph = kg.KnowledgeGraph()
+            kg.ingest_concept_cards(cards, graph)
+    except SchemaViolation:
+        assert any(map(unlistable, drawn))
+        return None
+    assert not any(map(unlistable, drawn))
+    return graph
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_every_accepted_id_name_and_hint_reads_back_from_the_rendered_package(data):
+    """Either ingest or load refuses the drawn texts, or the rendered package
+    of a closed and of an open member set reads back (parse_package) to its
+    own typed rows, internal executability edges, snippets and instruction."""
+    graph = drawn_graph(data)
+    if graph is None:
+        return
+    members = data.draw(st.sets(st.sampled_from(graph.sorted_ids())), label="members")
+    for member_set, check_closed in ((closure(graph, *members).members, True), (members, False)):
+        package = codegen.build_context_from_members(
+            graph, member_set, PACKAGE_SNIPPETS, "the query", check_closed
+        )
+        read = assert_subgraph_reads_back(graph, package, member_set)
+        assert read.typed == list(map(typed_fields, package.typed_entities))
+        assert read.snippets == [("paper:doc", 0.1235), ("doc 2", 1.0)]
+        assert read.instruction == "the query"
 
 
 def assert_typed_parses_back(graph, members, check_closed):
     """The package's typed lines hold its typed entities exactly, in order,
-    and every run is maximal: no two neighbouring four-field lines share a
+    and every run is maximal: no two neighbouring run lines share a
     signature. Returns the package."""
     package = codegen.build_context_from_members(graph, members, [], "x", check_closed)
-    text = package.typed_description
-    assert parse_typed(text) == list(map(typed_fields, package.typed_entities))
-    fields = [line.split(" : ") for line in text.split("\n")] if text else []
-    for before, after in zip(fields, fields[1:]):
-        assert not (len(before) == len(after) == 4 and before[1:] == after[1:])
+    read = parse_package(package.render())
+    assert read.typed == list(map(typed_fields, package.typed_entities))
+    for before, after in zip(read.typed_lines, read.typed_lines[1:]):
+        assert not (before[2] is None and after[2] is None and before[1] == after[1])
     return package
 
 

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -620,12 +621,35 @@ UNREADABLE_DOCUMENT = {
     {"version": 1, "entities": [entity_record("rate->cap")], "edges": []},
     {"version": 1, "entities": [entity_record("rate", "rate, cap")], "edges": []},
     {"version": 1, "entities": [entity_record("rate", "rate -used_in-> cap")], "edges": []},
+    {"version": 1, "entities": [entity_record("paper:bud\nget")], "edges": []},
+    {"version": 1, "entities": [entity_record("paper:bud : get")], "edges": []},
+    {"version": 1, "entities": [entity_record("rate", "rate\u2028DEPENDENCY SUBGRAPH")], "edges": []},
+    {"version": 1, "entities": [entity_record("rate", "rate : cap")], "edges": []},
+    {"version": 1, "entities": [{**entity_record("rate"), "fields": {"solver_symbol_hint": "b : c"}}], "edges": []},
+    {"version": 1, "entities": [{**entity_record("rate"), "fields": {"solver_symbol": "b\x85c"}}], "edges": []},
 ], ids=["entities-null", "edges-null", "entities-object", "int-id", "list-id", "list-src",
         "int-description", "list-snippet", "null-name", "unknown-edge-kind", "list-edge-kind",
-        "true-version", "float-version", "comma-id", "arrow-id", "comma-name", "arrow-name"])
+        "true-version", "float-version", "comma-id", "arrow-id", "comma-name", "arrow-name",
+        "line-break-id", "colon-id", "line-break-name", "colon-name", "colon-hint", "line-break-symbol"])
 def test_load_rejects_malformed_documents_with_schema_violation(document):
     with pytest.raises(SchemaViolation):
         kg.load(document)
+
+
+def test_check_listable_refuses_exactly_the_line_breaks_splitlines_splits_at():
+    refused = set()
+    for char in map(chr, range(sys.maxunicode + 1)):
+        try:
+            kg.check_listable("name", f"a{char}b")
+        except SchemaViolation:
+            refused.add(char)
+    line_breaks = {char for char in map(chr, range(sys.maxunicode + 1)) if len(f"a{char}b".splitlines()) > 1}
+    assert refused == line_breaks | {","}
+    for text in ("load reduction", "a:b", "a: b", "a :b", "a - b", "a>b", "paper:p 03", ""):
+        kg.check_listable("name", text)
+    for text in ("a, b", "a,b", "a->b", "a : b", "x :", ": x", ":", "a\r\nb", "a\n"):
+        with pytest.raises(SchemaViolation, match="holds ',', '->', ' : ' or a line break"):
+            kg.check_listable("name", text)
 
 
 # Cards whose subgraph line would not read back: `paper:budget -used_in->
@@ -649,8 +673,14 @@ UNREADABLE_CARDS = [
     [{"name": "n", "kind": "concept", "snippet": ["text"]}],
     UNREADABLE_CARDS,
     [{"name": "rate -used_in-> cap", "kind": "parameter"}],
+    [{"name": "rate\nDEPENDENCY SUBGRAPH", "kind": "parameter"}],
+    [{"name": "rate : cap", "kind": "parameter"}],
+    [{"name": "budget", "kind": "parameter", "solver_symbol_hint": "b : c"}],
+    [{"name": "budget", "kind": "parameter", "solver_symbol_hint": "b\rc"}],
+    [{"name": "budget", "kind": "parameter", "solver_symbol_hint": "b, c"}],
 ], ids=["null-card", "no-name", "no-kind", "int-name", "one-part-relation",
-        "string-relations", "list-snippet", "comma-name", "arrow-name"])
+        "string-relations", "list-snippet", "comma-name", "arrow-name", "line-break-name",
+        "colon-name", "colon-hint", "line-break-hint", "comma-hint"])
 def test_cards_from_json_rejects_malformed_cards_with_schema_violation(document):
     with pytest.raises(SchemaViolation):
         kg.cards_from_json(document)
@@ -750,14 +780,48 @@ def test_cards_from_json_raises_only_closurekb_errors(document):
         pass
 
 
-def test_read_json_loads_a_document_500_deep(tmp_path):
-    # The decoder's depth limit is the recursion limit less the caller's depth.
+def nested_json(depth: int, opening="[", closing="]") -> str:
+    return opening * depth + closing * depth
+
+
+def call_at_depth(frames: int, function, *args):
+    """function(*args), called from `frames` more frames down the stack."""
+    if frames == 0:
+        return function(*args)
+    return call_at_depth(frames - 1, function, *args)
+
+
+@pytest.mark.parametrize("frames", [0, 400], ids=["shallow-caller", "caller-400-frames-deep"])
+def test_read_json_loads_a_document_at_the_depth_bound(tmp_path, frames):
     path = tmp_path / "nested.json"
-    path.write_text("[" * 500 + "]" * 500, encoding="utf-8")
-    document = kg.read_json(path)
-    for _level in range(499):
+    path.write_text(nested_json(kg.MAX_JSON_DEPTH), encoding="utf-8")
+    document = call_at_depth(frames, kg.read_json, path)
+    for _level in range(kg.MAX_JSON_DEPTH - 1):
         document = document[0]
     assert document == []
+
+
+@pytest.mark.parametrize("frames", [0, 400], ids=["shallow-caller", "caller-400-frames-deep"])
+@pytest.mark.parametrize("text", [
+    nested_json(kg.MAX_JSON_DEPTH + 1),
+    "[" + nested_json(kg.MAX_JSON_DEPTH // 2, '{"k": [', "]}") + "]",
+    "[" * 100000,
+], ids=["arrays-one-past", "objects-and-arrays-one-past", "unclosed-100000"])
+def test_read_json_refuses_a_document_past_the_depth_bound(tmp_path, frames, text):
+    path = tmp_path / "nested.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SchemaViolation, match=f"JSON nested more than {kg.MAX_JSON_DEPTH} deep"):
+        call_at_depth(frames, kg.read_json, path)
+
+
+def test_json_depth_counts_nested_arrays_and_objects():
+    assert kg.json_depth(1) == kg.json_depth("[[") == 0
+    assert kg.json_depth([]) == kg.json_depth({}) == 1
+    assert kg.json_depth(json.loads('[1, {"a": "[[[", "b": [{}, []]}, []]')) == 4
+    document = []
+    for _level in range(2999):
+        document = [7, document]
+    assert kg.json_depth(document) == 3000
 
 
 @pytest.mark.parametrize("name", ["deep.kg.json", "deep.cards.json", "deep.battery.json"])
@@ -792,6 +856,19 @@ def graphs(draw):
     return graph
 
 
+def unlistable(text) -> bool:
+    """Whether a package line holding `text` would not read back: it holds
+    ',' or '->', it holds ' : ' once written between two spaces, or
+    str.splitlines splits it."""
+    return "," in text or "->" in text or " : " in f" {text} " or len(f"a{text}b".splitlines()) > 1
+
+
+def symbol_texts(entity):
+    """The entity's id, name and the solver symbol fields it holds as text."""
+    fields = [entity.fields.get(key) for key in ("solver_symbol", "solver_symbol_hint")]
+    return [entity.id, entity.name, *(text for text in fields if isinstance(text, str))]
+
+
 @settings(max_examples=100, deadline=None)
 @given(graphs())
 def test_load_of_saved_json_equals_the_graph(graph):
@@ -799,11 +876,12 @@ def test_load_of_saved_json_equals_the_graph(graph):
     try:
         for entity in graph.entities.values():
             kg.declaration(entity)
-            if any("," in text or "->" in text for text in (entity.id, entity.name)):
-                raise SchemaViolation("an id or name that would not read back in a package")
+            if any(map(unlistable, symbol_texts(entity))):
+                raise SchemaViolation("an id, name or symbol that would not read back in a package")
     except SchemaViolation:
         # A code entity whose declaration fields are malformed does not load,
-        # nor does an entity whose id or name holds ',' or '->'.
+        # nor does an entity whose id, name or symbol holds ',', '->', ' : '
+        # or a line break.
         with pytest.raises(SchemaViolation):
             kg.load(document)
         return

@@ -37,9 +37,9 @@ FJSP_QUERIES = (
 )
 
 DIGESTS = {
-    "battery": "9baf62b42ef46b0c7dc467cc0eaf894251745c40304155ff192cf53a6b9f4b49",
-    "fjsp": "aa2367349c8af73109a726838c60853d2327500b7e2be5baeddc5cf05c4c2e07",
-    "ablate-closure": "bcdc2b8c8cd2e0fa8d56ddd6ddec715067cf2c603461668b3957162dab735e1e",
+    "battery": "42792b14f4e58fc35e7244d1c0d8b1797571b4b073e195bc5ef076dd13bfa890",
+    "fjsp": "2cb1d3510aad64c50cebbb9b287e9689738dd6a6d9bc98ae4cf4aa378f626a8b",
+    "ablate-closure": "d5638738a164fb21c333fcb28532ff40b6312953ec4b4d7d74589b5bf9ca063e",
     "ablate-window": "d37d4b50574a2d9788b0bc2fba60139ca6e0a6c223665f56c1e9dbc0f3913245",
     "fjsp-models": "ea9a4721378dfec295ebab3b7f4bb84c3090b14e00af9ef360a2971044f62058",
 }
