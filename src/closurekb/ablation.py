@@ -1,11 +1,9 @@
 """Ablation harness: knowledge-source and retrieval-mode contrasts.
 
-Each run executes a single retrieve -> package -> generate -> validate pass
-(no corrective re-retrieval, so the contrast between closure expansion and a
-plain top-k window is visible in the reports). Closure mode is the full
-pipeline (`codegen.run_pipeline`, one round); window mode feeds the k nearest
-semantic hits to the generator with no closure expansion, which is the
-non-type-aware baseline.
+Each run is one round of `codegen.run_pipeline`, with no corrective
+re-retrieval, so the reports show the contrast between a dependency closure
+(closure mode) and the k nearest semantic hits (window mode, the
+non-type-aware baseline). `run_single` maps that run to a report row.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import codegen, corpus, retrieval
-from .errors import ClosureKbError, MissingExpression, SchemaViolation
+from .errors import ClosureKbError, SchemaViolation
 from .knowledge_graph import json_field, read_json
 
 CLOSURE_MODE = "closure"
@@ -42,9 +40,13 @@ class AblationConfig:
 
 def config_from_json(doc: dict) -> AblationConfig:
     """Config from a JSON object whose fields are all optional, each of its
-    default's type; SchemaViolation on a field of the wrong type."""
+    default's type; SchemaViolation on an unknown key or a field of the
+    wrong type."""
     if not isinstance(doc, dict):
         raise SchemaViolation("ablation config must be an object")
+    unknown = doc.keys() - {f.name for f in fields(AblationConfig)}
+    if unknown:
+        raise SchemaViolation(f"unknown ablation config keys: {sorted(unknown)}")
     return AblationConfig(**{
         f.name: json_field(doc, f.name, type(f.default))
         for f in fields(AblationConfig)
@@ -118,35 +120,18 @@ class ScriptedGenerator:
         return response
 
 
-def _make_generator(selector: str):
-    if selector == "template":
-        return codegen.TemplateGenerator()
-    return ScriptedGenerator.from_path(selector)
-
-
 def run_single(query: str, graph, index, generator, mode: str, window_k: int) -> RunRow:
-    if mode == CLOSURE_MODE:
-        run = codegen.run_pipeline(query, graph, index, generator, max_rounds=1)
-        if run.report.status == "unresolved":
-            return RunRow(run=0, status="unresolved", missing=(), empty_snippets=True,
-                          detail="query resolved no entity")
-        snippets, error, report = run.retrieval.snippets, run.generation_error, run.report
-    else:
-        hits = retrieval.semantic_search(index, query, window_k)
-        members = [doc_id for doc_id, _score, _text in hits if doc_id in graph]
-        package = codegen.build_context_from_members(
-            graph, members, hits, query, check_closed=False
-        )
-        snippets, error = package.snippets, None
-        try:
-            report = codegen.validate(codegen.generate(package, generator))
-        except MissingExpression as exc:
-            error = str(exc)
-    if error is not None:
+    run = codegen.run_pipeline(query, graph, index, generator, max_rounds=1,
+                               window_k=window_k if mode == WINDOW_MODE else None)
+    if run.report.status == "unresolved":
+        return RunRow(run=0, status="unresolved", missing=(), empty_snippets=True,
+                      detail="query resolved no entity")
+    empty_snippets, report = not run.retrieval.snippets, run.report
+    if run.generation_error is not None:
         return RunRow(run=0, status="generation_failed", missing=(),
-                      empty_snippets=not snippets, detail=error)
+                      empty_snippets=empty_snippets, detail=run.generation_error)
     return RunRow(run=0, status="ok" if report.ok else "failed", missing=report.missing_declarations,
-                  empty_snippets=not snippets, detail=report.parse_error or "")
+                  empty_snippets=empty_snippets, detail=report.parse_error or "")
 
 
 def run_ablation(config: AblationConfig, corpus_dir) -> AblationReport:
@@ -158,7 +143,8 @@ def run_ablation(config: AblationConfig, corpus_dir) -> AblationReport:
     inputs = sorted(p for p in corpus_dir.iterdir() if p.name.endswith(corpus.INPUT_SUFFIXES))
     graph, _alignment = corpus.ingest_corpus(inputs, sources=config.knowledge_sources)
     index = retrieval.index_snippets(graph)
-    generator = _make_generator(config.generator)
+    generator = (codegen.TemplateGenerator() if config.generator == "template"
+                 else ScriptedGenerator.from_path(config.generator))
     rows = []
     for run in range(1, config.runs + 1):
         row = run_single(query, graph, index, generator, config.retrieval_mode, config.window_k)

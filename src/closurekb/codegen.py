@@ -24,7 +24,7 @@ with a compatible kind and arity. The pipeline validates generated models
 self-contained, because the solver only ever sees the code.
 
 `run_pipeline` is the one path from a query to validated code: CLI `generate`
-and `query`, closure-mode ablation and `repair_loop` (its tuple form) use it.
+and `query`, the ablation in both modes and `repair_loop` (its tuple form).
 """
 
 from __future__ import annotations
@@ -181,7 +181,7 @@ def build_context_from_members(
     raises NotClosed with the escaping (src, dst) pairs that
     `closure.is_well_defined` reports, before any ordering and before
     UnknownEntity; a closed set never runs that check. Only an open set,
-    which window mode of the ablation builds without `check_closed`, has a
+    which window mode (run_pipeline's one open-package call) builds, has a
     member with a target outside it; its tails are made again by
     `knowledge_graph.arrow_tails` from its executability edges to members.
     The walk groups the members by tail, in one dict, into subgraph lines;
@@ -456,9 +456,9 @@ def resolve_missing_name(graph: KnowledgeGraph, name: str) -> str | None:
 
 @dataclass(frozen=True)
 class PipelineRun:
-    """One pipeline run. `retrieval` is the last round's fused result (for an
-    unresolved query, no structure plus the search hits); `generation_error`
-    is the last round's MissingExpression text, or None."""
+    """One pipeline run. `retrieval` is the last round's members and snippets
+    (for an unresolved query, no members plus the search hits);
+    `generation_error` is the last round's MissingExpression text, or None."""
 
     parsed: ParsedQuery
     seeds: tuple[str, ...]
@@ -470,7 +470,7 @@ class PipelineRun:
 
 
 def run_pipeline(query: str, graph: KnowledgeGraph, index, generator,
-                 max_rounds: int = DEFAULT_MAX_ROUNDS) -> PipelineRun:
+                 max_rounds: int = DEFAULT_MAX_ROUNDS, window_k: int | None = None) -> PipelineRun:
     """retrieve -> build -> generate -> validate, re-retrieving missing symbols.
 
     On missing declarations, each name is looked up in the graph and its
@@ -489,16 +489,26 @@ def run_pipeline(query: str, graph: KnowledgeGraph, index, generator,
 
     A query that resolves no seed entity has nothing to build from: it
     returns empty code, an `unresolved` report and zero rounds.
+
+    Member selection is the one stage that varies. `window_k` None is the
+    closure above. An integer is the ablation's top-k window: the members
+    are the `semantic_search` hits held in the graph, with no seeds (so never
+    `unresolved`), in an open package whose snippets are the unfused hits.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     parsed = understand_query(query, graph)
-    snippets = semantic_search(index, query, DEFAULT_SNIPPET_K)
-    seeds = tuple(select_seeds(parsed, graph))
-    if not seeds:
-        unresolved = ValidationReport(status="unresolved")
-        return PipelineRun(parsed, seeds, fuse((), snippets), "", unresolved, 0, None)
-    structural = structural_retrieve(graph, seeds)
+    if window_k is None:
+        snippets = semantic_search(index, query, DEFAULT_SNIPPET_K)
+        seeds = tuple(select_seeds(parsed, graph))
+        if not seeds:
+            unresolved = ValidationReport(status="unresolved")
+            return PipelineRun(parsed, seeds, fuse((), snippets), "", unresolved, 0, None)
+        structural = structural_retrieve(graph, seeds)
+    else:
+        snippets = tuple(semantic_search(index, query, window_k))
+        seeds = ()
+        structural = frozenset(doc_id for doc_id, _score, _text in snippets if doc_id in graph)
     walked = set(seeds)
     extra: set[str] = set()
     fused = package = None
@@ -509,8 +519,12 @@ def run_pipeline(query: str, graph: KnowledgeGraph, index, generator,
             walked |= unwalked
             structural |= structural_retrieve(graph, sorted(unwalked))
         if package is None or len(structural) > len(fused.structural):
-            fused = fuse(structural, snippets)
-            package = build_context(graph, fused, query)
+            if window_k is None:
+                fused = fuse(structural, snippets)
+                package = build_context(graph, fused, query)
+            else:
+                fused = RetrievalResult(structural, snippets)
+                package = build_context_from_members(graph, structural, snippets, query, check_closed=False)
         try:
             code = generate(package, generator)
         except MissingExpression as exc:

@@ -501,12 +501,23 @@ def declaration(entity: Entity) -> SetDecl | ParamDecl | VarDecl | None:
     return decl
 
 
+def _names(fields: dict, key: str, default):
+    """fields[key], a list of MiniModel names (model_dsl.NAME_RE), which is
+    what the parser reads as set members and index sets; SchemaViolation on
+    any other string, since the package writes them into statements."""
+    names = json_field(fields, key, [str], default)
+    for name in names or ():
+        if not model_dsl.NAME_RE.fullmatch(name):
+            raise SchemaViolation(f"field {key!r} holds {name!r}, which is not a MiniModel name")
+    return names
+
+
 def _read_declaration(entity: Entity) -> SetDecl | ParamDecl | VarDecl | None:
     if entity.source != SOURCE_CODE:
         return None
     fields = entity.fields
     if entity.kind == INDEX_SET:
-        members = json_field(fields, "members", [str], None)
+        members = _names(fields, "members", None)
         if members:
             return SetDecl(entity.id, members=tuple(members))
         lo, hi = json_field(fields, "lo", int, None), json_field(fields, "hi", int, None)
@@ -517,7 +528,7 @@ def _read_declaration(entity: Entity) -> SetDecl | ParamDecl | VarDecl | None:
         data = json_field(fields, "data", [float] if isinstance(fields.get("data"), list) else float, None)
         if data is not None:
             data = tuple(map(float, data)) if isinstance(data, list) else float(data)
-        return ParamDecl(entity.id, tuple(json_field(fields, "index_sets", [str], ())), data)
+        return ParamDecl(entity.id, tuple(_names(fields, "index_sets", ())), data)
     if entity.kind == DECISION_VARIABLE:
         domain = json_field(fields, "domain", str, model_dsl.CONTINUOUS)
         if domain not in model_dsl.VAR_DOMAINS:
@@ -525,7 +536,7 @@ def _read_declaration(entity: Entity) -> SetDecl | ParamDecl | VarDecl | None:
         bounds = json_field(fields, "bounds", [float], None)
         if bounds is not None and len(bounds) != 2:
             raise SchemaViolation("field 'bounds' must be a [lower, upper] pair")
-        index_sets = tuple(json_field(fields, "index_sets", [str], ()))
+        index_sets = tuple(_names(fields, "index_sets", ()))
         return VarDecl(entity.id, index_sets, domain, tuple(bounds) if bounds is not None else None)
     return None
 

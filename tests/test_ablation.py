@@ -43,6 +43,19 @@ def test_window_mode_fails_all_runs_with_missing_declarations(dispersed_dir):
         assert len(row.missing) >= 1
 
 
+def test_a_second_window_round_adds_the_closures_of_the_missing_names(dispersed_dir):
+    graph, _alignment = corpus.ingest_corpus([dispersed_dir / "dispersed.kg.json"])
+    index = retrieval.index_snippets(graph)
+    one, two = (
+        codegen.run_pipeline(corpus.DISPERSED_QUERY, graph, index, codegen.TemplateGenerator(),
+                             max_rounds, window_k=3)
+        for max_rounds in (1, 2)
+    )
+    assert one.report.missing_declarations and not one.report.ok
+    assert (two.report.ok, two.rounds, two.seeds) == (True, 2, ())
+    assert two.retrieval.structural > one.retrieval.structural
+
+
 def test_papers_only_generation_failure(battery_dir):
     config = ablation.AblationConfig(knowledge_sources=corpus.PAPERS_ONLY, runs=1)
     report = ablation.run_ablation(config, battery_dir)
@@ -112,10 +125,16 @@ def test_config_validation():
     {"runs": "2"},
     {"window_k": "3", "retrieval_mode": "window"},
     [1],
-], ids=["string-runs", "string-window_k", "list"])
+    {"retreival_mode": "window", "runs": 2},
+], ids=["string-runs", "string-window_k", "list", "misspelled-key"])
 def test_config_from_json_rejects_malformed_documents(doc):
     with pytest.raises(SchemaViolation):
         ablation.config_from_json(doc)
+
+
+def test_config_from_json_names_every_unknown_key():
+    with pytest.raises(SchemaViolation, match=r"\['retreival_mode', 'rnus'\]"):
+        ablation.config_from_json({"rnus": 2, "retreival_mode": "window", "runs": 2})
 
 
 def test_config_from_json_reads_every_field():

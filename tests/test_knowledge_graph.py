@@ -627,10 +627,15 @@ UNREADABLE_DOCUMENT = {
     {"version": 1, "entities": [entity_record("rate", "rate : cap")], "edges": []},
     {"version": 1, "entities": [{**entity_record("rate"), "fields": {"solver_symbol_hint": "b : c"}}], "edges": []},
     {"version": 1, "entities": [{**entity_record("rate"), "fields": {"solver_symbol": "b\x85c"}}], "edges": []},
+    {"version": 1, "entities": [{**entity_record("S"), "kind": "index_set", "source": "code",
+                                 "fields": {"members": ["a : b", "c\nTYPED ENTITIES"]}}], "edges": []},
+    {"version": 1, "entities": [{**entity_record("p"), "source": "code",
+                                 "fields": {"index_sets": ["S : x"]}}], "edges": []},
 ], ids=["entities-null", "edges-null", "entities-object", "int-id", "list-id", "list-src",
         "int-description", "list-snippet", "null-name", "unknown-edge-kind", "list-edge-kind",
         "true-version", "float-version", "comma-id", "arrow-id", "comma-name", "arrow-name",
-        "line-break-id", "colon-id", "line-break-name", "colon-name", "colon-hint", "line-break-symbol"])
+        "line-break-id", "colon-id", "line-break-name", "colon-name", "colon-hint", "line-break-symbol",
+        "set-member-not-a-name", "index-set-not-a-name"])
 def test_load_rejects_malformed_documents_with_schema_violation(document):
     with pytest.raises(SchemaViolation):
         kg.load(document)

@@ -1,9 +1,10 @@
-"""run_pipeline against the three copies of the pipeline it replaced.
+"""run_pipeline against the four copies of the pipeline it replaced.
 
-`reference_repair_loop` and `reference_closure_row` are `codegen.repair_loop`
-and the closure branch of `ablation.run_single` as they stood before both
-went through `codegen.run_pipeline`, kept here as the specification the one
-path must reproduce (as `full_sort_search` is kept for `semantic_search`).
+`reference_repair_loop`, `reference_closure_row` and `reference_window_row`
+are `codegen.repair_loop` and the closure and window branches of
+`ablation.run_single` as they stood before each went through
+`codegen.run_pipeline`, kept here as the specification the one path must
+reproduce (as `full_sort_search` is kept for `semantic_search`).
 """
 
 import pytest
@@ -86,6 +87,24 @@ def reference_closure_row(query, graph, index, generator):
     )
 
 
+def reference_window_row(query, graph, index, generator, window_k):
+    """The old window branch of ablation.run_single."""
+    hits = rt.semantic_search(index, query, window_k)
+    members = [doc_id for doc_id, _score, _text in hits if doc_id in graph]
+    package = codegen.build_context_from_members(graph, members, hits, query, check_closed=False)
+    snippets, error = package.snippets, None
+    try:
+        report = codegen.validate(codegen.generate(package, generator))
+    except MissingExpression as exc:
+        error = str(exc)
+    if error is not None:
+        return ablation.RunRow(run=0, status="generation_failed", missing=(),
+                               empty_snippets=not snippets, detail=error)
+    return ablation.RunRow(run=0, status="ok" if report.ok else "failed",
+                           missing=report.missing_declarations,
+                           empty_snippets=not snippets, detail=report.parse_error or "")
+
+
 class DropFirstVar:
     """Template output without its first `var` line, on the first call only."""
 
@@ -120,6 +139,32 @@ def assert_same_as_references(query, graph, index, make_generator):
     assert row == reference_closure_row(query, graph, index, make_generator())
 
 
+WINDOW_KS = (1, 3, 5)
+
+
+def assert_windows_same_as_reference(query, graph, index, make_generator):
+    """Window-mode rows equal the old window branch's, and a window run has
+    no seeds, one round, a resolved status, the hits in the graph as its
+    members and the old branch's package."""
+    for k in WINDOW_KS:
+        row = ablation.run_single(query, graph, index, make_generator(), ablation.WINDOW_MODE, k)
+        assert row == reference_window_row(query, graph, index, make_generator(), k)
+        hits = rt.semantic_search(index, query, k)
+        members = frozenset(doc_id for doc_id, _score, _text in hits if doc_id in graph)
+        rendered = []
+
+        def generator(package, inner=make_generator()):
+            rendered.append(package.render())
+            return inner(package)
+
+        run = codegen.run_pipeline(query, graph, index, generator, max_rounds=1, window_k=k)
+        assert (run.seeds, run.rounds) == ((), 1)
+        assert run.report.status != "unresolved"
+        assert run.retrieval == rt.RetrievalResult(members, tuple(hits))
+        package = codegen.build_context_from_members(graph, members, hits, query, check_closed=False)
+        assert rendered == [package.render()]
+
+
 @pytest.mark.parametrize("generator", sorted(GENERATORS))
 @pytest.mark.parametrize("workload", ["battery-paper", "fjsp-full-model", "kb-scale"])
 def test_run_pipeline_matches_the_old_copies_on_benchmark_requests(benchmark_graphs, workload, generator):
@@ -127,6 +172,7 @@ def test_run_pipeline_matches_the_old_copies_on_benchmark_requests(benchmark_gra
     index = rt.index_snippets(graph)
     for query in dict.fromkeys(requests + ["zzz qqq"]):
         assert_same_as_references(query, graph, index, GENERATORS[generator])
+        assert_windows_same_as_reference(query, graph, index, GENERATORS[generator])
 
 
 @pytest.mark.parametrize("generator", sorted(GENERATORS))
@@ -137,7 +183,9 @@ def test_run_pipeline_matches_the_old_copies_on_the_battery_corpus(tmp_path, sou
     graph, _alignment = corpus.ingest_corpus(
         [p for p in inputs if p.name != "query.txt"], sources=sources
     )
-    assert_same_as_references(query, graph, rt.index_snippets(graph), GENERATORS[generator])
+    index = rt.index_snippets(graph)
+    assert_same_as_references(query, graph, index, GENERATORS[generator])
+    assert_windows_same_as_reference(query, graph, index, GENERATORS[generator])
 
 
 def mixed_source_graph(n, paper, edges):
